@@ -45,6 +45,7 @@ from .forward import (
 from .solver import (
     IterationLog,
     IterationRecord,
+    NonFiniteIterateError,
     OuterRecord,
     RunResult,
     SolverConfig,
@@ -105,6 +106,7 @@ __all__ = [
     "IterationLog",
     "IterationRecord",
     "OuterRecord",
+    "NonFiniteIterateError",
     "run",
     "ExperimentSpec",
     "NoiseSpec",

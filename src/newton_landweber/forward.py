@@ -15,7 +15,9 @@ Its derivative and adjoint (with respect to the uniform-weight pairing) are
 
 both exact at the discrete level because A(c) is symmetric and the quadrature
 weights are uniform. One factorization of A(c) serves all derivative/adjoint
-applications at that c.
+applications at that c. Both formulas are written once, as kernels on raw
+values (``derivative_values``/``adjoint_values``); ``derivative_apply`` and
+``adjoint_apply`` add the grid check and the :class:`GridFunction` wrapping.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ __all__ = [
     "forward",
     "derivative_apply",
     "adjoint_apply",
+    "derivative_values",
+    "adjoint_values",
 ]
 
 
@@ -220,15 +224,25 @@ def forward(problem: EllipticProblem, c: GridFunction) -> GridFunction:
     return solve_state(problem, c).u
 
 
+def derivative_values(ev: ForwardEvaluation, h: np.ndarray) -> np.ndarray:
+    """F'(c) h = -A(c)^{-1}(h * u(c)) on raw values, with no grid check."""
+    return -ev.solve(h * ev.u.values)
+
+
+def adjoint_values(ev: ForwardEvaluation, w: np.ndarray) -> np.ndarray:
+    """F'(c)* w = -u(c) * A(c)^{-1} w on raw values, with no grid check."""
+    return -ev.u.values * ev.solve(w)
+
+
 def derivative_apply(ev: ForwardEvaluation, h: GridFunction) -> GridFunction:
     """Directional derivative F'(c) h = -A(c)^{-1}(h * u(c))."""
     if h.grid != ev.problem.grid:
         raise GridMismatchError("direction sampled on a different grid")
-    return GridFunction(ev.problem.grid, -ev.solve(h.values * ev.u.values))
+    return GridFunction(ev.problem.grid, derivative_values(ev, h.values))
 
 
 def adjoint_apply(ev: ForwardEvaluation, w: GridFunction) -> GridFunction:
     """Adjoint F'(c)* w = -u(c) * A(c)^{-1} w under the uniform-weight pairing."""
     if w.grid != ev.problem.grid:
         raise GridMismatchError("argument sampled on a different grid")
-    return GridFunction(ev.problem.grid, -ev.u.values * ev.solve(w.values))
+    return GridFunction(ev.problem.grid, adjoint_values(ev, w.values))

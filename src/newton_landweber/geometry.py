@@ -5,24 +5,35 @@ weighted pairing sum(w * a * b) with the grid's cell weights. Norms, duality
 maps and Bregman distances below are exactly compatible with that pairing, so
 identities like <J_q(f), f> = ||f||_q^q hold to rounding, not just to
 discretization error.
+
+Each formula is written once, as a kernel on raw float64 values (the
+``*_values`` functions, which the solver's inner loop calls directly); the
+public functions on :class:`GridFunction` check grids and exponents and
+delegate to them.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridFunction
+from .grids import GridFunction, GridMismatchError
+
+_NORMAL_MIN = float(np.finfo(float).tiny)  # smallest normal float64
 
 __all__ = [
     "SpaceParams",
     "lp_norm",
+    "lp_norm_values",
     "pairing",
     "duality_map",
+    "duality_map_values",
     "inverse_duality_map",
     "bregman",
+    "bregman_values",
     "shifted_bregman",
     "phi",
     "conjugate_exponent",
@@ -82,19 +93,55 @@ class SpaceParams:
         return conjugate_exponent(self.r)
 
 
+def lp_norm_values(v: np.ndarray, q: float, weight: float) -> float:
+    """Weighted discrete L^q norm of raw values, (weight * sum_i |v_i|^q)^(1/q).
+
+    When the direct sum underflows or overflows (say 1e-4 at q = 101, or
+    1e40 at q = 10) while max|v| is finite and nonzero, the norm is
+    recomputed as max|v| * ||v / max|v|||_q; every other result is the
+    direct formula, bit for bit. numpy still warns about an overflow of the
+    direct sum: an ``errstate`` guard would slow every call by about half.
+    """
+    total = weight * np.sum(np.abs(v) ** q)
+    if not _NORMAL_MIN <= total < math.inf:
+        scale = float(np.max(np.abs(v)))
+        if 0.0 < scale < math.inf:
+            rescaled = weight * np.sum((np.abs(v) / scale) ** q)
+            return scale * float(rescaled ** (1.0 / q))
+    return float(total ** (1.0 / q))
+
+
+def duality_map_values(v: np.ndarray, q: float) -> np.ndarray:
+    """J_q on raw values: sgn(v) |v|^(q-1), and ``v`` itself at q = 2."""
+    if q == 2.0:
+        return v
+    return np.sign(v) * np.abs(v) ** (q - 1.0)
+
+
+def bregman_values(a: np.ndarray, b: np.ndarray, p: float, weight: float) -> float:
+    """Bregman distance of (1/p)||.||_p^p from raw values b to a.
+
+    Accumulated pointwise: each node contributes the Bregman gap of the scalar
+    convex map t -> |t|^p / p, which is nonnegative in exact arithmetic, so
+    the weighted sum cannot go below a few ulps times its magnitude.
+    """
+    gaps = (np.abs(a) ** p - np.abs(b) ** p) / p - np.sign(b) * np.abs(b) ** (
+        p - 1.0
+    ) * (a - b)
+    return float(weight * np.sum(gaps))
+
+
 def lp_norm(f: GridFunction, q: float) -> float:
     """Weighted discrete L^q norm, (sum_i w_i |f_i|^q)^(1/q)."""
     if q < 1.0:
         raise ValueError(f"norm exponent must be >= 1, got {q}")
-    w = f.grid.cell_volume
-    total = w * np.sum(np.abs(f.values) ** q)
-    return float(total ** (1.0 / q))
+    return lp_norm_values(f.values, q, f.grid.cell_volume)
 
 
 def pairing(a: GridFunction, b: GridFunction) -> float:
     """Weighted dual pairing sum_i w_i a_i b_i (same weights as the norms)."""
     if a.grid != b.grid:
-        raise ValueError(f"grids differ: {a.grid.cells} vs {b.grid.cells}")
+        raise GridMismatchError(f"grids differ: {a.grid.cells} vs {b.grid.cells}")
     return float(a.grid.cell_volume * np.dot(a.values, b.values))
 
 
@@ -108,8 +155,7 @@ def duality_map(f: GridFunction, q: float) -> GridFunction:
         raise ValueError(f"duality map needs q > 1, got {q}")
     if q == 2.0:
         return f
-    v = f.values
-    return f.with_values(np.sign(v) * np.abs(v) ** (q - 1.0))
+    return f.with_values(duality_map_values(f.values, q))
 
 
 def inverse_duality_map(g: GridFunction, q: float) -> GridFunction:
@@ -118,22 +164,12 @@ def inverse_duality_map(g: GridFunction, q: float) -> GridFunction:
 
 
 def bregman(x_new: GridFunction, x: GridFunction, p: float) -> float:
-    """Bregman distance of (1/p)||.||_p^p from x to x_new.
-
-    Accumulated pointwise: each node contributes the Bregman gap of the scalar
-    convex map t -> |t|^p / p, which is nonnegative in exact arithmetic, so
-    the weighted sum cannot go below a few ulps times its magnitude.
-    """
+    """Bregman distance of (1/p)||.||_p^p from x to x_new (see bregman_values)."""
     if p <= 1.0:
         raise ValueError(f"bregman needs p > 1, got {p}")
     if x_new.grid != x.grid:
-        raise ValueError("grids differ")
-    a = x_new.values
-    b = x.values
-    gaps = (np.abs(a) ** p - np.abs(b) ** p) / p - np.sign(b) * np.abs(b) ** (
-        p - 1.0
-    ) * (a - b)
-    return float(x.grid.cell_volume * np.sum(gaps))
+        raise GridMismatchError(f"grids differ: {x_new.grid.cells} vs {x.grid.cells}")
+    return bregman_values(x_new.values, x.values, p, x.grid.cell_volume)
 
 
 def shifted_bregman(

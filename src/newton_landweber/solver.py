@@ -16,6 +16,11 @@ weight of loop n is the last weight of loop n-1.
 In rate mode (theta > 0) the inner loop at the stopping index continues until
 alpha falls below c_alpha * (r_n + delta)^(r/(1+theta)); the nonlinear
 residual check is not consulted there.
+
+:class:`GridFunction` is the type of the API: ``run`` takes and returns grid
+functions and ``InnerIteration.z`` is one. Inside, the inner loop runs on raw
+float64 arrays through the kernels of ``geometry`` and ``forward``, and each
+step checks its new iterate and residual for non-finite values once.
 """
 
 from __future__ import annotations
@@ -25,20 +30,28 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .forward import (
+# adjoint_apply, derivative_apply, duality_map, inverse_duality_map, lp_norm
+# and shifted_bregman are not called here, as the inner loop runs on the array
+# kernels; the layer tracer in perfbench/tracer.py rebinds them in this module.
+from .forward import (  # noqa: F401
     EllipticProblem,
     ForwardEvaluation,
     SingularOperatorError,
     adjoint_apply,
+    adjoint_values,
     derivative_apply,
+    derivative_values,
     forward,
     solve_state,
 )
-from .geometry import (
+from .geometry import (  # noqa: F401
     SpaceParams,
+    bregman_values,
     duality_map,
+    duality_map_values,
     inverse_duality_map,
     lp_norm,
+    lp_norm_values,
     shifted_bregman,
 )
 from .grids import GridFunction, GridMismatchError
@@ -60,6 +73,7 @@ __all__ = [
     "IterationLog",
     "RunResult",
     "InnerIteration",
+    "NonFiniteIterateError",
     "outer_stop",
     "refinement_threshold",
     "run",
@@ -69,6 +83,10 @@ REASON_DISCREPANCY = "discrepancy"
 REASON_OUTER_BUDGET = "outer budget"
 REASON_TOTAL_INNER = "total inner budget"
 REASON_APPLY_BUDGET = "apply budget"
+
+
+class NonFiniteIterateError(FloatingPointError):
+    """An inner step produced a NaN or infinite iterate or residual."""
 
 
 @dataclass(frozen=True)
@@ -261,63 +279,81 @@ def refinement_threshold(r_n: float, config: SolverConfig) -> float:
 class InnerIteration:
     """Inner Landweber loop at a fixed outer iterate, stepped one k at a time.
 
-    The dual iterate of z is carried explicitly: since z is constructed as
-    x0 + J_p^{-1}(base_dual + u_dual), the term J_p(z - x0) of the update
-    equals base_dual + u_dual exactly, so no pow round trip is needed.
+    The loop runs on raw float64 values: ``x0``, ``resid0`` and ``truth``
+    are arrays on the grid of ``ev``, and ``z`` is wrapped as a
+    :class:`GridFunction` only when read. The dual iterate of z is carried
+    explicitly: since z is constructed as x0 + J_p^{-1}(base_dual + u_dual),
+    the term J_p(z - x0) of the update equals base_dual + u_dual exactly, so
+    no pow round trip is needed.
     """
 
     def __init__(
         self,
         ev: ForwardEvaluation,
-        data: GridFunction,
-        x0: GridFunction,
+        x0: np.ndarray,
         alpha: float,
         config: SolverConfig,
         n: int,
         r_n: float,
-        resid0: GridFunction,
-        truth: GridFunction | None = None,
+        resid0: np.ndarray,
+        truth: np.ndarray | None = None,
     ):
+        sp = config.space
         self.ev = ev
-        self.data = data
-        self.x_n = ev.c
+        self.x_n = ev.c.values
         self.x0 = x0
         self.config = config
-        self.space = config.space
+        self.space = sp
         self.n = n
         self.r_n = r_n
         self.resid0 = resid0
-        self.truth = truth
+        self.truth_shift = None if truth is None else truth - x0
         self.alpha = alpha
         self.vartheta = config.resolved_vartheta
         self.theta = config.theta
+        self.weight = ev.problem.grid.cell_volume
+        self.p_star = sp.p_star
 
-        self.base_dual = duality_map(self.x_n - x0, self.space.p).values
+        self.base_dual = duality_map_values(self.x_n - x0, sp.p)
         self.u_dual = np.zeros(ev.problem.grid.size)
-        self.z = self.x_n
+        self.z_values = self.x_n
+        self._z: GridFunction | None = ev.c
         self.resid = resid0
         self.t = r_n
         self.k = 0
         self.applies = 0
         self.pending_f_residual: float | None = None
 
+    @property
+    def z(self) -> GridFunction:
+        """The current inner iterate z_{n,k}."""
+        if self._z is None:
+            self._z = GridFunction(self.ev.problem.grid, self.z_values)
+        return self._z
+
     def _diagnostics(self) -> tuple[float | None, float | None]:
-        if self.truth is None:
+        if self.truth_shift is None:
             return None, None
-        d2 = shifted_bregman(self.truth, self.z, self.x0, self.space.p)
+        d2 = bregman_values(
+            self.truth_shift, self.z_values - self.x0, self.space.p, self.weight
+        )
         if self.theta == 0.0:
             return d2, d2
         gamma = d2 * self.alpha**-self.theta if self.alpha > 0 else None
         return d2, gamma
 
     def step(self, refinement: bool = False) -> IterationRecord:
-        """Advance z_{n,k} -> z_{n,k+1} and alpha, returning the step record."""
+        """Advance z_{n,k} -> z_{n,k+1} and alpha, returning the step record.
+
+        Raises :class:`NonFiniteIterateError`, leaving the state at z_{n,k},
+        when the new iterate or its linearized residual is not finite.
+        """
         cfg = self.config
         sp = self.space
 
-        gradient = adjoint_apply(self.ev, duality_map(self.resid, sp.r))
+        gradient = adjoint_values(self.ev, duality_map_values(self.resid, sp.r))
         self.applies += 1
-        t_tilde = lp_norm(gradient, sp.p_star)
+        t_tilde = lp_norm_values(gradient, self.p_star, self.weight)
         omega, degenerate = choose_omega(
             self.t, t_tilde, self.vartheta, cfg.omega_bar, sp
         )
@@ -339,17 +375,22 @@ class InnerIteration:
         self.pending_f_residual = None
 
         # J_p(z - x0) == base_dual + u_dual by construction of z
-        self.u_dual = (
+        u_dual = (
             self.u_dual
             - self.alpha * (self.base_dual + self.u_dual)
-            - omega * gradient.values
+            - omega * gradient
         )
-        dual_sum = self.z.with_values(self.base_dual + self.u_dual)
-        self.z = self.x0 + inverse_duality_map(dual_sum, sp.p)
-
-        self.resid = derivative_apply(self.ev, self.z - self.x_n) + self.resid0
+        # J_p^{-1} is J_{p*}
+        z = self.x0 + duality_map_values(self.base_dual + u_dual, self.p_star)
+        resid = derivative_values(self.ev, z - self.x_n) + self.resid0
         self.applies += 1
-        self.t = lp_norm(self.resid, sp.r)
+        if not (np.isfinite(z).all() and np.isfinite(resid).all()):
+            raise NonFiniteIterateError("non-finite iterate or residual")
+        self.u_dual = u_dual
+        self.z_values = z
+        self._z = None
+        self.resid = resid
+        self.t = lp_norm_values(resid, sp.r, self.weight)
         self.alpha = next_alpha(
             alpha_check(
                 self.t, self.r_n, cfg.delta, cfg.eta, cfg.tau_tilde, sp.r, self.theta
@@ -372,20 +413,21 @@ def run(
 
     Failures (singular operator, non-finite iterate, exhausted refinement)
     are reported through ``RunResult.reason``, not raised; budget exhaustion
-    likewise. ``truth`` switches on the Bregman diagnostics in the log.
+    likewise. Inputs on a grid other than ``problem.grid`` raise
+    :class:`GridMismatchError`. ``truth`` switches on the Bregman
+    diagnostics in the log.
     """
-    if data.grid != problem.grid:
-        raise GridMismatchError("data sampled on a different grid")
+    for name, f in (("data", data), ("x0", x0), ("x_init", x_init), ("truth", truth)):
+        if f is not None and f.grid != problem.grid:
+            raise GridMismatchError(f"{name} sampled on a different grid")
     if x0 is None:
         x0 = GridFunction.zeros(problem.grid)
     if x_init is None:
         x_init = x0
-    if truth is not None and truth.grid != problem.grid:
-        raise GridMismatchError("truth sampled on a different grid")
-    if not config.diagnostics:
-        truth = None
+    truth_values = truth.values if truth is not None and config.diagnostics else None
 
     sp = config.space
+    weight = problem.grid.cell_volume
     log = IterationLog()
     x = x_init
     alpha = config.alpha00
@@ -396,6 +438,8 @@ def run(
     # rate mode runs every loop to its full allowance; with exact data the
     # residual test can never fire, so skip the extra forward solves too
     check_residual = not rate_active and config.tau * config.delta > 0.0
+    # reserve a step's two applies plus the optional residual check
+    reserve = 3 if check_residual else 2
 
     while True:
         try:
@@ -405,45 +449,60 @@ def run(
                 x, f"failure: {exc} (outer iterate {n})", n, log, alpha, applies
             )
         applies += 1
-        resid0 = ev.u - data
-        r_n = lp_norm(resid0, sp.r)
+        resid0 = ev.u.values - data.values
+        r_n = lp_norm_values(resid0, sp.r, weight)
 
-        if outer_stop(r_n, config.tau, config.delta):
-            if config.rate_mode and config.theta > 0.0:
-                return _refine(ev, data, x0, alpha, config, n, r_n, resid0, truth, log, applies)
-            log.outer.append(
-                OuterRecord(n, r_n, alpha, 0, 0, alpha, REASON_DISCREPANCY)
-            )
-            return RunResult(x, REASON_DISCREPANCY, n, log, alpha, applies)
-
-        if n >= config.max_outer:
+        # in rate mode the loop at the stopping index refines alpha first
+        refining = outer_stop(r_n, config.tau, config.delta)
+        if refining:
+            threshold = refinement_threshold(r_n, config) if rate_active else 0.0
+            if threshold <= 0.0:
+                log.outer.append(
+                    OuterRecord(n, r_n, alpha, 0, 0, alpha, REASON_DISCREPANCY)
+                )
+                return RunResult(x, REASON_DISCREPANCY, n, log, alpha, applies)
+            allowance = config.max_inner
+        elif n >= config.max_outer:
             log.outer.append(
                 OuterRecord(n, r_n, alpha, 0, 0, alpha, REASON_OUTER_BUDGET)
             )
             return RunResult(x, REASON_OUTER_BUDGET, n, log, alpha, applies)
+        else:
+            allowance = min(config.inner_budget.limit(n, r_n, sp.r), config.max_inner)
 
-        allowance = min(config.inner_budget.limit(n, r_n, sp.r), config.max_inner)
-        it = InnerIteration(ev, data, x0, alpha, config, n, r_n, resid0, truth)
+        it = InnerIteration(ev, x0.values, alpha, config, n, r_n, resid0, truth_values)
         inner_reason = None
         abort_reason = None
         f_stop = None
         while True:
+            if refining and it.alpha <= threshold:
+                inner_reason = "refinement"
+                break
+            if it.k >= allowance:
+                inner_reason = "refinement aborted" if refining else "budget"
+                break
             if (
                 config.max_total_inner is not None
                 and total_inner >= config.max_total_inner
             ):
                 abort_reason = REASON_TOTAL_INNER
-                inner_reason = "aborted: " + abort_reason
                 break
-            # reserve the step's two applies plus the optional residual check
-            reserve = 3 if check_residual else 2
             if applies + it.applies + reserve > config.max_total_applies:
                 abort_reason = REASON_APPLY_BUDGET
-                inner_reason = "aborted: " + abort_reason
                 break
             try:
-                log.records.append(it.step())
-            except (SingularOperatorError, ValueError) as exc:
+                log.records.append(it.step(refinement=refining))
+                total_inner += 1
+                if check_residual and it.k < allowance and it.k % config.eval_stride == 0:
+                    f_val = forward(problem, it.z)
+                    it.applies += 1
+                    f_res = lp_norm_values(f_val.values - data.values, sp.r, weight)
+                    it.pending_f_residual = f_res
+                    if outer_stop(f_res, config.tau, config.delta):
+                        f_stop = f_res
+                        inner_reason = "inner discrepancy"
+                        break
+            except (SingularOperatorError, NonFiniteIterateError) as exc:
                 applies += it.applies
                 return RunResult(
                     it.z,
@@ -453,32 +512,10 @@ def run(
                     it.alpha,
                     applies,
                 )
-            total_inner += 1
-            if it.k >= allowance:
-                inner_reason = "budget"
-                break
-            if check_residual and it.k % config.eval_stride == 0:
-                try:
-                    f_val = forward(problem, it.z)
-                except SingularOperatorError as exc:
-                    applies += it.applies
-                    return RunResult(
-                        it.z,
-                        f"failure: {exc} (iterate n={n}, k={it.k})",
-                        n,
-                        log,
-                        it.alpha,
-                        applies,
-                    )
-                it.applies += 1
-                f_res = lp_norm(f_val - data, sp.r)
-                it.pending_f_residual = f_res
-                if outer_stop(f_res, config.tau, config.delta):
-                    f_stop = f_res
-                    inner_reason = "inner discrepancy"
-                    break
 
         applies += it.applies
+        if abort_reason is not None:
+            inner_reason = "aborted: " + abort_reason
         log.outer.append(
             OuterRecord(n, r_n, alpha, allowance, it.k, it.alpha, inner_reason, f_stop)
         )
@@ -486,59 +523,16 @@ def run(
         alpha = it.alpha
         if abort_reason is not None:
             return RunResult(x, abort_reason, n, log, alpha, applies)
-        n += 1
-
-
-def _refine(
-    ev: ForwardEvaluation,
-    data: GridFunction,
-    x0: GridFunction,
-    alpha: float,
-    config: SolverConfig,
-    n_star: int,
-    r_n: float,
-    resid0: GridFunction,
-    truth: GridFunction | None,
-    log: IterationLog,
-    applies: int,
-) -> RunResult:
-    """Rate-mode tail: keep stepping at n_star until alpha passes its bound."""
-    threshold = refinement_threshold(r_n, config)
-    if threshold <= 0.0:
-        # exact data and a vanished residual; nothing to refine
-        log.outer.append(OuterRecord(n_star, r_n, alpha, 0, 0, alpha, REASON_DISCREPANCY))
-        return RunResult(ev.c, REASON_DISCREPANCY, n_star, log, alpha, applies)
-
-    it = InnerIteration(ev, data, x0, alpha, config, n_star, r_n, resid0, truth)
-    while it.alpha > threshold:
-        if it.k >= config.max_inner:
-            applies += it.applies
-            log.outer.append(
-                OuterRecord(n_star, r_n, alpha, config.max_inner, it.k, it.alpha, "refinement aborted")
-            )
+        if refining:
+            if inner_reason == "refinement":
+                return RunResult(x, REASON_DISCREPANCY, n, log, alpha, applies)
             return RunResult(
-                it.z,
-                f"failure: refinement budget exhausted (alpha={it.alpha:g} > "
+                x,
+                f"failure: refinement budget exhausted (alpha={alpha:g} > "
                 f"threshold={threshold:g} after {it.k} steps)",
-                n_star,
+                n,
                 log,
-                it.alpha,
+                alpha,
                 applies,
             )
-        try:
-            log.records.append(it.step(refinement=True))
-        except (SingularOperatorError, ValueError) as exc:
-            applies += it.applies
-            return RunResult(
-                it.z,
-                f"failure: {exc} (refinement at n={n_star}, k={it.k})",
-                n_star,
-                log,
-                it.alpha,
-                applies,
-            )
-    applies += it.applies
-    log.outer.append(
-        OuterRecord(n_star, r_n, alpha, 0, it.k, it.alpha, "refinement")
-    )
-    return RunResult(it.z, REASON_DISCREPANCY, n_star, log, it.alpha, applies)
+        n += 1

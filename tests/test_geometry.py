@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newton_landweber import (
     Grid,
     GridFunction,
+    GridMismatchError,
     SpaceParams,
     bregman,
     conjugate_exponent,
@@ -56,11 +59,42 @@ def test_lp_norm_quadrature_linear_function():
     assert lp_norm(f, 2.0) == pytest.approx(np.sqrt(1.0 / 3.0), abs=1e-4)
 
 
+OVERFLOW_WARNING = "ignore:overflow encountered in power:RuntimeWarning"
+
+
+@pytest.mark.filterwarnings(OVERFLOW_WARNING)
 def test_lp_norm_constant_any_exponent():
     grid = Grid((17,))
     f = GridFunction.constant(grid, -2.0)
     for q in EXPONENTS:
         assert lp_norm(f, q) == pytest.approx(2.0, rel=1e-13)
+    # |v|^q underflows (first) or overflows (second); the norm must not
+    for value, q in ((1e-4, 101.0), (1e40, 10.0)):
+        g = GridFunction.constant(grid, value)
+        assert lp_norm(g, q) == pytest.approx(value, rel=1e-13)
+
+
+@pytest.mark.filterwarnings(OVERFLOW_WARNING)
+@settings(deadline=None)
+@given(
+    q=st.floats(1.0, 200.0, exclude_min=True),
+    exponent=st.floats(-150.0, 150.0),
+    shape=st.lists(st.floats(0.5, 2.0), min_size=2, max_size=20),
+)
+def test_lp_norm_is_homogeneous_across_magnitudes(q, exponent, shape):
+    grid = Grid((len(shape),))
+    f = GridFunction(grid, np.array(shape))
+    scale = 10.0**exponent
+    assert lp_norm(scale * f, q) == pytest.approx(scale * lp_norm(f, q), rel=1e-12)
+
+
+def test_pairing_and_bregman_reject_other_grids():
+    a = GridFunction.constant(Grid((10,)), 1.0)
+    b = GridFunction.constant(Grid((11,)), 1.0)
+    with pytest.raises(GridMismatchError):
+        pairing(a, b)
+    with pytest.raises(GridMismatchError):
+        bregman(a, b, 1.5)
 
 
 def test_pairing_weights():

@@ -6,6 +6,7 @@ import pytest
 from newton_landweber import (
     Grid,
     GridFunction,
+    GridMismatchError,
     InnerBudget,
     SolverConfig,
     SpaceParams,
@@ -16,6 +17,7 @@ from newton_landweber import (
     run,
     solve_state,
 )
+from newton_landweber import solver
 from newton_landweber.solver import InnerIteration, refinement_threshold
 
 
@@ -108,7 +110,7 @@ def test_dual_iterate_consistency():
     ev = solve_state(problem, x_n)
     resid0 = ev.u - exact
     r_n = lp_norm(resid0, 2.0)
-    it = InnerIteration(ev, exact, x0, 0.5, config, 0, r_n, resid0)
+    it = InnerIteration(ev, x0.values, 0.5, config, 0, r_n, resid0.values)
     for _ in range(25):
         it.step()
         stored = it.base_dual + it.u_dual
@@ -217,6 +219,57 @@ def test_unsolvable_iterate_reported_not_raised():
     assert "outer iterate 0" in result.reason
 
 
+def test_inputs_on_another_grid_rejected():
+    problem, _, exact = small_problem()
+    config = base_config(delta=1e-3)
+    other = GridFunction.zeros(Grid((problem.grid.size + 1,)))
+    for name in ("x0", "x_init"):
+        with pytest.raises(GridMismatchError, match=name):
+            run(problem, exact, config, **{name: other})
+
+
+def test_non_finite_iterate_reported_not_raised():
+    # at r = 10 the data-side duality map of a 1e40 residual overflows, so
+    # the first step's iterate is not finite
+    problem, _, exact = small_problem()
+    config = base_config(space=SpaceParams(2.0, 10.0), delta=1e-3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = run(problem, exact * 1e40, config)
+    assert result.reason.startswith("failure: non-finite")
+    assert "iterate n=0, k=0" in result.reason
+    assert result.log.records == []
+    np.testing.assert_array_equal(result.final.values, np.zeros(problem.grid.size))
+
+
+def test_call_counts_per_step(monkeypatch):
+    # one step size per inner step, one state solve by the solver per outer
+    # loop, and few GridFunction constructions per step
+    problem, _, exact = small_problem()
+    delta = 1e-3
+    data = generate_noise(exact, delta, 2.0, 6)
+    config = base_config(delta=delta, max_outer=4, inner_budget=InnerBudget.constant(10))
+    calls = {"choose_omega": 0, "solve_state": 0, "GridFunction": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("choose_omega", "solve_state"):
+        monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
+    monkeypatch.setattr(
+        GridFunction, "__post_init__", counting("GridFunction", GridFunction.__post_init__)
+    )
+    result = run(problem, data, config)
+    steps = len(result.log.records)
+    assert steps > 0
+    assert calls["choose_omega"] == steps
+    assert calls["solve_state"] == len(result.log.outer)
+    assert calls["GridFunction"] <= 3 * steps
+
+
 def test_determinism_of_records():
     problem, _, exact = small_problem()
     delta = 1e-3
@@ -282,6 +335,31 @@ def test_rate_mode_refinement_met_at_k0():
     tail = result.log.outer[-1]
     assert tail.inner_reason == "refinement"
     assert tail.steps == 0
+
+
+def test_rate_mode_refinement_budget_exhausted():
+    problem, _, exact = small_problem()
+    delta = 5e-3
+    data = generate_noise(exact, delta, 2.0, 11)
+    config = base_config(
+        delta=delta,
+        nu=0.5,
+        rate_mode=True,
+        c_alpha=0.076,
+        tau_tilde=0.001,
+        alpha00=0.1,
+        q=0.5,
+        max_outer=300,
+        inner_budget=InnerBudget.constant(40),
+    )
+    full = run(problem, data, config)
+    cap = full.log.outer[-1].steps - 1
+    result = run(problem, data, config.replace(max_inner=cap))
+    assert result.failed
+    assert result.reason.startswith("failure: refinement budget exhausted")
+    tail = result.log.outer[-1]
+    assert (tail.inner_reason, tail.allowance, tail.steps) == ("refinement aborted", cap, cap)
+    assert sum(rec.refinement for rec in result.log.records) == cap
 
 
 def test_rate_mode_requires_admissible_c_alpha():
