@@ -15,7 +15,7 @@ documented algorithm, not to numpy's internal ziggurat tables.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -390,38 +390,6 @@ PRESETS: dict[str, Callable[[], ExperimentSpec]] = {
     "example2d": make_example2d,
 }
 
-_SPEC_INT_KEYS = {"seed", "n", "m", "outlier_count"}
-_NOISE_FLOAT_KEYS = {"delta", "outlier_magnitude", "noise_norm"}
-_SOLVER_FLOAT_KEYS = {
-    "tau",
-    "tau_tilde",
-    "eta",
-    "nu",
-    "q",
-    "alpha00",
-    "omega_bar",
-    "c_omega_bar",
-    "rho",
-    "c_const",
-    "c_alpha",
-}
-_SOLVER_INT_KEYS = {
-    "eval_stride",
-    "max_outer",
-    "max_inner",
-    "max_total_inner",
-    "max_total_applies",
-}
-_SOLVER_BOOL_KEYS = {"rate_mode", "diagnostics"}
-_KNOWN_KEYS = (
-    {"p", "r", "s", "noise_kind", "inner_budget", "vartheta"}
-    | _SPEC_INT_KEYS
-    | _NOISE_FLOAT_KEYS
-    | _SOLVER_FLOAT_KEYS
-    | _SOLVER_INT_KEYS
-    | _SOLVER_BOOL_KEYS
-)
-
 
 def _parse_bool(value: str) -> bool:
     lowered = value.strip().lower()
@@ -432,49 +400,59 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"cannot parse boolean from {value!r}")
 
 
+_PARSERS = {
+    "float": float,
+    "int": int,
+    "bool": _parse_bool,
+    "str": str,
+    "InnerBudget": InnerBudget.parse,
+}
+
+
+def _parser(annotation: str) -> Callable[[str], object]:
+    """Parser for a field annotation; an ``X | None`` field reads ``auto`` as None."""
+    base, optional, _ = annotation.partition(" | None")
+    parse = _PARSERS[base]
+    if not optional:
+        return parse
+    return lambda value: None if value.lower() == "auto" else parse(value)
+
+
+_NOISE_KEYS = {"kind": "noise_kind", "norm_exponent": "noise_norm"}
+# override key -> (part of the spec, field name, parser)
+_OVERRIDES = {
+    **{key: ("space", key, float) for key in ("p", "r", "s")},
+    **{key: ("spec", key, int) for key in ("n", "m", "seed")},
+    **{
+        _NOISE_KEYS.get(f.name, f.name): ("noise", f.name, _parser(f.type))
+        for f in fields(NoiseSpec)
+    },
+    **{
+        f.name: ("solver", f.name, _parser(f.type))
+        for f in fields(SolverConfig)
+        if f.name not in ("space", "delta")
+    },
+}
+
+
 def apply_overrides(spec: ExperimentSpec, overrides: dict[str, str]) -> ExperimentSpec:
     """Apply flat key=value overrides (strings, as from config files or CLI).
 
-    Recognized keys are the ExperimentSpec surface (p, r, s, n, m, seed,
-    delta, noise_kind, outlier_count, outlier_magnitude, noise_norm) and the
-    SolverConfig fields; anything else raises.
+    The keys are ``p r s n m seed``, every :class:`NoiseSpec` field (``kind``
+    and ``norm_exponent`` as ``noise_kind`` and ``noise_norm``) and every
+    :class:`SolverConfig` field but ``space`` and ``delta``, each parsed by
+    its annotation; anything else raises.
     """
-    space_kw: dict[str, float] = {}
-    noise_changes: dict = {}
-    spec_changes: dict = {}
-    solver = dict(spec.solver)
-
+    changes: dict[str, dict] = {"space": {}, "spec": {}, "noise": {}, "solver": dict(spec.solver)}
     for key, raw in overrides.items():
-        value = str(raw).strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _OVERRIDES:
             raise ValueError(
-                f"unknown override {key!r}; known keys: {', '.join(sorted(_KNOWN_KEYS))}"
+                f"unknown override {key!r}; known keys: {', '.join(sorted(_OVERRIDES))}"
             )
-        if key in ("p", "r", "s"):
-            space_kw[key] = float(value)
-        elif key == "delta":
-            noise_changes["delta"] = float(value)
-        elif key == "noise_kind":
-            noise_changes["kind"] = value
-        elif key == "noise_norm":
-            noise_changes["norm_exponent"] = float(value)
-        elif key == "outlier_count":
-            noise_changes["outlier_count"] = int(value)
-        elif key == "outlier_magnitude":
-            noise_changes["outlier_magnitude"] = float(value)
-        elif key in _SPEC_INT_KEYS:
-            spec_changes[key] = int(value)
-        elif key == "inner_budget":
-            solver["inner_budget"] = InnerBudget.parse(value)
-        elif key == "vartheta":
-            solver["vartheta"] = None if value.lower() == "auto" else float(value)
-        elif key in _SOLVER_FLOAT_KEYS:
-            solver[key] = float(value)
-        elif key in _SOLVER_INT_KEYS:
-            solver[key] = int(value)
-        elif key in _SOLVER_BOOL_KEYS:
-            solver[key] = _parse_bool(value)
+        part, name, parse = _OVERRIDES[key]
+        changes[part][name] = parse(str(raw).strip())
 
+    space_kw, spec_changes = changes["space"], changes["spec"]
     if space_kw:
         sp = spec.space
         spec_changes["space"] = SpaceParams(
@@ -483,9 +461,9 @@ def apply_overrides(spec: ExperimentSpec, overrides: dict[str, str]) -> Experime
             s=space_kw.get("s"),
             strict=sp.strict,
         )
-    if noise_changes:
-        spec_changes["noise"] = replace(spec.noise, **noise_changes)
-    return replace(spec, solver=solver, **spec_changes)
+    if changes["noise"]:
+        spec_changes["noise"] = replace(spec.noise, **changes["noise"])
+    return replace(spec, solver=changes["solver"], **spec_changes)
 
 
 def build_spec(preset: str, overrides: dict[str, str] | None = None) -> ExperimentSpec:

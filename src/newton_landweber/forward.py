@@ -50,12 +50,6 @@ __all__ = [
 class SingularOperatorError(RuntimeError):
     """A(c) could not be factorized (or produced a non-finite solve)."""
 
-    def __init__(self, message: str, iterate: tuple[int, int] | None = None):
-        if iterate is not None:
-            message = f"{message} at outer/inner iterate {iterate}"
-        super().__init__(message)
-        self.iterate = iterate
-
 
 @dataclass(frozen=True)
 class EllipticProblem:

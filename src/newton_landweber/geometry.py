@@ -78,7 +78,7 @@ class SpaceParams:
             )
             if self.strict:
                 raise ValueError(msg)
-            warnings.warn(msg, stacklevel=2)
+            warnings.warn(msg, stacklevel=3)
 
     @property
     def p_star(self) -> float:
@@ -87,10 +87,6 @@ class SpaceParams:
     @property
     def s_star(self) -> float:
         return conjugate_exponent(self.s)
-
-    @property
-    def r_star(self) -> float:
-        return conjugate_exponent(self.r)
 
 
 def lp_norm_values(v: np.ndarray, q: float, weight: float) -> float:

@@ -168,7 +168,7 @@ class SolverConfig:
                 warnings.warn(
                     "rate mode with theta = 0 is a no-op: the refinement "
                     "criterion is not defined without decay",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
             else:
                 bound = (self.tau_tilde * (1.0 + self.eta)) ** (

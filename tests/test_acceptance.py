@@ -2,40 +2,29 @@
 
 The expensive experiment runs are built once per session and shared; the
 criteria then assert reconstruction quality, iteration counts, stopping
-reasons, step-size bounds, and the operator/geometry identities at their
-stated tolerances. Each test prints a single summary line.
+reasons and rate-mode mechanics. The operator/geometry identities
+(criteria 5-7) and the per-step omega/alpha/phi audit (criterion 10) are
+the functions of ``newton_landweber.checks``, which ``verify`` runs too, so
+their tolerances live there. Each test prints a single summary line.
 """
 
 import numpy as np
 import pytest
 
 from newton_landweber import (
-    Grid,
-    GridFunction,
-    InnerBudget,
-    SolverConfig,
-    SpaceParams,
-    adjoint_apply,
     apply_overrides,
-    bregman,
     build_spec,
-    compute_error,
-    derivative_apply,
-    duality_map,
-    forward,
-    generate_noise,
-    interval_problem,
-    lp_norm,
     make_example1,
     make_example2,
     make_example3,
     make_example2d,
-    pairing,
-    phi,
-    run,
     run_experiment,
-    solve_state,
-    square_problem,
+)
+from newton_landweber.checks import (
+    check_adjoint_identity,
+    check_bregman_identities,
+    check_taylor_order,
+    step_bound_audit,
 )
 from newton_landweber.solver import refinement_threshold
 
@@ -134,94 +123,21 @@ def test_criterion_04_2d_example(runs):
 
 
 def test_criterion_05_adjoint_identity():
-    rng = np.random.Generator(np.random.PCG64(31))
-    problems = [
-        interval_problem(Grid((50,)), lambda t: 1.0 + t, 1.0, 2.0),
-        square_problem(Grid((12, 12)), lambda x, y: 1.0 + x * y, lambda x, y: 1.0 + x + y),
-    ]
-    worst = 0.0
-    for problem in problems:
-        grid = problem.grid
-        for _ in range(100):
-            c = GridFunction(grid, 0.5 + rng.random(grid.size))
-            ev = solve_state(problem, c)
-            h = GridFunction(grid, rng.standard_normal(grid.size))
-            w = GridFunction(grid, rng.standard_normal(grid.size))
-            gap = abs(pairing(derivative_apply(ev, h), w) - pairing(h, adjoint_apply(ev, w)))
-            bound = lp_norm(h, 2.0) * lp_norm(w, 2.0)
-            assert gap <= 1e-8 * bound
-            worst = max(worst, gap / bound)
-    # dense-matrix transpose oracle, once
-    grid = Grid((20,))
-    problem = interval_problem(grid, lambda t: 1.0 + t, 1.0, 2.0)
-    c = GridFunction(grid, 1.0 + rng.random(grid.size))
-    ev = solve_state(problem, c)
-    n = grid.size
-    deriv = np.zeros((n, n))
-    adj = np.zeros((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        deriv[:, j] = derivative_apply(ev, GridFunction(grid, e)).values
-        adj[:, j] = adjoint_apply(ev, GridFunction(grid, e)).values
-    assert np.max(np.abs(deriv.T - adj)) <= 1e-8 * np.max(np.abs(deriv))
-    _line(5, f"200 triples, worst relative gap {worst:.2e}; dense oracle ok")
+    res = check_adjoint_identity()
+    assert res.ok, res.detail
+    _line(5, res.detail)
 
 
 def test_criterion_06_derivative_taylor_order():
-    rng = np.random.Generator(np.random.PCG64(32))
-    grid = Grid((51,))
-    problem = interval_problem(grid, lambda t: 1.0 + t, 1.0, 2.0)
-    steps = np.array([1e-1, 1e-2, 1e-3, 1e-4])
-    orders = []
-    for _ in range(10):
-        c = GridFunction(grid, 0.5 + rng.random(grid.size))
-        h = GridFunction(grid, rng.standard_normal(grid.size))
-        ev = solve_state(problem, c)
-        dfh = derivative_apply(ev, h)
-        remainders = np.array(
-            [
-                lp_norm(forward(problem, c + float(t) * h) - ev.u - float(t) * dfh, 2.0)
-                for t in steps
-            ]
-        )
-        order = np.polyfit(np.log(steps), np.log(remainders), 1)[0]
-        assert order >= 1.9
-        orders.append(order)
-    _line(6, f"fitted orders in [{min(orders):.3f}, {max(orders):.3f}]")
+    res = check_taylor_order()
+    assert res.ok, res.detail
+    _line(6, res.detail)
 
 
 def test_criterion_07_bregman_identities():
-    rng = np.random.Generator(np.random.PCG64(33))
-    grid = Grid((40,))
-    worst = 0.0
-    for p in (1.1, 1.5, 2.0, 3.0):
-        for _ in range(100):
-            a = GridFunction(grid, rng.standard_normal(grid.size))
-            b = GridFunction(grid, rng.standard_normal(grid.size))
-            c = GridFunction(grid, rng.standard_normal(grid.size))
-            # three-point identity
-            lhs = bregman(a, c, p)
-            rhs = (
-                bregman(a, b, p)
-                + bregman(b, c, p)
-                + pairing(duality_map(b, p) - duality_map(c, p), a - b)
-            )
-            scale = max(1.0, abs(lhs))
-            assert abs(lhs - rhs) <= 1e-10 * scale
-            worst = max(worst, abs(lhs - rhs) / scale)
-            # primal-dual connection
-            jb = duality_map(b, p)
-            p_star = p / (p - 1.0)
-            direct = (
-                lp_norm(a, p) ** p / p
-                + lp_norm(jb, p_star) ** p_star / p_star
-                - pairing(jb, a)
-            )
-            scale = max(1.0, abs(direct))
-            assert abs(bregman(a, b, p) - direct) <= 1e-10 * scale
-            worst = max(worst, abs(bregman(a, b, p) - direct) / scale)
-    _line(7, f"400 triples x 2 identities, worst relative gap {worst:.2e}")
+    res = check_bregman_identities()
+    assert res.ok, res.detail
+    _line(7, res.detail)
 
 
 def test_criterion_08_noiseless_monotonicity(runs):
@@ -258,29 +174,8 @@ def test_criterion_09_rate_mode(runs):
 
 
 def test_criterion_10_step_bound_suite(runs):
-    checked = 0
     for name, rep in runs.items():
-        config = rep.config
-        sp = config.space
-        vartheta = config.resolved_vartheta
-        records = rep.result.log.records
-        if records:
-            omega = np.array([rec.omega for rec in records])
-            alpha = np.array([rec.alpha for rec in records])
-            t = np.array([rec.t for rec in records])
-            t_tilde = np.array([rec.t_tilde for rec in records])
-            assert np.all(omega > 0), name
-            assert np.all(omega <= vartheta * config.omega_bar), name
-            assert np.all(alpha > 0), name
-            assert np.all(alpha <= 1.0), name
-            mask = (t_tilde > 0) & (t > 0)
-            ratio = phi(
-                omega[mask] * t_tilde[mask],
-                config.c_const, config.rho, sp.p, sp.p_star, sp.s_star,
-            ) / (omega[mask] * t[mask] ** sp.r)
-            assert np.all(ratio <= config.c_omega_bar + 1e-12), name
-            checked += len(records)
-        outer = rep.result.log.outer
-        for prev, cur in zip(outer, outer[1:]):
-            assert cur.alpha_start == prev.alpha_end, name
+        audit = step_bound_audit(rep.result.log, rep.config)
+        assert audit.ok, f"{name}: {audit.detail}"
+    checked = sum(rep.n_p for rep in runs.values())
     _line(10, f"omega/alpha/phi bounds hold on {checked} recorded steps of {len(runs)} runs")

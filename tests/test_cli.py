@@ -107,6 +107,13 @@ def test_missing_preset(tmp_path, capsys):
     assert "no preset" in capsys.readouterr().err
 
 
+def test_unknown_preset_in_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset = example9\n")
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "example1, example2, example2d, example3" in capsys.readouterr().err
+
+
 def test_failed_run_exit_code(tmp_path, capsys):
     # refinement cannot reach the alpha bound inside the inner cap
     code = cli.main([

@@ -11,13 +11,13 @@ from newton_landweber import (
     build_spec,
     compute_error,
     generate_noise,
-    lp_norm,
     make_example1,
     make_example2,
     make_example3,
     make_example2d,
     run_experiment,
 )
+from newton_landweber.checks import check_noise_contract
 from newton_landweber.experiments import PRESETS, make_data
 
 
@@ -98,12 +98,8 @@ def test_presets_table_is_complete():
 
 
 def test_noise_norm_is_exact():
-    grid = Grid((201,))
-    exact = GridFunction.from_callable(grid, lambda t: 1.0 + 5.0 * t)
-    for r, delta, seed in ((2.0, 1e-4, 0), (1.1, 1e-3, 5), (10.0, 1e-2, 12)):
-        data = generate_noise(exact, delta, r, seed)
-        realized = lp_norm(data - exact, r)
-        assert realized == pytest.approx(delta, rel=1e-12)
+    res = check_noise_contract()
+    assert res.ok, res.detail
 
 
 def test_noise_is_bitwise_deterministic():
@@ -209,12 +205,32 @@ def test_override_vartheta_auto_restores_default():
     assert spec.solver["vartheta"] is None
 
 
+def test_override_auto_means_none_for_every_optional_field():
+    spec = build_spec(
+        "example3",
+        {"max_total_inner": "400", "noise_norm": "2", "outlier_magnitude": "0.5"},
+    )
+    spec = apply_overrides(
+        spec, {"max_total_inner": "auto", "noise_norm": "AUTO", "outlier_magnitude": "auto"}
+    )
+    assert spec.solver["max_total_inner"] is None
+    assert spec.noise.norm_exponent is None
+    assert spec.noise.outlier_magnitude is None
+
+
+KNOWN_KEYS = (
+    "alpha00, c_alpha, c_const, c_omega_bar, delta, diagnostics, eta, eval_stride, "
+    "inner_budget, m, max_inner, max_outer, max_total_applies, max_total_inner, n, "
+    "noise_kind, noise_norm, nu, omega_bar, outlier_count, outlier_magnitude, p, q, r, "
+    "rate_mode, rho, s, seed, tau, tau_tilde, vartheta"
+)
+
+
 def test_unknown_override_lists_known_keys():
     spec = make_example1()
-    with pytest.raises(ValueError, match="known keys"):
+    with pytest.raises(ValueError) as info:
         apply_overrides(spec, {"taus": "1.2"})
-    with pytest.raises(ValueError, match="alpha00"):
-        apply_overrides(spec, {"definitely_not_a_key": "1"})
+    assert str(info.value) == f"unknown override 'taus'; known keys: {KNOWN_KEYS}"
 
 
 def test_build_spec_rejects_unknown_preset():

@@ -378,3 +378,12 @@ def test_theta_zero_gamma_equals_d2():
     for rec in recs:
         assert rec.d2 is not None
         assert rec.gamma == rec.d2
+
+
+def test_warnings_name_the_calling_line():
+    with pytest.warns(UserWarning, match="analyzed regime") as caught:
+        SpaceParams(2.0, 1.1)
+    with pytest.warns(UserWarning, match="rate mode with theta = 0") as caught_rate:
+        base_config(rate_mode=True)
+    for record in (*caught, *caught_rate):
+        assert record.filename == __file__
