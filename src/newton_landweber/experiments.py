@@ -455,10 +455,12 @@ def apply_overrides(spec: ExperimentSpec, overrides: dict[str, str]) -> Experime
     space_kw, spec_changes = changes["space"], changes["spec"]
     if space_kw:
         sp = spec.space
+        # an s of the spec that is not the default max(p, 2) was set on purpose
+        s_default = sp.s == max(sp.p, 2.0)
         spec_changes["space"] = SpaceParams(
             p=space_kw.get("p", sp.p),
             r=space_kw.get("r", sp.r),
-            s=space_kw.get("s"),
+            s=space_kw.get("s", None if s_default else sp.s),
             strict=sp.strict,
         )
     if changes["noise"]:

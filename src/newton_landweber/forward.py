@@ -18,6 +18,12 @@ weights are uniform. One factorization of A(c) serves all derivative/adjoint
 applications at that c. Both formulas are written once, as kernels on raw
 values (``derivative_values``/``adjoint_values``); ``derivative_apply`` and
 ``adjoint_apply`` add the grid check and the :class:`GridFunction` wrapping.
+
+``state_values`` is F on raw values: it factorizes A(c), solves for the state
+and rejects a non-finite one, and keeps nothing else. It is the solver's
+per-step residual check. ``solve_state`` and ``forward`` share its one
+factorize/solve/check path; the c-independent pieces of A(c) and the summed
+right-hand side are built once per :class:`EllipticProblem`.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ __all__ = [
     "forward",
     "derivative_apply",
     "adjoint_apply",
+    "state_values",
     "derivative_values",
     "adjoint_values",
 ]
@@ -58,13 +65,20 @@ class EllipticProblem:
     ``boundary`` is (g0, g1) for dim 1; for dim 2 a tuple of four arrays
     (left, right, bottom, top) holding the trace sampled at the cell centers
     of each edge. ``boundary_rhs`` is the eliminated-ghost contribution to the
-    right-hand side, fixed once per problem.
+    right-hand side. It, the summed right-hand side ``rhs + boundary_rhs`` and
+    the c-independent part of A(c) (the off-diagonal and 1/h^2 in dim 1, the
+    five-point stencil in dim 2) are fixed once per problem.
     """
 
     grid: Grid
     rhs: GridFunction
     boundary: tuple
     boundary_rhs: np.ndarray = field(init=False, repr=False, compare=False)
+    _state_rhs: np.ndarray = field(init=False, repr=False, compare=False)
+    _off_diagonal: np.ndarray | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
+    _inv_h2: float = field(init=False, repr=False, compare=False, default=0.0)
     _stencil: sp.csr_matrix | None = field(
         init=False, repr=False, compare=False, default=None
     )
@@ -79,6 +93,10 @@ class EllipticProblem:
             b = np.zeros(self.grid.size)
             b[0] += 2.0 * g0 / h**2
             b[-1] += 2.0 * g1 / h**2
+            off = np.full(self.grid.size - 1, -1.0 / h**2)
+            off.setflags(write=False)
+            object.__setattr__(self, "_off_diagonal", off)
+            object.__setattr__(self, "_inv_h2", 1.0 / h**2)
         else:
             nx, ny = self.grid.cells
             hx, hy = self.grid.spacing
@@ -101,6 +119,9 @@ class EllipticProblem:
             object.__setattr__(self, "_stencil", _five_point_stencil(self.grid))
         b.setflags(write=False)
         object.__setattr__(self, "boundary_rhs", b)
+        state_rhs = self.rhs.values + b
+        state_rhs.setflags(write=False)
+        object.__setattr__(self, "_state_rhs", state_rhs)
 
 
 def _five_point_stencil(grid: Grid) -> sp.csr_matrix:
@@ -162,13 +183,12 @@ class ForwardEvaluation:
         return self._solve(b)
 
 
-def _factorize_tridiagonal(grid: Grid, c: np.ndarray):
-    (h,) = grid.spacing
-    n = grid.size
-    off = np.full(n - 1, -1.0 / h**2)
-    diag = 2.0 / h**2 + c
-    diag[0] += 1.0 / h**2
-    diag[-1] += 1.0 / h**2
+def _factorize_tridiagonal(problem: EllipticProblem, c: np.ndarray):
+    inv_h2 = problem._inv_h2
+    off = problem._off_diagonal
+    diag = 2.0 * inv_h2 + c  # 2 * (1/h^2) is 2/h^2 bit for bit
+    diag[0] += inv_h2
+    diag[-1] += inv_h2
     dl, d, du, du2, ipiv, info = lapack.dgttrf(off, diag, off)
     if info != 0:
         raise SingularOperatorError(
@@ -195,6 +215,28 @@ def _factorize_sparse(problem: EllipticProblem, c: np.ndarray):
     return lu.solve
 
 
+def _factorized_state(
+    problem: EllipticProblem, c: np.ndarray
+) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+    """Factorize A(c) and solve for the state, rejecting a non-finite one."""
+    if problem.grid.dim == 1:
+        solve = _factorize_tridiagonal(problem, c)
+    else:
+        solve = _factorize_sparse(problem, c)
+    u = solve(problem._state_rhs)
+    if not np.all(np.isfinite(u)):
+        raise SingularOperatorError("operator not invertible at c (non-finite state)")
+    return solve, u
+
+
+def state_values(problem: EllipticProblem, c: np.ndarray) -> np.ndarray:
+    """F(c) on raw values, with no grid check; the factorization is dropped.
+
+    Raises :class:`SingularOperatorError` as :func:`solve_state` does.
+    """
+    return _factorized_state(problem, c)[1]
+
+
 def solve_state(problem: EllipticProblem, c: GridFunction) -> ForwardEvaluation:
     """Factorize A(c) and solve for the state; factorization is kept for reuse.
 
@@ -203,19 +245,15 @@ def solve_state(problem: EllipticProblem, c: GridFunction) -> ForwardEvaluation:
     """
     if c.grid != problem.grid:
         raise GridMismatchError("coefficient sampled on a different grid")
-    if problem.grid.dim == 1:
-        solve = _factorize_tridiagonal(problem.grid, c.values.copy())
-    else:
-        solve = _factorize_sparse(problem, c.values)
-    u = solve(problem.rhs.values + problem.boundary_rhs)
-    if not np.all(np.isfinite(u)):
-        raise SingularOperatorError("operator not invertible at c (non-finite state)")
+    solve, u = _factorized_state(problem, c.values)
     return ForwardEvaluation(problem, c, GridFunction(problem.grid, u), solve)
 
 
 def forward(problem: EllipticProblem, c: GridFunction) -> GridFunction:
     """The coefficient-to-state map F(c)."""
-    return solve_state(problem, c).u
+    if c.grid != problem.grid:
+        raise GridMismatchError("coefficient sampled on a different grid")
+    return GridFunction(problem.grid, state_values(problem, c.values))
 
 
 def derivative_values(ev: ForwardEvaluation, h: np.ndarray) -> np.ndarray:

@@ -15,11 +15,11 @@ delegate to them.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._warn import warn_at_caller
 from .grids import GridFunction, GridMismatchError
 
 _NORMAL_MIN = float(np.finfo(float).tiny)  # smallest normal float64
@@ -78,7 +78,7 @@ class SpaceParams:
             )
             if self.strict:
                 raise ValueError(msg)
-            warnings.warn(msg, stacklevel=3)
+            warn_at_caller(msg)
 
     @property
     def p_star(self) -> float:
@@ -98,11 +98,11 @@ def lp_norm_values(v: np.ndarray, q: float, weight: float) -> float:
     direct formula, bit for bit. numpy still warns about an overflow of the
     direct sum: an ``errstate`` guard would slow every call by about half.
     """
-    total = weight * np.sum(np.abs(v) ** q)
+    total = weight * (np.abs(v) ** q).sum()
     if not _NORMAL_MIN <= total < math.inf:
         scale = float(np.max(np.abs(v)))
         if 0.0 < scale < math.inf:
-            rescaled = weight * np.sum((np.abs(v) / scale) ** q)
+            rescaled = weight * ((np.abs(v) / scale) ** q).sum()
             return scale * float(rescaled ** (1.0 / q))
     return float(total ** (1.0 / q))
 
@@ -114,17 +114,20 @@ def duality_map_values(v: np.ndarray, q: float) -> np.ndarray:
     return np.sign(v) * np.abs(v) ** (q - 1.0)
 
 
-def bregman_values(a: np.ndarray, b: np.ndarray, p: float, weight: float) -> float:
+def bregman_values(
+    a: np.ndarray, a_pow: np.ndarray, b: np.ndarray, p: float, weight: float
+) -> float:
     """Bregman distance of (1/p)||.||_p^p from raw values b to a.
 
-    Accumulated pointwise: each node contributes the Bregman gap of the scalar
-    convex map t -> |t|^p / p, which is nonnegative in exact arithmetic, so
-    the weighted sum cannot go below a few ulps times its magnitude.
+    ``a_pow`` is |a|^p, passed in so that a caller measuring many b against
+    one a computes it once. Accumulated pointwise: each node contributes the
+    Bregman gap of the scalar convex map t -> |t|^p / p, which is nonnegative
+    in exact arithmetic, so the weighted sum cannot go below a few ulps times
+    its magnitude.
     """
-    gaps = (np.abs(a) ** p - np.abs(b) ** p) / p - np.sign(b) * np.abs(b) ** (
-        p - 1.0
-    ) * (a - b)
-    return float(weight * np.sum(gaps))
+    abs_b = np.abs(b)
+    gaps = (a_pow - abs_b**p) / p - np.sign(b) * abs_b ** (p - 1.0) * (a - b)
+    return float(weight * gaps.sum())
 
 
 def lp_norm(f: GridFunction, q: float) -> float:
@@ -165,7 +168,8 @@ def bregman(x_new: GridFunction, x: GridFunction, p: float) -> float:
         raise ValueError(f"bregman needs p > 1, got {p}")
     if x_new.grid != x.grid:
         raise GridMismatchError(f"grids differ: {x_new.grid.cells} vs {x.grid.cells}")
-    return bregman_values(x_new.values, x.values, p, x.grid.cell_volume)
+    a = x_new.values
+    return bregman_values(a, np.abs(a) ** p, x.values, p, x.grid.cell_volume)
 
 
 def shifted_bregman(

@@ -18,21 +18,24 @@ alpha falls below c_alpha * (r_n + delta)^(r/(1+theta)); the nonlinear
 residual check is not consulted there.
 
 :class:`GridFunction` is the type of the API: ``run`` takes and returns grid
-functions and ``InnerIteration.z`` is one. Inside, the inner loop runs on raw
-float64 arrays through the kernels of ``geometry`` and ``forward``, and each
-step checks its new iterate and residual for non-finite values once.
+functions and ``InnerIteration.z`` is one. Inside, the inner loop and its
+nonlinear residual check run on raw float64 arrays through the kernels of
+``geometry`` and ``forward``, and each step checks its new iterate and
+residual for non-finite values once.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-# adjoint_apply, derivative_apply, duality_map, inverse_duality_map, lp_norm
-# and shifted_bregman are not called here, as the inner loop runs on the array
-# kernels; the layer tracer in perfbench/tracer.py rebinds them in this module.
+from ._warn import warn_at_caller
+
+# adjoint_apply, derivative_apply, forward, duality_map, inverse_duality_map,
+# lp_norm and shifted_bregman are not called here, as the inner loop and the
+# residual check run on the array kernels; the layer tracer in
+# perfbench/tracer.py rebinds them in this module.
 from .forward import (  # noqa: F401
     EllipticProblem,
     ForwardEvaluation,
@@ -43,6 +46,7 @@ from .forward import (  # noqa: F401
     derivative_values,
     forward,
     solve_state,
+    state_values,
 )
 from .geometry import (  # noqa: F401
     SpaceParams,
@@ -165,10 +169,9 @@ class SolverConfig:
             )
         if self.rate_mode:
             if theta == 0.0:
-                warnings.warn(
+                warn_at_caller(
                     "rate mode with theta = 0 is a no-op: the refinement "
-                    "criterion is not defined without decay",
-                    stacklevel=3,
+                    "criterion is not defined without decay"
                 )
             else:
                 bound = (self.tau_tilde * (1.0 + self.eta)) ** (
@@ -279,12 +282,13 @@ def refinement_threshold(r_n: float, config: SolverConfig) -> float:
 class InnerIteration:
     """Inner Landweber loop at a fixed outer iterate, stepped one k at a time.
 
-    The loop runs on raw float64 values: ``x0``, ``resid0`` and ``truth``
-    are arrays on the grid of ``ev``, and ``z`` is wrapped as a
-    :class:`GridFunction` only when read. The dual iterate of z is carried
-    explicitly: since z is constructed as x0 + J_p^{-1}(base_dual + u_dual),
-    the term J_p(z - x0) of the update equals base_dual + u_dual exactly, so
-    no pow round trip is needed.
+    The loop runs on raw float64 values: ``x0`` and ``resid0`` are arrays on
+    the grid of ``ev``, and ``z`` is wrapped as a :class:`GridFunction` only
+    when read. ``truth_shift`` switches on the Bregman diagnostics: it is the
+    pair (truth - x0, |truth - x0|^p), fixed per run. The dual iterate of z
+    is carried explicitly: since z is constructed as
+    x0 + J_p^{-1}(base_dual + u_dual), the term J_p(z - x0) of the update
+    equals base_dual + u_dual exactly, so no pow round trip is needed.
     """
 
     def __init__(
@@ -296,7 +300,7 @@ class InnerIteration:
         n: int,
         r_n: float,
         resid0: np.ndarray,
-        truth: np.ndarray | None = None,
+        truth_shift: tuple[np.ndarray, np.ndarray] | None = None,
     ):
         sp = config.space
         self.ev = ev
@@ -307,7 +311,7 @@ class InnerIteration:
         self.n = n
         self.r_n = r_n
         self.resid0 = resid0
-        self.truth_shift = None if truth is None else truth - x0
+        self.truth_shift = truth_shift
         self.alpha = alpha
         self.vartheta = config.resolved_vartheta
         self.theta = config.theta
@@ -334,8 +338,9 @@ class InnerIteration:
     def _diagnostics(self) -> tuple[float | None, float | None]:
         if self.truth_shift is None:
             return None, None
+        shift, shift_pow = self.truth_shift
         d2 = bregman_values(
-            self.truth_shift, self.z_values - self.x0, self.space.p, self.weight
+            shift, shift_pow, self.z_values - self.x0, self.space.p, self.weight
         )
         if self.theta == 0.0:
             return d2, d2
@@ -424,9 +429,12 @@ def run(
         x0 = GridFunction.zeros(problem.grid)
     if x_init is None:
         x_init = x0
-    truth_values = truth.values if truth is not None and config.diagnostics else None
-
     sp = config.space
+    truth_shift = None
+    if truth is not None and config.diagnostics:
+        shift = truth.values - x0.values
+        truth_shift = (shift, np.abs(shift) ** sp.p)
+    data_values = data.values
     weight = problem.grid.cell_volume
     log = IterationLog()
     x = x_init
@@ -449,7 +457,7 @@ def run(
                 x, f"failure: {exc} (outer iterate {n})", n, log, alpha, applies
             )
         applies += 1
-        resid0 = ev.u.values - data.values
+        resid0 = ev.u.values - data_values
         r_n = lp_norm_values(resid0, sp.r, weight)
 
         # in rate mode the loop at the stopping index refines alpha first
@@ -470,7 +478,7 @@ def run(
         else:
             allowance = min(config.inner_budget.limit(n, r_n, sp.r), config.max_inner)
 
-        it = InnerIteration(ev, x0.values, alpha, config, n, r_n, resid0, truth_values)
+        it = InnerIteration(ev, x0.values, alpha, config, n, r_n, resid0, truth_shift)
         inner_reason = None
         abort_reason = None
         f_stop = None
@@ -494,9 +502,10 @@ def run(
                 log.records.append(it.step(refinement=refining))
                 total_inner += 1
                 if check_residual and it.k < allowance and it.k % config.eval_stride == 0:
-                    f_val = forward(problem, it.z)
+                    # z_values was checked finite by step()
+                    f_val = state_values(problem, it.z_values)
                     it.applies += 1
-                    f_res = lp_norm_values(f_val.values - data.values, sp.r, weight)
+                    f_res = lp_norm_values(f_val - data_values, sp.r, weight)
                     it.pending_f_residual = f_res
                     if outer_stop(f_res, config.tau, config.delta):
                         f_stop = f_res

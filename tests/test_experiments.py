@@ -1,11 +1,14 @@
 """Experiment presets, noise generation, overrides, and report wiring."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from newton_landweber import (
     Grid,
     GridFunction,
+    SpaceParams,
     add_outliers,
     apply_overrides,
     build_spec,
@@ -197,6 +200,20 @@ def test_overrides_reach_every_layer():
     assert spec.solver["rate_mode"] is True
     assert spec.solver["inner_budget"].limit(0, 1.0, 2.0) == 25
     assert spec.solver["vartheta"] == 0.125
+
+
+@pytest.mark.parametrize(
+    "s, p, want_s", [(2.5, "1.2", 2.5), (None, "1.2", 2.0), (None, "2.5", 2.5)]
+)
+def test_override_keeps_an_explicit_s(s, p, want_s):
+    # an s set on the spec survives a p or r override; a default s follows p
+    spec = replace(make_example1(), space=SpaceParams(1.1, 3.0, s=s))
+    assert apply_overrides(spec, {"p": p}).space.s == want_s
+    assert apply_overrides(spec, {"r": "4"}).space.s == (2.0 if s is None else s)
+    if s is not None:
+        # a p above the kept s is rejected, not met by silently raising s
+        with pytest.raises(ValueError, match="s >= p"):
+            apply_overrides(spec, {"p": "3"})
 
 
 def test_override_vartheta_auto_restores_default():

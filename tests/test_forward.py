@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from newton_landweber import (
     Grid,
@@ -15,6 +16,7 @@ from newton_landweber import (
     solve_state,
     square_problem,
 )
+from newton_landweber.forward import state_values
 
 
 def test_affine_state_exact_1d():
@@ -63,6 +65,8 @@ def test_singular_operator_raises_1d():
     c = GridFunction(grid, [-32.0, 0.0, 0.0, -32.0])
     with pytest.raises(SingularOperatorError):
         solve_state(problem, c)
+    with pytest.raises(SingularOperatorError):
+        state_values(problem, c.values)
 
 
 def test_singular_operator_raises_2d():
@@ -74,6 +78,33 @@ def test_singular_operator_raises_2d():
     c = GridFunction(grid, -base)
     with pytest.raises(SingularOperatorError):
         solve_state(problem, c)
+    with pytest.raises(SingularOperatorError):
+        state_values(problem, c.values)
+
+
+@pytest.mark.parametrize("cells", [(60,), (9, 7)])
+def test_state_values_matches_forward(cells):
+    # the raw-values kernel is F itself, not an approximation of it
+    grid = Grid(cells)
+    c = 1.0 + np.random.default_rng(3).random(grid.size)
+    if grid.dim == 1:
+        problem = interval_problem(grid, lambda t: 1.0 + t, 0.5, -1.0)
+    else:
+        problem = square_problem(grid, lambda x, y: 1.0 + x * y, lambda x, y: x - y)
+    got = state_values(problem, c)
+    assert got.tobytes() == forward(problem, GridFunction(grid, c)).values.tobytes()
+    assert got.tobytes() == solve_state(problem, GridFunction(grid, c)).u.values.tobytes()
+    if grid.dim == 1:
+        # reference: the tridiagonal A(c) assembled from h alone, no cached pieces
+        (h,) = grid.spacing
+        off = np.full(grid.size - 1, -1.0 / h**2)
+        diag = 2.0 / h**2 + c
+        diag[0] += 1.0 / h**2
+        diag[-1] += 1.0 / h**2
+        dl, d, du, du2, ipiv, _ = lapack.dgttrf(off, diag, off)
+        rhs = problem.rhs.values + problem.boundary_rhs
+        want, _ = lapack.dgttrs(dl, d, du, du2, ipiv, rhs)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_grid_mismatch_rejected():

@@ -10,14 +10,19 @@ from newton_landweber import (
     InnerBudget,
     SolverConfig,
     SpaceParams,
+    build_spec,
     duality_map,
+    forward,
     generate_noise,
     interval_problem,
     lp_norm,
+    make_example1,
     run,
+    shifted_bregman,
     solve_state,
 )
 from newton_landweber import solver
+from newton_landweber.experiments import assemble_problem, make_data
 from newton_landweber.solver import InnerIteration, refinement_threshold
 
 
@@ -243,12 +248,13 @@ def test_non_finite_iterate_reported_not_raised():
 
 def test_call_counts_per_step(monkeypatch):
     # one step size per inner step, one state solve by the solver per outer
-    # loop, and few GridFunction constructions per step
+    # loop, residual checks that bypass forward() and solve_state(), and
+    # GridFunction constructions per outer loop, not per step
     problem, _, exact = small_problem()
     delta = 1e-3
     data = generate_noise(exact, delta, 2.0, 6)
     config = base_config(delta=delta, max_outer=4, inner_budget=InnerBudget.constant(10))
-    calls = {"choose_omega": 0, "solve_state": 0, "GridFunction": 0}
+    calls = {"choose_omega": 0, "solve_state": 0, "forward": 0, "GridFunction": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -257,7 +263,7 @@ def test_call_counts_per_step(monkeypatch):
 
         return wrapper
 
-    for name in ("choose_omega", "solve_state"):
+    for name in ("choose_omega", "solve_state", "forward"):
         monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
     monkeypatch.setattr(
         GridFunction, "__post_init__", counting("GridFunction", GridFunction.__post_init__)
@@ -266,8 +272,11 @@ def test_call_counts_per_step(monkeypatch):
     steps = len(result.log.records)
     assert steps > 0
     assert calls["choose_omega"] == steps
+    assert any(rec.f_residual is not None for rec in result.log.records)
     assert calls["solve_state"] == len(result.log.outer)
-    assert calls["GridFunction"] <= 3 * steps
+    assert calls["forward"] == 0
+    # the state of each outer loop, the iterate that ends it, and x0
+    assert calls["GridFunction"] <= 2 * len(result.log.outer) + 1
 
 
 def test_determinism_of_records():
@@ -385,5 +394,42 @@ def test_warnings_name_the_calling_line():
         SpaceParams(2.0, 1.1)
     with pytest.warns(UserWarning, match="rate mode with theta = 0") as caught_rate:
         base_config(rate_mode=True)
-    for record in (*caught, *caught_rate):
+    # through dataclasses.replace and through apply_overrides
+    config = base_config()
+    with pytest.warns(UserWarning, match="rate mode with theta = 0") as caught_replace:
+        config.replace(rate_mode=True)
+    with pytest.warns(UserWarning, match="analyzed regime") as caught_override:
+        build_spec("example1", {"r": "1.5", "p": "2"})
+    records = (*caught, *caught_rate, *caught_replace, *caught_override)
+    assert len(records) == 4
+    for record in records:
         assert record.filename == __file__
+
+
+def test_records_match_public_api_on_example1(monkeypatch):
+    # the residual check and the Bregman diagnostic run on array kernels;
+    # every logged value equals the public GridFunction formula bit for bit
+    spec = make_example1(1.1)
+    problem, truth, exact, x0 = assemble_problem(spec)
+    data, delta = make_data(spec, exact)
+    solver_kw = {**spec.solver, "max_total_inner": 300}
+    config = SolverConfig(space=spec.space, delta=delta, **solver_kw)
+    iterates = []
+    step = InnerIteration.step
+
+    def recording_step(self, refinement=False):
+        iterates.append(GridFunction(problem.grid, self.z_values.copy()))
+        return step(self, refinement)
+
+    monkeypatch.setattr(InnerIteration, "step", recording_step)
+    result = run(problem, data, config, x0=x0, truth=truth)
+    records = result.log.records
+    assert len(records) == len(iterates) == 300
+    p, r = spec.space.p, spec.space.r
+    checked = 0
+    for rec, z in zip(records, iterates):
+        assert rec.d2 == shifted_bregman(truth, z, x0, p)
+        if rec.f_residual is not None:
+            assert rec.f_residual == lp_norm(forward(problem, z) - data, r)
+            checked += 1
+    assert checked > len(records) // 2
