@@ -177,6 +177,11 @@ class ForwardEvaluation:
     c: GridFunction
     u: GridFunction
     _solve: Callable[[np.ndarray], np.ndarray]
+    neg_u: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # -u(c), held once so that the adjoint is a single multiply
+        object.__setattr__(self, "neg_u", -self.u.values)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Apply A(c)^{-1} to a raw vector (homogeneous boundary data)."""
@@ -224,7 +229,7 @@ def _factorized_state(
     else:
         solve = _factorize_sparse(problem, c)
     u = solve(problem._state_rhs)
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise SingularOperatorError("operator not invertible at c (non-finite state)")
     return solve, u
 
@@ -256,14 +261,22 @@ def forward(problem: EllipticProblem, c: GridFunction) -> GridFunction:
     return GridFunction(problem.grid, state_values(problem, c.values))
 
 
-def derivative_values(ev: ForwardEvaluation, h: np.ndarray) -> np.ndarray:
-    """F'(c) h = -A(c)^{-1}(h * u(c)) on raw values, with no grid check."""
-    return -ev.solve(h * ev.u.values)
+def derivative_values(
+    ev: ForwardEvaluation, h: np.ndarray, base: np.ndarray | float = 0.0
+) -> np.ndarray:
+    """base + F'(c) h on raw values, with no grid check.
+
+    F'(c) h = -A(c)^{-1}(h * u(c)), so the sum is computed as
+    base - A(c)^{-1}(h * u(c)), which is base + (-A(c)^{-1}(h * u(c))) bit
+    for bit. The solver passes the residual at c as ``base`` to get the
+    linearized residual in one pass.
+    """
+    return base - ev.solve(h * ev.u.values)
 
 
 def adjoint_values(ev: ForwardEvaluation, w: np.ndarray) -> np.ndarray:
     """F'(c)* w = -u(c) * A(c)^{-1} w on raw values, with no grid check."""
-    return -ev.u.values * ev.solve(w)
+    return ev.neg_u * ev.solve(w)
 
 
 def derivative_apply(ev: ForwardEvaluation, h: GridFunction) -> GridFunction:

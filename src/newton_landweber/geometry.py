@@ -95,39 +95,46 @@ def lp_norm_values(v: np.ndarray, q: float, weight: float) -> float:
     When the direct sum underflows or overflows (say 1e-4 at q = 101, or
     1e40 at q = 10) while max|v| is finite and nonzero, the norm is
     recomputed as max|v| * ||v / max|v|||_q; every other result is the
-    direct formula, bit for bit. numpy still warns about an overflow of the
+    direct formula, bit for bit. At q = 2 the powers are ``v * v``, which
+    equals |v|^2 bit for bit. numpy still warns about an overflow of the
     direct sum: an ``errstate`` guard would slow every call by about half.
     """
-    total = weight * (np.abs(v) ** q).sum()
+    total = weight * np.add.reduce(v * v if q == 2.0 else np.abs(v) ** q)
     if not _NORMAL_MIN <= total < math.inf:
         scale = float(np.max(np.abs(v)))
         if 0.0 < scale < math.inf:
-            rescaled = weight * ((np.abs(v) / scale) ** q).sum()
+            rescaled = weight * np.add.reduce((np.abs(v) / scale) ** q)
             return scale * float(rescaled ** (1.0 / q))
     return float(total ** (1.0 / q))
 
 
 def duality_map_values(v: np.ndarray, q: float) -> np.ndarray:
-    """J_q on raw values: sgn(v) |v|^(q-1), and ``v`` itself at q = 2."""
+    """J_q on raw values: sgn(v) |v|^(q-1), and ``v`` itself at q = 2.
+
+    The sign is put on with ``copysign``, so a zero keeps its sign:
+    J_q(-0) is -0, which equals the 0 of sgn(v) |v|^(q-1).
+    """
     if q == 2.0:
         return v
-    return np.sign(v) * np.abs(v) ** (q - 1.0)
+    return np.copysign(np.abs(v) ** (q - 1.0), v)
 
 
 def bregman_values(
     a: np.ndarray, a_pow: np.ndarray, b: np.ndarray, p: float, weight: float
-) -> float:
+) -> float | np.ndarray:
     """Bregman distance of (1/p)||.||_p^p from raw values b to a.
 
     ``a_pow`` is |a|^p, passed in so that a caller measuring many b against
-    one a computes it once. Accumulated pointwise: each node contributes the
-    Bregman gap of the scalar convex map t -> |t|^p / p, which is nonnegative
-    in exact arithmetic, so the weighted sum cannot go below a few ulps times
+    one a computes it once. ``b`` may hold one iterate per row, shape
+    (B, n) against a and a_pow of shape (n,); the distances are then the
+    row-wise sums, an array of B, each equal bit for bit to the distance of
+    that row alone. Accumulated pointwise: each node contributes the Bregman
+    gap of the scalar convex map t -> |t|^p / p, which is nonnegative in
+    exact arithmetic, so the weighted sum cannot go below a few ulps times
     its magnitude.
     """
-    abs_b = np.abs(b)
-    gaps = (a_pow - abs_b**p) / p - np.sign(b) * abs_b ** (p - 1.0) * (a - b)
-    return float(weight * gaps.sum())
+    gaps = (a_pow - np.abs(b) ** p) / p - duality_map_values(b, p) * (a - b)
+    return weight * np.add.reduce(gaps, axis=-1)
 
 
 def lp_norm(f: GridFunction, q: float) -> float:
@@ -169,7 +176,7 @@ def bregman(x_new: GridFunction, x: GridFunction, p: float) -> float:
     if x_new.grid != x.grid:
         raise GridMismatchError(f"grids differ: {x_new.grid.cells} vs {x.grid.cells}")
     a = x_new.values
-    return bregman_values(a, np.abs(a) ** p, x.values, p, x.grid.cell_volume)
+    return float(bregman_values(a, np.abs(a) ** p, x.values, p, x.grid.cell_volume))
 
 
 def shifted_bregman(

@@ -14,8 +14,6 @@ import math
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import SpaceParams
 
 __all__ = [
@@ -100,10 +98,17 @@ def choose_omega(
         return vartheta * omega_bar, True
     r, s, p = space.r, space.s, space.p
     # tiny t_tilde overflows the negative powers; inf is fine, min() drops it
-    with np.errstate(over="ignore"):
-        w1 = float(np.float64(t) ** (r / (space.s_star - 1.0)) * np.float64(t_tilde) ** -s)
-        w2 = float(np.float64(t) ** (r / (space.p_star - 1.0)) * np.float64(t_tilde) ** -p)
+    w1 = _pow(t, r / (space.s_star - 1.0)) * _pow(t_tilde, -s)
+    w2 = _pow(t, r / (space.p_star - 1.0)) * _pow(t_tilde, -p)
     return vartheta * min(w1, w2, omega_bar), False
+
+
+def _pow(x: float, y: float) -> float:
+    """x^y by the C library's pow, as float64 arithmetic gives it: overflow is inf."""
+    try:
+        return math.pow(x, y)
+    except OverflowError:
+        return math.inf
 
 
 def alpha_check(
@@ -174,9 +179,8 @@ class InnerBudget:
         if r_n <= 0:
             raise ValueError("inner allowance needs a positive residual")
         # a huge allowance is capped by the solver's own budgets; tiny
-        # residuals overflow the scalar power, so compute in float64
-        with np.errstate(over="ignore"):
-            raw = float(self.coefficient(n) * np.float64(r_n) ** -r)
+        # residuals overflow the power to inf
+        raw = self.coefficient(n) * _pow(r_n, -r)
         if raw > 2**62:
             return 2**62
         return max(1, math.floor(raw))

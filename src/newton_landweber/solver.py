@@ -22,6 +22,13 @@ functions and ``InnerIteration.z`` is one. Inside, the inner loop and its
 nonlinear residual check run on raw float64 arrays through the kernels of
 ``geometry`` and ``forward``, and each step checks its new iterate and
 residual for non-finite values once.
+
+A step computes only what steers the iteration. Its record, with the
+Bregman diagnostic d2 = D_p(truth - x0, z_{n,k} - x0) and gamma =
+d2 alpha^-theta, which steer nothing, is built afterwards: ``run()``
+queues each step's scalars and iterate, computes d2 for blocks of
+RECORD_BLOCK = 8 steps in one pass, and flushes the queue before it
+returns, so every record is in ``log.records`` on every way out.
 """
 
 from __future__ import annotations
@@ -87,6 +94,9 @@ REASON_DISCREPANCY = "discrepancy"
 REASON_OUTER_BUDGET = "outer budget"
 REASON_TOTAL_INNER = "total inner budget"
 REASON_APPLY_BUDGET = "apply budget"
+
+# steps whose records are built together, with one Bregman pass over the block
+RECORD_BLOCK = 8
 
 
 class NonFiniteIterateError(FloatingPointError):
@@ -202,7 +212,7 @@ class SolverConfig:
         return replace(self, **changes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     """State of one inner step, captured before the update is applied.
 
@@ -210,7 +220,8 @@ class IterationRecord:
     mapped gradient, ``f_residual`` the nonlinear residual of the current z
     when it was evaluated for the stopping check. ``d2``/``gamma`` are the
     shifted Bregman distance to the supplied truth and its alpha^-theta
-    rescaling (synthetic runs only).
+    rescaling (synthetic runs only), computed after the step with those of
+    the steps around it (see ``run``).
     """
 
     n: int
@@ -227,7 +238,7 @@ class IterationRecord:
     refinement: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OuterRecord:
     """Summary of one outer iterate and its inner loop."""
 
@@ -284,11 +295,12 @@ class InnerIteration:
 
     The loop runs on raw float64 values: ``x0`` and ``resid0`` are arrays on
     the grid of ``ev``, and ``z`` is wrapped as a :class:`GridFunction` only
-    when read. ``truth_shift`` switches on the Bregman diagnostics: it is the
-    pair (truth - x0, |truth - x0|^p), fixed per run. The dual iterate of z
-    is carried explicitly: since z is constructed as
-    x0 + J_p^{-1}(base_dual + u_dual), the term J_p(z - x0) of the update
-    equals base_dual + u_dual exactly, so no pow round trip is needed.
+    when read. ``vartheta`` is the step-size factor, resolved once per run.
+    The dual iterate of z is carried as w = base_dual + u_dual: since z is
+    constructed as x0 + J_p^{-1}(w), the term J_p(z - x0) of the update
+    equals w exactly, so no pow round trip is needed. A step computes only
+    what steers the iteration; ``run()`` builds the step records and their
+    Bregman diagnostic afterwards, in blocks.
     """
 
     def __init__(
@@ -297,10 +309,9 @@ class InnerIteration:
         x0: np.ndarray,
         alpha: float,
         config: SolverConfig,
-        n: int,
         r_n: float,
         resid0: np.ndarray,
-        truth_shift: tuple[np.ndarray, np.ndarray] | None = None,
+        vartheta: float,
     ):
         sp = config.space
         self.ev = ev
@@ -308,25 +319,25 @@ class InnerIteration:
         self.x0 = x0
         self.config = config
         self.space = sp
-        self.n = n
         self.r_n = r_n
         self.resid0 = resid0
-        self.truth_shift = truth_shift
         self.alpha = alpha
-        self.vartheta = config.resolved_vartheta
+        self.vartheta = vartheta
         self.theta = config.theta
         self.weight = ev.problem.grid.cell_volume
         self.p_star = sp.p_star
 
         self.base_dual = duality_map_values(self.x_n - x0, sp.p)
         self.u_dual = np.zeros(ev.problem.grid.size)
+        # w = base_dual + u_dual at u_dual = 0; adding the zeros would only
+        # turn -0 into +0, and the first update 0 - alpha * w is +0 either way
+        self.w = self.base_dual
         self.z_values = self.x_n
         self._z: GridFunction | None = ev.c
         self.resid = resid0
         self.t = r_n
         self.k = 0
         self.applies = 0
-        self.pending_f_residual: float | None = None
 
     @property
     def z(self) -> GridFunction:
@@ -335,63 +346,31 @@ class InnerIteration:
             self._z = GridFunction(self.ev.problem.grid, self.z_values)
         return self._z
 
-    def _diagnostics(self) -> tuple[float | None, float | None]:
-        if self.truth_shift is None:
-            return None, None
-        shift, shift_pow = self.truth_shift
-        d2 = bregman_values(
-            shift, shift_pow, self.z_values - self.x0, self.space.p, self.weight
-        )
-        if self.theta == 0.0:
-            return d2, d2
-        gamma = d2 * self.alpha**-self.theta if self.alpha > 0 else None
-        return d2, gamma
-
-    def step(self, refinement: bool = False) -> IterationRecord:
-        """Advance z_{n,k} -> z_{n,k+1} and alpha, returning the step record.
+    def step(self) -> tuple[float, float, bool]:
+        """Advance z_{n,k} -> z_{n,k+1} and alpha; return (t_tilde, omega, degenerate).
 
         Raises :class:`NonFiniteIterateError`, leaving the state at z_{n,k},
         when the new iterate or its linearized residual is not finite.
         """
         cfg = self.config
         sp = self.space
+        ev = self.ev
 
-        gradient = adjoint_values(self.ev, duality_map_values(self.resid, sp.r))
-        self.applies += 1
+        gradient = adjoint_values(ev, duality_map_values(self.resid, sp.r))
         t_tilde = lp_norm_values(gradient, self.p_star, self.weight)
         omega, degenerate = choose_omega(
             self.t, t_tilde, self.vartheta, cfg.omega_bar, sp
         )
-        d2, gamma = self._diagnostics()
-        record = IterationRecord(
-            n=self.n,
-            k=self.k,
-            t=self.t,
-            t_tilde=t_tilde,
-            omega=omega,
-            alpha=self.alpha,
-            r_n=self.r_n,
-            f_residual=self.pending_f_residual,
-            d2=d2,
-            gamma=gamma,
-            degenerate=degenerate,
-            refinement=refinement,
-        )
-        self.pending_f_residual = None
-
-        # J_p(z - x0) == base_dual + u_dual by construction of z
-        u_dual = (
-            self.u_dual
-            - self.alpha * (self.base_dual + self.u_dual)
-            - omega * gradient
-        )
+        u_dual = self.u_dual - self.alpha * self.w - omega * gradient
+        w = self.base_dual + u_dual
         # J_p^{-1} is J_{p*}
-        z = self.x0 + duality_map_values(self.base_dual + u_dual, self.p_star)
-        resid = derivative_values(self.ev, z - self.x_n) + self.resid0
-        self.applies += 1
+        z = self.x0 + duality_map_values(w, self.p_star)
+        resid = derivative_values(ev, z - self.x_n, self.resid0)
+        self.applies += 2
         if not (np.isfinite(z).all() and np.isfinite(resid).all()):
             raise NonFiniteIterateError("non-finite iterate or residual")
         self.u_dual = u_dual
+        self.w = w
         self.z_values = z
         self._z = None
         self.resid = resid
@@ -403,7 +382,70 @@ class InnerIteration:
             alpha_hat(self.alpha, cfg.q, self.theta),
         )
         self.k += 1
-        return record
+        return t_tilde, omega, degenerate
+
+
+class _RecordQueue:
+    """Steps of one run waiting for their :class:`IterationRecord`.
+
+    Each step pushes its scalars and its iterate z_{n,k}. A flush computes
+    the Bregman diagnostic d2 of every queued iterate in one (B, n) pass of
+    ``bregman_values`` and gamma = d2 * alpha^-theta per row, then appends
+    the records to the log in step order. The queue flushes itself when it
+    holds RECORD_BLOCK steps, so it never holds more.
+    """
+
+    def __init__(
+        self,
+        log: IterationLog,
+        x0: np.ndarray,
+        truth_shift: tuple[np.ndarray, np.ndarray] | None,
+        p: float,
+        theta: float,
+        weight: float,
+    ):
+        self.records = log.records
+        self.x0 = x0
+        self.truth_shift = truth_shift
+        self.p = p
+        self.theta = theta
+        self.weight = weight
+        self.rows: list[tuple] = []
+        self.iterates: list[np.ndarray] = []
+
+    def push(self, row: tuple, z: np.ndarray) -> None:
+        """Queue (n, k, t, t_tilde, omega, alpha, r_n, f_residual, degenerate, refinement)."""
+        self.rows.append(row)
+        if self.truth_shift is not None:
+            self.iterates.append(z)
+        if len(self.rows) == RECORD_BLOCK:
+            self.flush()
+
+    def flush(self) -> None:
+        if not self.rows:
+            return
+        if self.truth_shift is None:
+            d2s = [None] * len(self.rows)
+        else:
+            shift, shift_pow = self.truth_shift
+            d2s = bregman_values(
+                shift, shift_pow, np.stack(self.iterates) - self.x0, self.p, self.weight
+            ).tolist()
+        theta = self.theta
+        for row, d2 in zip(self.rows, d2s):
+            n, k, t, t_tilde, omega, alpha, r_n, f_residual, degenerate, refinement = row
+            if d2 is None or theta == 0.0:
+                gamma = d2
+            else:
+                gamma = d2 * alpha**-theta if alpha > 0 else None
+            self.records.append(
+                IterationRecord(
+                    n, k, t, t_tilde, omega, alpha, r_n, f_residual,
+                    d2, gamma, degenerate, refinement,
+                )
+            )
+        self.rows.clear()
+        self.iterates.clear()
 
 
 def run(
@@ -420,7 +462,9 @@ def run(
     are reported through ``RunResult.reason``, not raised; budget exhaustion
     likewise. Inputs on a grid other than ``problem.grid`` raise
     :class:`GridMismatchError`. ``truth`` switches on the Bregman
-    diagnostics in the log.
+    diagnostics in the log. The step records are built in blocks of
+    RECORD_BLOCK steps after the steps ran; every one of them is in
+    ``log.records`` when ``run()`` returns, whatever the reason.
     """
     for name, f in (("data", data), ("x0", x0), ("x_init", x_init), ("truth", truth)):
         if f is not None and f.grid != problem.grid:
@@ -434,10 +478,28 @@ def run(
     if truth is not None and config.diagnostics:
         shift = truth.values - x0.values
         truth_shift = (shift, np.abs(shift) ** sp.p)
-    data_values = data.values
-    weight = problem.grid.cell_volume
     log = IterationLog()
-    x = x_init
+    queue = _RecordQueue(
+        log, x0.values, truth_shift, sp.p, config.theta, problem.grid.cell_volume
+    )
+    result = _iterate(problem, data.values, config, x0.values, x_init, log, queue)
+    queue.flush()
+    return result
+
+
+def _iterate(
+    problem: EllipticProblem,
+    data_values: np.ndarray,
+    config: SolverConfig,
+    x0_values: np.ndarray,
+    x: GridFunction,
+    log: IterationLog,
+    queue: _RecordQueue,
+) -> RunResult:
+    """The outer and inner loops of ``run()``, from the initial iterate x."""
+    sp = config.space
+    weight = problem.grid.cell_volume
+    vartheta = config.resolved_vartheta
     alpha = config.alpha00
     applies = 0
     total_inner = 0
@@ -478,10 +540,12 @@ def run(
         else:
             allowance = min(config.inner_budget.limit(n, r_n, sp.r), config.max_inner)
 
-        it = InnerIteration(ev, x0.values, alpha, config, n, r_n, resid0, truth_shift)
+        it = InnerIteration(ev, x0_values, alpha, config, r_n, resid0, vartheta)
         inner_reason = None
         abort_reason = None
         f_stop = None
+        # the residual check of z_{n,k} is logged with step k
+        f_pending = None
         while True:
             if refining and it.alpha <= threshold:
                 inner_reason = "refinement"
@@ -498,17 +562,21 @@ def run(
             if applies + it.applies + reserve > config.max_total_applies:
                 abort_reason = REASON_APPLY_BUDGET
                 break
+            # the state the step's record describes, before the update
+            k, t, alpha_k, z = it.k, it.t, it.alpha, it.z_values
             try:
-                log.records.append(it.step(refinement=refining))
+                t_tilde, omega, degenerate = it.step()
+                row = (n, k, t, t_tilde, omega, alpha_k, r_n, f_pending, degenerate, refining)
+                queue.push(row, z)
+                f_pending = None
                 total_inner += 1
                 if check_residual and it.k < allowance and it.k % config.eval_stride == 0:
                     # z_values was checked finite by step()
                     f_val = state_values(problem, it.z_values)
                     it.applies += 1
-                    f_res = lp_norm_values(f_val - data_values, sp.r, weight)
-                    it.pending_f_residual = f_res
-                    if outer_stop(f_res, config.tau, config.delta):
-                        f_stop = f_res
+                    f_pending = lp_norm_values(f_val - data_values, sp.r, weight)
+                    if outer_stop(f_pending, config.tau, config.delta):
+                        f_stop = f_pending
                         inner_reason = "inner discrepancy"
                         break
             except (SingularOperatorError, NonFiniteIterateError) as exc:

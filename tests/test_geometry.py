@@ -19,12 +19,28 @@ from newton_landweber import (
     shifted_bregman,
 )
 from newton_landweber.checks import check_duality_round_trip
+from newton_landweber.geometry import bregman_values, duality_map_values
 
 EXPONENTS = (1.1, 1.5, 2.0, 3.0)
 
 
 def random_function(grid, rng):
     return GridFunction(grid, rng.standard_normal(grid.size))
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def pow_norm(f, q):
+    # lp_norm with |v|^q at every q, the reference for its q = 2 product path
+    v, w = f.values, f.grid.cell_volume
+    total = w * (np.abs(v) ** q).sum()
+    if not np.finfo(float).tiny <= total < np.inf:
+        scale = float(np.max(np.abs(v)))
+        if 0.0 < scale < np.inf:
+            return scale * float((w * ((np.abs(v) / scale) ** q).sum()) ** (1.0 / q))
+    return float(total ** (1.0 / q))
 
 
 def test_conjugate_exponent():
@@ -60,21 +76,35 @@ def test_lp_norm_quadrature_linear_function():
 
 
 OVERFLOW_WARNING = "ignore:overflow encountered in power:RuntimeWarning"
+SQUARE_OVERFLOW_WARNING = "ignore:overflow encountered in multiply:RuntimeWarning"
 
 
 @pytest.mark.filterwarnings(OVERFLOW_WARNING)
+@pytest.mark.filterwarnings(SQUARE_OVERFLOW_WARNING)
 def test_lp_norm_constant_any_exponent():
     grid = Grid((17,))
     f = GridFunction.constant(grid, -2.0)
     for q in EXPONENTS:
         assert lp_norm(f, q) == pytest.approx(2.0, rel=1e-13)
     # |v|^q underflows (first) or overflows (second); the norm must not
-    for value, q in ((1e-4, 101.0), (1e40, 10.0)):
+    for value, q in ((1e-4, 101.0), (1e40, 10.0), (1e200, 2.0)):
         g = GridFunction.constant(grid, value)
         assert lp_norm(g, q) == pytest.approx(value, rel=1e-13)
+    # at q = 2 the powers are v * v: the same bits as |v|^2 on signed zeros,
+    # subnormals and a sum that overflows into the rescaled form
+    grid = Grid((4,))
+    for values in (
+        [0.0, -0.0, 0.0, -0.0],
+        [5e-324, -5e-324, 1e-310, -2.5e-308],
+        [1e200, -1e200, 3e199, -0.0],
+        [1e-160, -3e-170, 0.0, 2e-155],
+    ):
+        g = GridFunction(grid, values)
+        assert same_bits(lp_norm(g, 2.0), pow_norm(g, 2.0)), values
 
 
 @pytest.mark.filterwarnings(OVERFLOW_WARNING)
+@pytest.mark.filterwarnings(SQUARE_OVERFLOW_WARNING)
 @settings(deadline=None)
 @given(
     q=st.floats(1.0, 200.0, exclude_min=True),
@@ -115,6 +145,12 @@ def test_duality_map_handles_zero_nodes():
     f = GridFunction(grid, [0.0, 1.0, -8.0, 0.5])
     j = duality_map(f, 1.5)
     np.testing.assert_allclose(j.values, [0.0, 1.0, -np.sqrt(8.0), np.sqrt(0.5)])
+    # copysign gives the values of sgn(v) |v|^(q-1) on signed zeros and NaN
+    v = np.array([0.0, -0.0, np.nan, -np.nan, 2.0, -3.0])
+    for q in EXPONENTS:
+        with np.errstate(invalid="ignore"):
+            expected = np.sign(v) * np.abs(v) ** (q - 1.0)
+        np.testing.assert_array_equal(duality_map_values(v, q), expected)
 
 
 def test_duality_round_trip_and_pairing_identity():
@@ -131,6 +167,17 @@ def test_bregman_constant_oracle():
     expected = (1.0 - 8.0) / 1.5 - 2.0 * (1.0 - 4.0)
     assert bregman(a, b, 1.5) == pytest.approx(expected, rel=1e-12)
     assert bregman(a, a, 1.5) == pytest.approx(0.0, abs=1e-15)
+    # the gaps through J_p(b) have the bits of the sgn(b) |b|^(p-1) form, on
+    # signed zeros too, and a block of rows gives each row's own distance
+    a = np.array([0.0, -0.0, 1.5, 0.0, -2.0, 0.25])
+    rows = np.array([[0.0, -0.0, -0.0, 1.0, 0.0, -0.5], [-0.0, 0.0, 2.0, -0.0, 3.0, 0.25]])
+    for p in (1.1, 1.5, 2.0, 3.0):
+        a_pow = np.abs(a) ** p
+        block = bregman_values(a, a_pow, rows, p, 0.125)
+        for b, distance in zip(rows, block):
+            gaps = (a_pow - np.abs(b) ** p) / p - np.sign(b) * np.abs(b) ** (p - 1.0) * (a - b)
+            assert same_bits(distance, 0.125 * gaps.sum())
+            assert same_bits(distance, bregman_values(a, a_pow, b, p, 0.125))
 
 
 def test_bregman_hilbert_case_is_half_square_distance():

@@ -1,5 +1,8 @@
 """Step-size and regularization-weight schedules, budgets, and parsing."""
 
+import warnings
+
+import numpy as np
 import pytest
 
 from newton_landweber import (
@@ -57,11 +60,27 @@ def test_choose_omega_degenerate_gradient():
     assert omega == pytest.approx(0.25e8)
 
 
+def float64_omega(t, t_tilde, vartheta, omega_bar, sp):
+    # choose_omega's powers in numpy float64 scalars, overflow ignored
+    with np.errstate(over="ignore"):
+        w1 = float(np.float64(t) ** (sp.r / (sp.s_star - 1.0)) * np.float64(t_tilde) ** -sp.s)
+        w2 = float(np.float64(t) ** (sp.r / (sp.p_star - 1.0)) * np.float64(t_tilde) ** -sp.p)
+    return vartheta * min(w1, w2, omega_bar)
+
+
 def test_choose_omega_tiny_gradient_no_overflow():
     sp = SpaceParams(1.1, 2.0)
     omega, degenerate = choose_omega(1e-3, 1e-300, 0.125, 1e8, sp)
     assert not degenerate
     assert omega == pytest.approx(0.125e8)  # power terms overflow to inf, cap wins
+    # the scalar pow gives the float64 result, with no warning or OverflowError
+    spaces = (SpaceParams(1.1, 2.0), SpaceParams(2.0, 2.0), SpaceParams(1.1, 10.0))
+    for space in spaces:
+        for t, t_tilde in ((1e-3, 1e-300), (0.7, 1e-300), (0.0, 0.5), (0.0, 3e5)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                omega, _ = choose_omega(t, t_tilde, 0.125, 1e8, space)
+            assert omega == float64_omega(t, t_tilde, 0.125, 1e8, space)
 
 
 def test_alpha_check_worked_example():
@@ -109,7 +128,9 @@ def test_inner_budget_constant_family():
 
 def test_inner_budget_huge_allowance_capped():
     budget = InnerBudget.power(1.0, 1.1)
-    assert budget.limit(0, 1e-300, 2.0) == 2**62
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert budget.limit(0, 1e-300, 2.0) == 2**62
 
 
 def test_inner_budget_parse_round_trip():

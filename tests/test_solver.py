@@ -115,10 +115,13 @@ def test_dual_iterate_consistency():
     ev = solve_state(problem, x_n)
     resid0 = ev.u - exact
     r_n = lp_norm(resid0, 2.0)
-    it = InnerIteration(ev, x0.values, 0.5, config, 0, r_n, resid0.values)
+    it = InnerIteration(
+        ev, x0.values, 0.5, config, r_n, resid0.values, config.resolved_vartheta
+    )
     for _ in range(25):
         it.step()
-        stored = it.base_dual + it.u_dual
+        stored = it.w
+        assert np.array_equal(stored, it.base_dual + it.u_dual)
         direct = duality_map(it.z - x0, p).values
         scale = max(np.max(np.abs(stored)), 1e-30)
         assert np.max(np.abs(direct - stored)) <= 1e-10 * scale
@@ -247,14 +250,17 @@ def test_non_finite_iterate_reported_not_raised():
 
 
 def test_call_counts_per_step(monkeypatch):
-    # one step size per inner step, one state solve by the solver per outer
-    # loop, residual checks that bypass forward() and solve_state(), and
-    # GridFunction constructions per outer loop, not per step
+    # one vartheta per run, one step size per inner step, one state solve by
+    # the solver per outer loop, residual checks that bypass forward() and
+    # solve_state(), and GridFunction constructions per outer loop, not per step
     problem, _, exact = small_problem()
     delta = 1e-3
     data = generate_noise(exact, delta, 2.0, 6)
     config = base_config(delta=delta, max_outer=4, inner_budget=InnerBudget.constant(10))
-    calls = {"choose_omega": 0, "solve_state": 0, "forward": 0, "GridFunction": 0}
+    calls = {
+        "choose_vartheta": 0, "choose_omega": 0, "solve_state": 0, "forward": 0,
+        "GridFunction": 0,
+    }
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -263,7 +269,7 @@ def test_call_counts_per_step(monkeypatch):
 
         return wrapper
 
-    for name in ("choose_omega", "solve_state", "forward"):
+    for name in ("choose_vartheta", "choose_omega", "solve_state", "forward"):
         monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
     monkeypatch.setattr(
         GridFunction, "__post_init__", counting("GridFunction", GridFunction.__post_init__)
@@ -271,6 +277,8 @@ def test_call_counts_per_step(monkeypatch):
     result = run(problem, data, config)
     steps = len(result.log.records)
     assert steps > 0
+    assert len(result.log.outer) > 1
+    assert calls["choose_vartheta"] == 1
     assert calls["choose_omega"] == steps
     assert any(rec.f_residual is not None for rec in result.log.records)
     assert calls["solve_state"] == len(result.log.outer)
@@ -407,29 +415,66 @@ def test_warnings_name_the_calling_line():
 
 
 def test_records_match_public_api_on_example1(monkeypatch):
-    # the residual check and the Bregman diagnostic run on array kernels;
-    # every logged value equals the public GridFunction formula bit for bit
-    spec = make_example1(1.1)
-    problem, truth, exact, x0 = assemble_problem(spec)
-    data, delta = make_data(spec, exact)
-    solver_kw = {**spec.solver, "max_total_inner": 300}
-    config = SolverConfig(space=spec.space, delta=delta, **solver_kw)
+    # the residual check and the Bregman diagnostic run on array kernels, the
+    # diagnostic in blocks after the steps; on every way out of run(), every
+    # logged value equals the public GridFunction formula bit for bit
     iterates = []
     step = InnerIteration.step
 
-    def recording_step(self, refinement=False):
-        iterates.append(GridFunction(problem.grid, self.z_values.copy()))
-        return step(self, refinement)
+    def recording_step(self):
+        iterates.append(GridFunction(self.ev.problem.grid, self.z_values.copy()))
+        return step(self)
 
     monkeypatch.setattr(InnerIteration, "step", recording_step)
-    result = run(problem, data, config, x0=x0, truth=truth)
-    records = result.log.records
-    assert len(records) == len(iterates) == 300
-    p, r = spec.space.p, spec.space.r
-    checked = 0
-    for rec, z in zip(records, iterates):
-        assert rec.d2 == shifted_bregman(truth, z, x0, p)
-        if rec.f_residual is not None:
-            assert rec.f_residual == lp_norm(forward(problem, z) - data, r)
-            checked += 1
-    assert checked > len(records) // 2
+
+    def checked_run(problem, data, config, x0, truth):
+        iterates.clear()
+        result = run(problem, data, config, x0=x0, truth=truth)
+        records = result.log.records
+        # a step that raises logs no record
+        raised = result.reason.startswith("failure: non-finite")
+        assert len(iterates) == len(records) + raised
+        p, r, theta = config.space.p, config.space.r, config.theta
+        checked = 0
+        for rec, z in zip(records, iterates):
+            assert rec.d2 == shifted_bregman(truth, z, x0, p)
+            assert rec.gamma == rec.d2 * rec.alpha**-theta
+            if rec.f_residual is not None:
+                assert rec.f_residual == lp_norm(forward(problem, z) - data, r)
+                checked += 1
+        return result, checked
+
+    # stopped by the total inner budget part way through a block of records
+    spec = make_example1(1.1)
+    problem, truth, exact, x0 = assemble_problem(spec)
+    data, delta = make_data(spec, exact)
+    solver_kw = {**spec.solver, "max_total_inner": 301}
+    config = SolverConfig(space=spec.space, delta=delta, **solver_kw)
+    result, checked = checked_run(problem, data, config, x0, truth)
+    assert result.reason == "total inner budget"
+    assert len(result.log.records) == 301
+    assert checked > len(result.log.records) // 2
+
+    # rate mode, theta = 1: gamma differs from d2, the tail ends in
+    # refinement, and, with the tail cut one step short, in a failure
+    problem, truth, exact = small_problem()
+    x0 = GridFunction.zeros(problem.grid)
+    data = generate_noise(exact, 5e-3, 2.0, 11)
+    config = base_config(
+        delta=5e-3, nu=0.5, rate_mode=True, c_alpha=0.076, tau_tilde=0.001,
+        alpha00=0.1, q=0.5, max_outer=300, inner_budget=InnerBudget.constant(40),
+    )
+    result, _ = checked_run(problem, data, config, x0, truth)
+    assert result.reason == "discrepancy"
+    assert result.log.outer[-1].inner_reason == "refinement"
+    assert any(rec.gamma != rec.d2 for rec in result.log.records)
+    cap = result.log.outer[-1].steps - 1
+    result, _ = checked_run(problem, data, config.replace(max_inner=cap), x0, truth)
+    assert result.reason.startswith("failure: refinement budget exhausted")
+
+    # a first step whose iterate is not finite
+    config = base_config(space=SpaceParams(2.0, 10.0), delta=1e-3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result, _ = checked_run(problem, exact * 1e40, config, x0, truth)
+    assert result.reason.startswith("failure: non-finite")
+    assert result.log.records == []
