@@ -114,8 +114,12 @@ def _pow(x: float, y: float) -> float:
 def alpha_check(
     t: float, r_n: float, delta: float, eta: float, tau_tilde: float, r: float, theta: float
 ) -> float:
-    """Residual-driven floor tau_tilde * (t + eta r_n + (1+eta) delta)^(r/(1+theta))."""
-    return tau_tilde * (t + eta * r_n + (1.0 + eta) * delta) ** (r / (1.0 + theta))
+    """Residual-driven floor tau_tilde * (t + eta r_n + (1+eta) delta)^(r/(1+theta)).
+
+    A base so large that the power overflows gives an infinite floor, which
+    ``next_alpha`` caps at 1.
+    """
+    return tau_tilde * _pow(t + eta * r_n + (1.0 + eta) * delta, r / (1.0 + theta))
 
 
 def alpha_hat(alpha_prev: float, q: float, theta: float) -> float:

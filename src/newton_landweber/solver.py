@@ -18,17 +18,18 @@ alpha falls below c_alpha * (r_n + delta)^(r/(1+theta)); the nonlinear
 residual check is not consulted there.
 
 :class:`GridFunction` is the type of the API: ``run`` takes and returns grid
-functions and ``InnerIteration.z`` is one. Inside, the inner loop and its
-nonlinear residual check run on raw float64 arrays through the kernels of
-``geometry`` and ``forward``, and each step checks its new iterate and
-residual for non-finite values once.
+functions. Inside, ``run`` is the two loops over local arrays and scalars:
+the inner loop and its nonlinear residual check run on raw float64 arrays
+through the kernels of ``geometry`` and ``forward``, and each step checks
+its new iterate and residual for non-finite values once.
 
 A step computes only what steers the iteration. Its record, with the
 Bregman diagnostic d2 = D_p(truth - x0, z_{n,k} - x0) and gamma =
 d2 alpha^-theta, which steer nothing, is built afterwards: ``run()``
-queues each step's scalars and iterate, computes d2 for blocks of
-RECORD_BLOCK = 8 steps in one pass, and flushes the queue before it
-returns, so every record is in ``log.records`` on every way out.
+queues each step's scalars and iterate and computes d2 for blocks of
+RECORD_BLOCK = 8 steps in one pass. Every way out of the loops (the
+discrepancy principle, a budget, the refinement, a failure) goes through
+one exit that flushes the queue, so every record is in ``log.records``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from ._warn import warn_at_caller
 # perfbench/tracer.py rebinds them in this module.
 from .forward import (  # noqa: F401
     EllipticProblem,
-    ForwardEvaluation,
     SingularOperatorError,
     adjoint_apply,
     adjoint_values,
@@ -69,6 +69,7 @@ from .grids import GridFunction, GridMismatchError
 from .schedules import (
     ConfigurationError,
     InnerBudget,
+    _pow,
     alpha_check,
     alpha_hat,
     choose_omega,
@@ -83,7 +84,6 @@ __all__ = [
     "OuterRecord",
     "IterationLog",
     "RunResult",
-    "InnerIteration",
     "NonFiniteIterateError",
     "outer_stop",
     "refinement_threshold",
@@ -128,9 +128,7 @@ class SolverConfig:
     rho: float = 0.5
     c_const: float = 1.0
     inner_budget: InnerBudget = InnerBudget.power(50.0, 2.0)
-    eval_stride: int = 1
     rate_mode: bool = False
-    diagnostics: bool = True
     c_alpha: float = 1.0
     max_outer: int = 200
     max_inner: int = 100_000
@@ -161,8 +159,6 @@ class SolverConfig:
             raise ConfigurationError(f"vartheta must lie in (0, 1], got {self.vartheta}")
         if self.rho <= 0 or self.c_const <= 0:
             raise ConfigurationError("rho and c_const must be positive")
-        if self.eval_stride < 1:
-            raise ConfigurationError(f"eval_stride must be >= 1, got {self.eval_stride}")
         if self.c_alpha <= 0:
             raise ConfigurationError(f"c_alpha must be positive, got {self.c_alpha}")
         for name in ("max_outer", "max_inner", "max_total_applies"):
@@ -285,104 +281,8 @@ def outer_stop(r_n: float, tau: float, delta: float) -> bool:
 
 def refinement_threshold(r_n: float, config: SolverConfig) -> float:
     """Rate-mode target c_alpha * (r_n + delta)^(r/(1+theta)) for alpha."""
-    return config.c_alpha * (r_n + config.delta) ** (
-        config.space.r / (1.0 + config.theta)
-    )
-
-
-class InnerIteration:
-    """Inner Landweber loop at a fixed outer iterate, stepped one k at a time.
-
-    The loop runs on raw float64 values: ``x0`` and ``resid0`` are arrays on
-    the grid of ``ev``, and ``z`` is wrapped as a :class:`GridFunction` only
-    when read. ``vartheta`` is the step-size factor, resolved once per run.
-    The dual iterate of z is carried as w = base_dual + u_dual: since z is
-    constructed as x0 + J_p^{-1}(w), the term J_p(z - x0) of the update
-    equals w exactly, so no pow round trip is needed. A step computes only
-    what steers the iteration; ``run()`` builds the step records and their
-    Bregman diagnostic afterwards, in blocks.
-    """
-
-    def __init__(
-        self,
-        ev: ForwardEvaluation,
-        x0: np.ndarray,
-        alpha: float,
-        config: SolverConfig,
-        r_n: float,
-        resid0: np.ndarray,
-        vartheta: float,
-    ):
-        sp = config.space
-        self.ev = ev
-        self.x_n = ev.c.values
-        self.x0 = x0
-        self.config = config
-        self.space = sp
-        self.r_n = r_n
-        self.resid0 = resid0
-        self.alpha = alpha
-        self.vartheta = vartheta
-        self.theta = config.theta
-        self.weight = ev.problem.grid.cell_volume
-        self.p_star = sp.p_star
-
-        self.base_dual = duality_map_values(self.x_n - x0, sp.p)
-        self.u_dual = np.zeros(ev.problem.grid.size)
-        # w = base_dual + u_dual at u_dual = 0; adding the zeros would only
-        # turn -0 into +0, and the first update 0 - alpha * w is +0 either way
-        self.w = self.base_dual
-        self.z_values = self.x_n
-        self._z: GridFunction | None = ev.c
-        self.resid = resid0
-        self.t = r_n
-        self.k = 0
-        self.applies = 0
-
-    @property
-    def z(self) -> GridFunction:
-        """The current inner iterate z_{n,k}."""
-        if self._z is None:
-            self._z = GridFunction(self.ev.problem.grid, self.z_values)
-        return self._z
-
-    def step(self) -> tuple[float, float, bool]:
-        """Advance z_{n,k} -> z_{n,k+1} and alpha; return (t_tilde, omega, degenerate).
-
-        Raises :class:`NonFiniteIterateError`, leaving the state at z_{n,k},
-        when the new iterate or its linearized residual is not finite.
-        """
-        cfg = self.config
-        sp = self.space
-        ev = self.ev
-
-        gradient = adjoint_values(ev, duality_map_values(self.resid, sp.r))
-        t_tilde = lp_norm_values(gradient, self.p_star, self.weight)
-        omega, degenerate = choose_omega(
-            self.t, t_tilde, self.vartheta, cfg.omega_bar, sp
-        )
-        u_dual = self.u_dual - self.alpha * self.w - omega * gradient
-        w = self.base_dual + u_dual
-        # J_p^{-1} is J_{p*}
-        z = self.x0 + duality_map_values(w, self.p_star)
-        resid = derivative_values(ev, z - self.x_n, self.resid0)
-        self.applies += 2
-        if not (np.isfinite(z).all() and np.isfinite(resid).all()):
-            raise NonFiniteIterateError("non-finite iterate or residual")
-        self.u_dual = u_dual
-        self.w = w
-        self.z_values = z
-        self._z = None
-        self.resid = resid
-        self.t = lp_norm_values(resid, sp.r, self.weight)
-        self.alpha = next_alpha(
-            alpha_check(
-                self.t, self.r_n, cfg.delta, cfg.eta, cfg.tau_tilde, sp.r, self.theta
-            ),
-            alpha_hat(self.alpha, cfg.q, self.theta),
-        )
-        self.k += 1
-        return t_tilde, omega, degenerate
+    exponent = config.space.r / (1.0 + config.theta)
+    return config.c_alpha * _pow(r_n + config.delta, exponent)
 
 
 class _RecordQueue:
@@ -462,154 +362,157 @@ def run(
     are reported through ``RunResult.reason``, not raised; budget exhaustion
     likewise. Inputs on a grid other than ``problem.grid`` raise
     :class:`GridMismatchError`. ``truth`` switches on the Bregman
-    diagnostics in the log. The step records are built in blocks of
-    RECORD_BLOCK steps after the steps ran; every one of them is in
-    ``log.records`` when ``run()`` returns, whatever the reason.
+    diagnostics in the log.
+
+    The inner loop carries the dual iterate of z as w = base_dual + u_dual:
+    since z is constructed as x0 + J_p^{-1}(w), the term J_p(z - x0) of the
+    update equals w exactly, so no pow round trip is needed. The nonlinear
+    residual of z is checked after every step. Every way out leaves both
+    loops for one exit, which flushes the record queue, so that every step
+    record is in ``log.records`` whatever the reason the run stopped.
     """
     for name, f in (("data", data), ("x0", x0), ("x_init", x_init), ("truth", truth)):
         if f is not None and f.grid != problem.grid:
             raise GridMismatchError(f"{name} sampled on a different grid")
     if x0 is None:
         x0 = GridFunction.zeros(problem.grid)
-    if x_init is None:
-        x_init = x0
+    x = x0 if x_init is None else x_init
     sp = config.space
+    r, p_star, theta = sp.r, sp.p_star, config.theta
+    tau, delta = config.tau, config.delta
+    weight = problem.grid.cell_volume
+    x0_values, data_values = x0.values, data.values
+    vartheta = config.resolved_vartheta
     truth_shift = None
-    if truth is not None and config.diagnostics:
-        shift = truth.values - x0.values
+    if truth is not None:
+        shift = truth.values - x0_values
         truth_shift = (shift, np.abs(shift) ** sp.p)
     log = IterationLog()
-    queue = _RecordQueue(
-        log, x0.values, truth_shift, sp.p, config.theta, problem.grid.cell_volume
-    )
-    result = _iterate(problem, data.values, config, x0.values, x_init, log, queue)
-    queue.flush()
-    return result
-
-
-def _iterate(
-    problem: EllipticProblem,
-    data_values: np.ndarray,
-    config: SolverConfig,
-    x0_values: np.ndarray,
-    x: GridFunction,
-    log: IterationLog,
-    queue: _RecordQueue,
-) -> RunResult:
-    """The outer and inner loops of ``run()``, from the initial iterate x."""
-    sp = config.space
-    weight = problem.grid.cell_volume
-    vartheta = config.resolved_vartheta
+    queue = _RecordQueue(log, x0_values, truth_shift, sp.p, theta, weight)
+    rate_active = config.rate_mode and theta > 0.0
+    # rate mode runs every loop to its full allowance; with exact data the
+    # residual test can never fire, so skip the extra forward solves too
+    check_residual = not rate_active and tau * delta > 0.0
+    # reserve a step's two applies plus the optional residual check
+    reserve = 3 if check_residual else 2
     alpha = config.alpha00
     applies = 0
     total_inner = 0
     n = 0
-    rate_active = config.rate_mode and config.theta > 0.0
-    # rate mode runs every loop to its full allowance; with exact data the
-    # residual test can never fire, so skip the extra forward solves too
-    check_residual = not rate_active and config.tau * config.delta > 0.0
-    # reserve a step's two applies plus the optional residual check
-    reserve = 3 if check_residual else 2
+    reason = None
 
     while True:
         try:
             ev = solve_state(problem, x)
         except SingularOperatorError as exc:
-            return RunResult(
-                x, f"failure: {exc} (outer iterate {n})", n, log, alpha, applies
-            )
+            reason = f"failure: {exc} (outer iterate {n})"
+            break
         applies += 1
         resid0 = ev.u.values - data_values
-        r_n = lp_norm_values(resid0, sp.r, weight)
+        r_n = lp_norm_values(resid0, r, weight)
 
         # in rate mode the loop at the stopping index refines alpha first
-        refining = outer_stop(r_n, config.tau, config.delta)
+        refining = outer_stop(r_n, tau, delta)
         if refining:
             threshold = refinement_threshold(r_n, config) if rate_active else 0.0
             if threshold <= 0.0:
-                log.outer.append(
-                    OuterRecord(n, r_n, alpha, 0, 0, alpha, REASON_DISCREPANCY)
-                )
-                return RunResult(x, REASON_DISCREPANCY, n, log, alpha, applies)
+                reason = REASON_DISCREPANCY
             allowance = config.max_inner
         elif n >= config.max_outer:
-            log.outer.append(
-                OuterRecord(n, r_n, alpha, 0, 0, alpha, REASON_OUTER_BUDGET)
-            )
-            return RunResult(x, REASON_OUTER_BUDGET, n, log, alpha, applies)
+            reason = REASON_OUTER_BUDGET
         else:
-            allowance = min(config.inner_budget.limit(n, r_n, sp.r), config.max_inner)
+            allowance = min(config.inner_budget.limit(n, r_n, r), config.max_inner)
+        if reason is not None:
+            log.outer.append(OuterRecord(n, r_n, alpha, 0, 0, alpha, reason))
+            break
 
-        it = InnerIteration(ev, x0_values, alpha, config, r_n, resid0, vartheta)
+        x_n = x.values
+        base_dual = duality_map_values(x_n - x0_values, sp.p)
+        u_dual = np.zeros(problem.grid.size)
+        # w = base_dual + u_dual at u_dual = 0; adding the zeros would only
+        # turn -0 into +0, and the first update 0 - alpha * w is +0 either way
+        w = base_dual
+        z = x_n
+        resid = resid0
+        t = r_n
+        alpha_start = alpha
+        k = 0
         inner_reason = None
-        abort_reason = None
         f_stop = None
         # the residual check of z_{n,k} is logged with step k
         f_pending = None
         while True:
-            if refining and it.alpha <= threshold:
+            if refining and alpha <= threshold:
                 inner_reason = "refinement"
                 break
-            if it.k >= allowance:
+            if k >= allowance:
                 inner_reason = "refinement aborted" if refining else "budget"
                 break
             if (
                 config.max_total_inner is not None
                 and total_inner >= config.max_total_inner
             ):
-                abort_reason = REASON_TOTAL_INNER
+                reason = REASON_TOTAL_INNER
+            elif applies + reserve > config.max_total_applies:
+                reason = REASON_APPLY_BUDGET
+            if reason is not None:
+                inner_reason = "aborted: " + reason
                 break
-            if applies + it.applies + reserve > config.max_total_applies:
-                abort_reason = REASON_APPLY_BUDGET
-                break
-            # the state the step's record describes, before the update
-            k, t, alpha_k, z = it.k, it.t, it.alpha, it.z_values
             try:
-                t_tilde, omega, degenerate = it.step()
-                row = (n, k, t, t_tilde, omega, alpha_k, r_n, f_pending, degenerate, refining)
+                gradient = adjoint_values(ev, duality_map_values(resid, r))
+                t_tilde = lp_norm_values(gradient, p_star, weight)
+                omega, degenerate = choose_omega(
+                    t, t_tilde, vartheta, config.omega_bar, sp
+                )
+                u_next = u_dual - alpha * w - omega * gradient
+                w_next = base_dual + u_next
+                # J_p^{-1} is J_{p*}
+                z_next = x0_values + duality_map_values(w_next, p_star)
+                resid_next = derivative_values(ev, z_next - x_n, resid0)
+                applies += 2
+                if not (np.isfinite(z_next).all() and np.isfinite(resid_next).all()):
+                    raise NonFiniteIterateError("non-finite iterate or residual")
+                # the record describes z_{n,k}, before the update
+                row = (n, k, t, t_tilde, omega, alpha, r_n, f_pending, degenerate, refining)
                 queue.push(row, z)
-                f_pending = None
+                u_dual, w, z, resid = u_next, w_next, z_next, resid_next
+                t = lp_norm_values(resid, r, weight)
+                alpha = next_alpha(
+                    alpha_check(t, r_n, delta, config.eta, config.tau_tilde, r, theta),
+                    alpha_hat(alpha, config.q, theta),
+                )
+                k += 1
                 total_inner += 1
-                if check_residual and it.k < allowance and it.k % config.eval_stride == 0:
-                    # z_values was checked finite by step()
-                    f_val = state_values(problem, it.z_values)
-                    it.applies += 1
-                    f_pending = lp_norm_values(f_val - data_values, sp.r, weight)
-                    if outer_stop(f_pending, config.tau, config.delta):
+                f_pending = None
+                if check_residual and k < allowance:
+                    f_val = state_values(problem, z)
+                    applies += 1
+                    f_pending = lp_norm_values(f_val - data_values, r, weight)
+                    if outer_stop(f_pending, tau, delta):
                         f_stop = f_pending
                         inner_reason = "inner discrepancy"
                         break
             except (SingularOperatorError, NonFiniteIterateError) as exc:
-                applies += it.applies
-                return RunResult(
-                    it.z,
-                    f"failure: {exc} (iterate n={n}, k={it.k})",
-                    n,
-                    log,
-                    it.alpha,
-                    applies,
-                )
+                reason = f"failure: {exc} (iterate n={n}, k={k})"
+                break
 
-        applies += it.applies
-        if abort_reason is not None:
-            inner_reason = "aborted: " + abort_reason
+        if k > 0:
+            x = GridFunction(problem.grid, z)
+        if inner_reason is None:
+            break  # a failed step: the loop has no outer record
         log.outer.append(
-            OuterRecord(n, r_n, alpha, allowance, it.k, it.alpha, inner_reason, f_stop)
+            OuterRecord(n, r_n, alpha_start, allowance, k, alpha, inner_reason, f_stop)
         )
-        x = it.z
-        alpha = it.alpha
-        if abort_reason is not None:
-            return RunResult(x, abort_reason, n, log, alpha, applies)
-        if refining:
-            if inner_reason == "refinement":
-                return RunResult(x, REASON_DISCREPANCY, n, log, alpha, applies)
-            return RunResult(
-                x,
+        if inner_reason == "refinement":
+            reason = REASON_DISCREPANCY
+        elif inner_reason == "refinement aborted":
+            reason = (
                 f"failure: refinement budget exhausted (alpha={alpha:g} > "
-                f"threshold={threshold:g} after {it.k} steps)",
-                n,
-                log,
-                alpha,
-                applies,
+                f"threshold={threshold:g} after {k} steps)"
             )
+        if reason is not None:
+            break
         n += 1
+
+    queue.flush()
+    return RunResult(x, reason, n, log, alpha, applies)

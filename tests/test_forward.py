@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import lapack
 
 from newton_landweber import (
+    EllipticProblem,
     Grid,
     GridFunction,
     GridMismatchError,
@@ -39,6 +40,31 @@ def test_affine_state_exact_2d():
     got = forward(problem, cf)
     xs, ys = grid.coords()
     np.testing.assert_allclose(got.values, u(xs, ys), rtol=0, atol=1e-10)
+
+
+def test_x_only_2d_problem_reproduces_1d_state():
+    # c and f depend on x only, the left/right traces are g0/g1 and the
+    # bottom/top traces are the 1D discrete state: then the 1D state solves
+    # the 2D scheme in every row (the y differences vanish). F only: the
+    # derivative is not y-invariant.
+    g0, g1 = 1.0, 2.0
+    c = lambda x: 1.0 + x * x  # noqa: E731
+    f = lambda x: 2.0 + np.sin(3.0 * x)  # noqa: E731
+    line = Grid((41,))
+    u_line = forward(
+        interval_problem(line, f, g0, g1), GridFunction.from_callable(line, c)
+    ).values
+    grid = Grid((41, 17))
+    ny = grid.cells[1]
+    boundary = (np.full(ny, g0), np.full(ny, g1), u_line, u_line)
+    problem = EllipticProblem(
+        grid, GridFunction.from_callable(grid, lambda x, y: f(x)), boundary
+    )
+    got = forward(problem, GridFunction.from_callable(grid, lambda x, y: c(x)))
+    rows = got.values.reshape(ny, -1)
+    np.testing.assert_allclose(
+        rows, np.broadcast_to(u_line, rows.shape), rtol=1e-13, atol=0
+    )
 
 
 def test_second_order_convergence():
