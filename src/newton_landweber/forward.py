@@ -171,21 +171,20 @@ def square_problem(
 
 @dataclass(frozen=True)
 class ForwardEvaluation:
-    """State u = F(c) together with a reusable factorization of A(c)."""
+    """State u = F(c) together with a reusable factorization of A(c).
+
+    ``solve`` is the factorization's own A(c)^{-1} on raw vectors (homogeneous
+    boundary data): the ``dgttrs`` closure in dim 1, ``lu.solve`` in dim 2.
+    """
 
     problem: EllipticProblem
-    c: GridFunction
     u: GridFunction
-    _solve: Callable[[np.ndarray], np.ndarray]
+    solve: Callable[[np.ndarray], np.ndarray]
     neg_u: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # -u(c), held once so that the adjoint is a single multiply
         object.__setattr__(self, "neg_u", -self.u.values)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Apply A(c)^{-1} to a raw vector (homogeneous boundary data)."""
-        return self._solve(b)
 
 
 def _factorize_tridiagonal(problem: EllipticProblem, c: np.ndarray):
@@ -251,7 +250,7 @@ def solve_state(problem: EllipticProblem, c: GridFunction) -> ForwardEvaluation:
     if c.grid != problem.grid:
         raise GridMismatchError("coefficient sampled on a different grid")
     solve, u = _factorized_state(problem, c.values)
-    return ForwardEvaluation(problem, c, GridFunction(problem.grid, u), solve)
+    return ForwardEvaluation(problem, GridFunction(problem.grid, u), solve)
 
 
 def forward(problem: EllipticProblem, c: GridFunction) -> GridFunction:

@@ -196,7 +196,8 @@ def phi(
 ):
     """Step-size majorant 2^(s*-1) C (p rho^2)^(1-s*/p*) lam^s* + 2^(p*-1) C lam^p*.
 
-    Convex and increasing on lam >= 0; accepts a scalar or an array.
+    Convex and increasing on lam >= 0; accepts a scalar or an array. The
+    second term is C/2 (2 lam)^p*, which stays finite as p -> 1.
     """
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):
@@ -206,6 +207,6 @@ def phi(
         * c_const
         * (p * rho**2) ** (1.0 - s_star / p_star)
         * lam**s_star
-        + 2.0 ** (p_star - 1.0) * c_const * lam**p_star
+        + 0.5 * c_const * (2.0 * lam) ** p_star
     )
     return float(out) if out.ndim == 0 else out

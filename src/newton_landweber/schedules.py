@@ -63,14 +63,14 @@ def choose_vartheta(
         2^(s*-1) C (p rho^2)^(1-s*/p*) vt^(s*-1) + 2^(p*-1) C vt^(p*-1)
             <= c_omega_bar,
     which makes phi(omega t_tilde) <= c_omega_bar * omega * t^r automatic for
-    the omega rule below, for all positive scalars t, t_tilde.
+    the omega rule below, for all positive scalars t, t_tilde. The second
+    term is C (2 vt)^(p*-1), as 2^(p*-1) alone overflows when p -> 1.
     """
     lead = 2.0 ** (s_star - 1.0) * c_const * (p * rho**2) ** (1.0 - s_star / p_star)
     for j in range(max_halvings + 1):
         vt = 2.0**-j
-        if lead * vt ** (s_star - 1.0) + 2.0 ** (p_star - 1.0) * c_const * vt ** (
-            p_star - 1.0
-        ) <= c_omega_bar:
+        second = c_const * _pow(2.0 * vt, p_star - 1.0)
+        if lead * vt ** (s_star - 1.0) + second <= c_omega_bar:
             return vt
     raise ConfigurationError(
         f"no vartheta = 2^-j with j <= {max_halvings} satisfies the "
@@ -140,7 +140,7 @@ class InnerBudget:
 
     Two families: ``power`` gives k_n = max(1, floor((shift+n)^-exponent *
     r_n^-r)), tying the allowance to the outer residual through a summable
-    sequence (exponent > 1); ``constant`` fixes k_n = k_bar independent of n.
+    sequence (shift > 0, exponent > 1); ``constant`` fixes k_n = k_bar.
     """
 
     kind: str
@@ -150,8 +150,8 @@ class InnerBudget:
 
     def __post_init__(self) -> None:
         if self.kind == "power":
-            if self.shift < 0:
-                raise ConfigurationError(f"shift must be >= 0, got {self.shift}")
+            if self.shift <= 0:  # a_0 = shift^-exponent must be finite
+                raise ConfigurationError(f"shift must be > 0, got {self.shift}")
             if self.exponent <= 1.0:
                 raise ConfigurationError(
                     f"power budget needs exponent > 1 for summability, got {self.exponent}"

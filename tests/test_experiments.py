@@ -237,7 +237,7 @@ def test_override_auto_means_none_for_every_optional_field():
 
 KNOWN_KEYS = (
     "alpha00, c_alpha, c_const, c_omega_bar, delta, eta, inner_budget, m, max_inner, "
-    "max_outer, max_total_applies, max_total_inner, n, noise_kind, noise_norm, nu, "
+    "max_outer, max_total_inner, n, noise_kind, noise_norm, nu, "
     "omega_bar, outlier_count, outlier_magnitude, p, q, r, rate_mode, rho, s, seed, "
     "tau, tau_tilde, vartheta"
 )

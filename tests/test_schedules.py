@@ -114,6 +114,11 @@ def test_inner_budget_power_family():
         budget.limit(0, 0.0, 2.0)
     with pytest.raises(ConfigurationError):
         InnerBudget.power(50.0, 1.0)
+    # a_0 = shift^-exponent must be finite
+    with pytest.raises(ConfigurationError, match="shift must be > 0"):
+        InnerBudget.power(0.0, 2.0)
+    with pytest.raises(ConfigurationError, match="shift must be > 0"):
+        InnerBudget.parse("(0+n)^-2")
 
 
 def test_inner_budget_constant_family():
