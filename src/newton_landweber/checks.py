@@ -127,8 +127,8 @@ def _phi_excess(omega, t, t_tilde, sp: SpaceParams, c_const, rho, c_omega_bar) -
 def check_omega_bounds(seed: int = 2) -> CheckResult:
     """choose_omega obeys 0 < omega <= vt*omega_bar and the phi-ratio cap.
 
-    Samples t, t~ > 0 over many decades, on five spaces (one with r < s, one
-    with p near 1); no sample may come out degenerate.
+    Samples t, t~ > 0 over many decades, on six spaces (one with r < s, one
+    with p near 1, one with s near 1 too); no sample may come out degenerate.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     omega_bar, c_bar, c_const, rho = 1e8, 0.1, 1.0, 0.5
@@ -139,6 +139,7 @@ def check_omega_bounds(seed: int = 2) -> CheckResult:
         warnings.simplefilter("ignore", UserWarning)
         pairs = ((1.1, 2.0), (2.0, 1.1), (1.1, 10.0), (3.0, 4.0), (1.0001, 2.0))
         spaces = [SpaceParams(p, r) for p, r in pairs]
+        spaces.append(SpaceParams(1.0001, 2.0, s=1.0001))
     for sp in spaces:
         vt = choose_vartheta(c_bar, c_const, rho, sp.p, sp.p_star, sp.s_star)
         t = 10.0 ** rng.uniform(-6.0, 1.0, samples)

@@ -19,11 +19,13 @@ applications at that c. Both formulas are written once, as kernels on raw
 values (``derivative_values``/``adjoint_values``); ``derivative_apply`` and
 ``adjoint_apply`` add the grid check and the :class:`GridFunction` wrapping.
 
-``state_values`` is F on raw values: it factorizes A(c), solves for the state
-and rejects a non-finite one, and keeps nothing else. It is the solver's
-per-step residual check. ``solve_state`` and ``forward`` share its one
-factorize/solve/check path; the c-independent pieces of A(c) and the summed
-right-hand side are built once per :class:`EllipticProblem`.
+``state_values`` is F on raw values: it solves for the state, rejects a
+non-finite one, and keeps no factorization. It is the solver's per-step
+residual check. In dim 1 it factors and solves in one ``dgtsv`` call, which
+gives the bits of the ``dgttrf`` + ``dgttrs`` pair that ``solve_state`` keeps
+for reuse; both build the diagonal in one helper. In dim 2 both take the one
+sparse factorize/solve/check path. The c-independent pieces of A(c) and the
+summed right-hand side are built once per :class:`EllipticProblem`.
 """
 
 from __future__ import annotations
@@ -187,17 +189,32 @@ class ForwardEvaluation:
         object.__setattr__(self, "neg_u", -self.u.values)
 
 
-def _factorize_tridiagonal(problem: EllipticProblem, c: np.ndarray):
+def _tridiagonal_diagonal(problem: EllipticProblem, c: np.ndarray) -> np.ndarray:
+    """Main diagonal of A(c) in dim 1, a fresh array."""
     inv_h2 = problem._inv_h2
-    off = problem._off_diagonal
     diag = 2.0 * inv_h2 + c  # 2 * (1/h^2) is 2/h^2 bit for bit
     diag[0] += inv_h2
     diag[-1] += inv_h2
-    dl, d, du, du2, ipiv, info = lapack.dgttrf(off, diag, off)
+    return diag
+
+
+def _singular_tridiagonal(info: int) -> SingularOperatorError:
+    return SingularOperatorError(
+        f"operator not invertible at c (tridiagonal factorization info={info})"
+    )
+
+
+def _finite_state(u: np.ndarray) -> np.ndarray:
+    if not np.isfinite(u).all():
+        raise SingularOperatorError("operator not invertible at c (non-finite state)")
+    return u
+
+
+def _factorize_tridiagonal(problem: EllipticProblem, c: np.ndarray):
+    off = problem._off_diagonal
+    dl, d, du, du2, ipiv, info = lapack.dgttrf(off, _tridiagonal_diagonal(problem, c), off)
     if info != 0:
-        raise SingularOperatorError(
-            f"operator not invertible at c (tridiagonal factorization info={info})"
-        )
+        raise _singular_tridiagonal(info)
 
     def solve(b: np.ndarray) -> np.ndarray:
         x, info = lapack.dgttrs(dl, d, du, du2, ipiv, b)
@@ -227,18 +244,26 @@ def _factorized_state(
         solve = _factorize_tridiagonal(problem, c)
     else:
         solve = _factorize_sparse(problem, c)
-    u = solve(problem._state_rhs)
-    if not np.isfinite(u).all():
-        raise SingularOperatorError("operator not invertible at c (non-finite state)")
-    return solve, u
+    return solve, _finite_state(solve(problem._state_rhs))
 
 
 def state_values(problem: EllipticProblem, c: np.ndarray) -> np.ndarray:
-    """F(c) on raw values, with no grid check; the factorization is dropped.
+    """F(c) on raw values, with no grid check; no factorization is kept.
 
+    In dim 1 one ``dgtsv`` call factors A(c) and solves for the state. It
+    eliminates with the same pivots and operations as the ``dgttrf`` +
+    ``dgttrs`` pair of :func:`solve_state`, so the state has the same bits.
     Raises :class:`SingularOperatorError` as :func:`solve_state` does.
     """
-    return _factorized_state(problem, c)[1]
+    if problem.grid.dim != 1:
+        return _factorized_state(problem, c)[1]
+    off = problem._off_diagonal
+    _, _, _, u, info = lapack.dgtsv(
+        off, _tridiagonal_diagonal(problem, c), off, problem._state_rhs, overwrite_d=1
+    )
+    if info != 0:
+        raise _singular_tridiagonal(info)
+    return _finite_state(u)
 
 
 def solve_state(problem: EllipticProblem, c: GridFunction) -> ForwardEvaluation:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,11 +81,12 @@ class SpaceParams:
                 raise ValueError(msg)
             warn_at_caller(msg)
 
-    @property
+    # cached: the solver's step-size rule reads both on every inner step
+    @cached_property
     def p_star(self) -> float:
         return conjugate_exponent(self.p)
 
-    @property
+    @cached_property
     def s_star(self) -> float:
         return conjugate_exponent(self.s)
 
@@ -96,16 +98,19 @@ def lp_norm_values(v: np.ndarray, q: float, weight: float) -> float:
     1e40 at q = 10) while max|v| is finite and nonzero, the norm is
     recomputed as max|v| * ||v / max|v|||_q; every other result is the
     direct formula, bit for bit. At q = 2 the powers are ``v * v``, which
-    equals |v|^2 bit for bit. numpy still warns about an overflow of the
-    direct sum: an ``errstate`` guard would slow every call by about half.
+    equals |v|^2 bit for bit. The result is a Python ``float``, never a
+    numpy scalar: the sum is converted first and the root is ``math.pow``,
+    which is the C library's pow that numpy's float64 power also calls.
+    numpy still warns about an overflow of the direct sum: an ``errstate``
+    guard would slow every call by about half.
     """
-    total = weight * np.add.reduce(v * v if q == 2.0 else np.abs(v) ** q)
+    total = weight * float(np.add.reduce(v * v if q == 2.0 else np.abs(v) ** q))
     if not _NORMAL_MIN <= total < math.inf:
         scale = float(np.max(np.abs(v)))
         if 0.0 < scale < math.inf:
-            rescaled = weight * np.add.reduce((np.abs(v) / scale) ** q)
-            return scale * float(rescaled ** (1.0 / q))
-    return float(total ** (1.0 / q))
+            rescaled = weight * float(np.add.reduce((np.abs(v) / scale) ** q))
+            return scale * math.pow(rescaled, 1.0 / q)
+    return math.pow(total, 1.0 / q)
 
 
 def duality_map_values(v: np.ndarray, q: float) -> np.ndarray:
@@ -197,16 +202,17 @@ def phi(
     """Step-size majorant 2^(s*-1) C (p rho^2)^(1-s*/p*) lam^s* + 2^(p*-1) C lam^p*.
 
     Convex and increasing on lam >= 0; accepts a scalar or an array. The
-    second term is C/2 (2 lam)^p*, which stays finite as p -> 1.
+    terms are written as C/2 (p rho^2)^(1-s*/p*) (2 lam)^s* and C/2
+    (2 lam)^p*, which stay finite as s -> 1 and p -> 1.
     """
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):
         raise ValueError("phi is defined for nonnegative arguments")
     out = (
-        2.0 ** (s_star - 1.0)
+        0.5
         * c_const
         * (p * rho**2) ** (1.0 - s_star / p_star)
-        * lam**s_star
+        * (2.0 * lam) ** s_star
         + 0.5 * c_const * (2.0 * lam) ** p_star
     )
     return float(out) if out.ndim == 0 else out

@@ -63,14 +63,16 @@ def choose_vartheta(
         2^(s*-1) C (p rho^2)^(1-s*/p*) vt^(s*-1) + 2^(p*-1) C vt^(p*-1)
             <= c_omega_bar,
     which makes phi(omega t_tilde) <= c_omega_bar * omega * t^r automatic for
-    the omega rule below, for all positive scalars t, t_tilde. The second
-    term is C (2 vt)^(p*-1), as 2^(p*-1) alone overflows when p -> 1.
+    the omega rule below, for all positive scalars t, t_tilde. The terms are
+    computed as C (p rho^2)^(1-s*/p*) (2 vt)^(s*-1) and C (2 vt)^(p*-1), as
+    2^(s*-1) and 2^(p*-1) alone overflow when s -> 1 or p -> 1.
     """
-    lead = 2.0 ** (s_star - 1.0) * c_const * (p * rho**2) ** (1.0 - s_star / p_star)
+    lead = c_const * (p * rho**2) ** (1.0 - s_star / p_star)
     for j in range(max_halvings + 1):
         vt = 2.0**-j
+        first = lead * _pow(2.0 * vt, s_star - 1.0)
         second = c_const * _pow(2.0 * vt, p_star - 1.0)
-        if lead * vt ** (s_star - 1.0) + second <= c_omega_bar:
+        if first + second <= c_omega_bar:
             return vt
     raise ConfigurationError(
         f"no vartheta = 2^-j with j <= {max_halvings} satisfies the "

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -205,8 +206,7 @@ class SolverConfig:
         return replace(self, **changes)
 
 
-@dataclass(frozen=True, slots=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """State of one inner step, captured before the update is applied.
 
     ``t`` is the linearized residual norm, ``t_tilde`` the dual norm of the
@@ -214,7 +214,8 @@ class IterationRecord:
     when it was evaluated for the stopping check. ``d2``/``gamma`` are the
     shifted Bregman distance to the supplied truth and its alpha^-theta
     rescaling (synthetic runs only), computed after the step with those of
-    the steps around it (see ``run``).
+    the steps around it (see ``run``). A named tuple: immutable, and built
+    once per inner step without a setattr per field.
     """
 
     n: int
@@ -231,8 +232,7 @@ class IterationRecord:
     refinement: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class OuterRecord:
+class OuterRecord(NamedTuple):
     """Summary of one outer iterate and its inner loop."""
 
     n: int
@@ -285,11 +285,12 @@ def refinement_threshold(r_n: float, config: SolverConfig) -> float:
 class _RecordQueue:
     """Steps of one run waiting for their :class:`IterationRecord`.
 
-    Each step pushes its scalars and its iterate z_{n,k}. A flush computes
-    the Bregman diagnostic d2 of every queued iterate in one (B, n) pass of
-    ``bregman_values`` and gamma = d2 * alpha^-theta per row, then appends
-    the records to the log in step order. The queue flushes itself when it
-    holds RECORD_BLOCK steps, so it never holds more.
+    Each step pushes its scalars and its iterate z_{n,k}, which is copied
+    into a preallocated (RECORD_BLOCK, n) block. A flush computes the
+    Bregman diagnostic d2 of every queued iterate in one pass of
+    ``bregman_values`` over the filled rows and gamma = d2 * alpha^-theta
+    per row, then appends the records to the log in step order. The queue
+    flushes itself when it holds RECORD_BLOCK steps, so it never holds more.
     """
 
     def __init__(
@@ -308,13 +309,13 @@ class _RecordQueue:
         self.theta = theta
         self.weight = weight
         self.rows: list[tuple] = []
-        self.iterates: list[np.ndarray] = []
+        self.iterates = None if truth_shift is None else np.empty((RECORD_BLOCK, x0.size))
 
     def push(self, row: tuple, z: np.ndarray) -> None:
         """Queue (n, k, t, t_tilde, omega, alpha, r_n, f_residual, degenerate, refinement)."""
+        if self.iterates is not None:
+            self.iterates[len(self.rows)] = z
         self.rows.append(row)
-        if self.truth_shift is not None:
-            self.iterates.append(z)
         if len(self.rows) == RECORD_BLOCK:
             self.flush()
 
@@ -325,9 +326,8 @@ class _RecordQueue:
             d2s = [None] * len(self.rows)
         else:
             shift, shift_pow = self.truth_shift
-            d2s = bregman_values(
-                shift, shift_pow, np.stack(self.iterates) - self.x0, self.p, self.weight
-            ).tolist()
+            block = self.iterates[: len(self.rows)] - self.x0
+            d2s = bregman_values(shift, shift_pow, block, self.p, self.weight).tolist()
         theta = self.theta
         for row, d2 in zip(self.rows, d2s):
             n, k, t, t_tilde, omega, alpha, r_n, f_residual, degenerate, refinement = row
@@ -342,7 +342,6 @@ class _RecordQueue:
                 )
             )
         self.rows.clear()
-        self.iterates.clear()
 
 
 def run(

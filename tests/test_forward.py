@@ -133,6 +133,35 @@ def test_state_values_matches_forward(cells):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [5, 50, 401])
+def test_state_values_matches_dgttrf_where_it_pivots(n):
+    # the one-call dgtsv solve of state_values against the literal dgttrf +
+    # dgttrs assembly, on coefficients that force row interchanges (c down
+    # to -4/h^2 cancels the diagonal) and on coefficients over eight decades
+    grid = Grid((n,))
+    problem = interval_problem(grid, lambda t: 1.0 + t, 0.5, -1.0)
+    (h,) = grid.spacing
+    off = np.full(n - 1, -1.0 / h**2)
+    rhs = problem.rhs.values + problem.boundary_rhs
+    rng = np.random.default_rng(n)
+    pivoted = 0
+    for i in range(60):
+        if i % 2:
+            c = rng.uniform(-4.0, 1.0, n) / h**2
+        else:
+            c = 10.0 ** rng.uniform(-2.0, 6.0, n)
+        diag = 2.0 / h**2 + c
+        diag[0] += 1.0 / h**2
+        diag[-1] += 1.0 / h**2
+        dl, d, du, du2, ipiv, info = lapack.dgttrf(off, diag, off)
+        assert info == 0
+        want, _ = lapack.dgttrs(dl, d, du, du2, ipiv, rhs)
+        assert np.isfinite(want).all()
+        pivoted += bool((ipiv != np.arange(1, n + 1)).any())
+        assert state_values(problem, c).tobytes() == want.tobytes()
+    assert pivoted >= 20
+
+
 def test_grid_mismatch_rejected():
     problem = interval_problem(Grid((8,)), lambda t: 1.0, 0.0, 0.0)
     other = GridFunction.constant(Grid((9,)), 1.0)

@@ -19,7 +19,7 @@ from newton_landweber import (
     shifted_bregman,
 )
 from newton_landweber.checks import check_duality_round_trip
-from newton_landweber.geometry import bregman_values, duality_map_values
+from newton_landweber.geometry import bregman_values, duality_map_values, lp_norm_values
 
 EXPONENTS = (1.1, 1.5, 2.0, 3.0)
 
@@ -116,6 +116,24 @@ def test_lp_norm_is_homogeneous_across_magnitudes(q, exponent, shape):
     f = GridFunction(grid, np.array(shape))
     scale = 10.0**exponent
     assert lp_norm(scale * f, q) == pytest.approx(scale * lp_norm(f, q), rel=1e-12)
+
+
+@pytest.mark.filterwarnings(OVERFLOW_WARNING)
+@pytest.mark.filterwarnings(SQUARE_OVERFLOW_WARNING)
+@settings(deadline=None)
+@given(
+    q=st.sampled_from((1.1, 2.0, 10.0, 11.0)),
+    exponent=st.floats(-200.0, 200.0),
+    shape=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=20),
+)
+def test_lp_norm_is_a_float_with_the_bits_of_the_reference(q, exponent, shape):
+    # a Python float, never np.float64, whose repr is the CSV cell; small and
+    # large magnitudes take the rescale path, the others the direct one
+    grid = Grid((len(shape),))
+    f = GridFunction(grid, 10.0**exponent * np.array(shape))
+    got = lp_norm_values(f.values, q, grid.cell_volume)
+    assert type(got) is float
+    assert same_bits(got, pow_norm(f, q))
 
 
 def test_pairing_and_bregman_reject_other_grids():

@@ -1,5 +1,7 @@
 """Two-loop solver mechanics: updates, schedules, budgets, rate mode."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -525,3 +527,27 @@ def test_records_match_public_api_on_example1(monkeypatch):
         result, _ = checked_run(problem, exact * 1e40, config, x0, truth)
     assert result.reason.startswith("failure: non-finite")
     assert result.log.records == []
+
+
+def test_records_are_immutable_with_their_fields_and_defaults():
+    # the CSV writer and the benchmark read the fields by these names
+    def fields(cls):
+        return [(p.name, p.default) for p in inspect.signature(cls).parameters.values()]
+
+    empty = inspect.Parameter.empty
+    assert fields(solver.IterationRecord) == [
+        ("n", empty), ("k", empty), ("t", empty), ("t_tilde", empty),
+        ("omega", empty), ("alpha", empty), ("r_n", empty), ("f_residual", None),
+        ("d2", None), ("gamma", None), ("degenerate", False), ("refinement", False),
+    ]
+    assert fields(solver.OuterRecord) == [
+        ("n", empty), ("r_n", empty), ("alpha_start", empty), ("allowance", empty),
+        ("steps", empty), ("alpha_end", empty), ("inner_reason", empty),
+        ("f_residual_stop", None),
+    ]
+    step = solver.IterationRecord(0, 1, 0.5, 0.25, 2.0, 1.0, 0.75)
+    outer = solver.OuterRecord(0, 0.75, 1.0, 10, 3, 0.5, "budget")
+    for record in (step, outer):
+        for name, _ in fields(type(record)):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
