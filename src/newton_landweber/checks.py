@@ -254,7 +254,7 @@ def step_bound_audit(log: IterationLog, config: SolverConfig) -> CheckResult:
         omega, alpha, t, t_tilde = np.array(
             [(rec.omega, rec.alpha, rec.t, rec.t_tilde) for rec in records]
         ).T
-        bound = config.resolved_vartheta * config.omega_bar
+        bound = config.vartheta * config.omega_bar
         if not np.all((omega > 0.0) & (omega <= bound) & (alpha > 0.0) & (alpha <= 1.0)):
             worst = 1.0
         excess = _phi_excess(

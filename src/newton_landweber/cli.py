@@ -20,7 +20,7 @@ import os
 import sys
 
 from .checks import run_checks
-from .experiments import PRESETS, ExperimentSpec, RunReport, build_spec
+from .experiments import PRESETS, ExperimentSpec, RunReport, build_spec, run_experiment
 from .reporting import write_run, write_summary_rows
 
 ENV_OUT = "NEWTON_LANDWEBER_OUT"
@@ -50,18 +50,24 @@ def resolve_outdir(arg: str | None) -> str:
     return os.path.join(os.curdir, "runs")
 
 
+# the override keys a run's directory name carries, in order, each with its
+# text there (None leaves it out); a sweep tags every other swept key on
+LABEL_KEYS = {
+    "p": lambda spec: f"{spec.space.p:g}",
+    "r": lambda spec: f"{spec.space.r:g}",
+    "delta": lambda spec: f"{spec.noise.delta:g}",
+    "tau": lambda spec: f"{spec.solver['tau']:g}" if "tau" in spec.solver else None,
+    "seed": lambda spec: str(spec.seed),
+}
+
+
 def run_label(spec: ExperimentSpec) -> str:
     """Directory name carrying the identifying knobs of a run."""
-    parts = [
-        spec.name,
-        f"p{spec.space.p:g}",
-        f"r{spec.space.r:g}",
-        f"delta{spec.noise.delta:g}",
-    ]
-    tau = spec.solver.get("tau")
-    if tau is not None:
-        parts.append(f"tau{tau:g}")
-    parts.append(f"seed{spec.seed}")
+    parts = [spec.name]
+    for key, text in LABEL_KEYS.items():
+        value = text(spec)
+        if value is not None:
+            parts.append(key + value)
     return "_".join(part.replace("+", "") for part in parts)
 
 
@@ -94,8 +100,6 @@ def _report_line(report: RunReport) -> str:
 def _execute(
     preset: str, overrides: dict[str, str], outdir: str, label_extra: str = ""
 ) -> tuple[RunReport, str]:
-    from .experiments import run_experiment
-
     spec = build_spec(preset, overrides)
     report = run_experiment(spec)
     rundir = os.path.join(outdir, run_label(spec) + label_extra)
@@ -134,15 +138,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     outdir = resolve_outdir(args.out)
     reports = []
     failed = 0
-    # run labels only carry p/r/delta/tau/seed; tag every other swept key on
-    labeled = {"p", "r", "delta", "tau", "seed"}
     for combo in itertools.product(*(options for _, options in axes)):
         overrides = dict(base)
         overrides.update({key: value for (key, _), value in zip(axes, combo)})
         extra = "".join(
             f"_{key}{value}".replace("+", "")
             for (key, _), value in zip(axes, combo)
-            if key not in labeled
+            if key not in LABEL_KEYS
         )
         report, rundir = _execute(preset, overrides, outdir, extra)
         reports.append(report)

@@ -461,7 +461,6 @@ def apply_overrides(spec: ExperimentSpec, overrides: dict[str, str]) -> Experime
             p=space_kw.get("p", sp.p),
             r=space_kw.get("r", sp.r),
             s=space_kw.get("s", None if s_default else sp.s),
-            strict=sp.strict,
         )
     if changes["noise"]:
         spec_changes["noise"] = replace(spec.noise, **changes["noise"])

@@ -54,14 +54,13 @@ class SpaceParams:
 
     ``s`` is the convexity power of the solution space; L^p with p in (1, 2]
     is 2-uniformly convex and p-uniformly convex for p >= 2, so the default is
-    max(p, 2). With ``strict`` set, r >= s >= p is enforced (the regime in
-    which the step-size analysis is proved); otherwise a violation only warns.
+    max(p, 2). Exponents outside r >= s >= p (the regime in which the
+    step-size analysis is proved) are accepted with a warning.
     """
 
     p: float
     r: float
     s: float | None = None
-    strict: bool = False
 
     def __post_init__(self) -> None:
         if self.p <= 1.0:
@@ -73,13 +72,10 @@ class SpaceParams:
         if self.s < self.p:
             raise ValueError(f"s >= p required, got s={self.s} p={self.p}")
         if not (self.r >= self.s >= self.p):
-            msg = (
+            warn_at_caller(
                 f"exponents outside the analyzed regime r >= s >= p: "
                 f"p={self.p} s={self.s} r={self.r}"
             )
-            if self.strict:
-                raise ValueError(msg)
-            warn_at_caller(msg)
 
     # cached: the solver's step-size rule reads both on every inner step
     @cached_property

@@ -26,12 +26,13 @@ class Grid:
     cells: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.cells, tuple):
-            object.__setattr__(self, "cells", tuple(self.cells))
-        if len(self.cells) not in (1, 2):
-            raise ValueError(f"only dim 1 or 2 supported, got {len(self.cells)}")
-        if any(int(n) != n or n < 2 for n in self.cells):
-            raise ValueError(f"need at least 2 cells per axis, got {self.cells}")
+        cells = tuple(self.cells)
+        if len(cells) not in (1, 2):
+            raise ValueError(f"only dim 1 or 2 supported, got {len(cells)}")
+        if any(int(n) != n or n < 2 for n in cells):
+            raise ValueError(f"need at least 2 cells per axis, got {cells}")
+        # a whole float such as 4.0 passes the check; store the count as an int
+        object.__setattr__(self, "cells", tuple(int(n) for n in cells))
 
     @property
     def dim(self) -> int:

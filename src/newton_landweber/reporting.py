@@ -21,7 +21,6 @@ __all__ = [
     "SOLUTION_COLUMNS_1D",
     "SOLUTION_COLUMNS_2D",
     "write_iterations",
-    "write_summary",
     "write_solution",
     "write_run",
     "summary_row",
@@ -74,23 +73,13 @@ def _write_rows(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
 
 
 def write_iterations(path: str, log: IterationLog) -> None:
-    """One row per inner step, in execution order."""
-    rows = (
-        (
-            rec.n,
-            rec.k,
-            rec.t,
-            rec.t_tilde,
-            rec.omega,
-            rec.alpha,
-            rec.r_n,
-            rec.f_residual,
-            rec.d2,
-            rec.gamma,
-        )
-        for rec in log.records
-    )
-    _write_rows(path, ITERATION_COLUMNS, rows)
+    """One row per inner step, in execution order.
+
+    The columns are the leading fields of :class:`IterationRecord`, in its
+    field order.
+    """
+    width = len(ITERATION_COLUMNS)
+    _write_rows(path, ITERATION_COLUMNS, (rec[:width] for rec in log.records))
 
 
 def summary_row(report: RunReport) -> list:
@@ -110,12 +99,8 @@ def summary_row(report: RunReport) -> list:
     ]
 
 
-def write_summary(path: str, report: RunReport) -> None:
-    _write_rows(path, SUMMARY_COLUMNS, [summary_row(report)])
-
-
 def write_summary_rows(path: str, reports: Iterable[RunReport]) -> None:
-    """Merged summary, one row per run (sweep output)."""
+    """Summary CSV, one row per run (one for a run, all of them for a sweep)."""
     _write_rows(path, SUMMARY_COLUMNS, (summary_row(r) for r in reports))
 
 
@@ -143,6 +128,6 @@ def write_run(outdir: str, report: RunReport) -> dict[str, str]:
         "solution": os.path.join(outdir, "solution.csv"),
     }
     write_iterations(paths["iterations"], report.result.log)
-    write_summary(paths["summary"], report)
+    write_summary_rows(paths["summary"], [report])
     write_solution(paths["solution"], report)
     return paths

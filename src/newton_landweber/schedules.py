@@ -59,6 +59,9 @@ def choose_vartheta(
 ) -> float:
     """Largest vartheta = 2^-j, j >= 0, satisfying the majorant-ratio condition.
 
+    The one source of the step factor: ``SolverConfig.vartheta`` is this
+    function of the config's constants, and no setting overrides it.
+
     The condition is
         2^(s*-1) C (p rho^2)^(1-s*/p*) vt^(s*-1) + 2^(p*-1) C vt^(p*-1)
             <= c_omega_bar,
@@ -205,12 +208,6 @@ class InnerBudget:
                 f"cannot parse inner budget {text!r}; expected '(A+n)^-B' or 'const:K'"
             )
         return cls.power(float(m.group(1)), float(m.group(2)))
-
-    def describe(self) -> str:
-        if self.kind == "constant":
-            return f"const:{self.k_bar}"
-        shift = f"{self.shift:g}"
-        return f"({shift}+n)^-{self.exponent:g}"
 
 
 _POWER_RE = re.compile(r"^\((\d+(?:\.\d+)?)\+n\)\^(?:-|\(-)(\d+(?:\.\d+)?)\)?$")

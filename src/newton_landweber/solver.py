@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -111,8 +112,9 @@ class SolverConfig:
     ``delta`` is the noise level entering both stopping rules, ``tau`` the
     discrepancy factor and ``tau_tilde`` the scale of the residual-driven
     alpha floor. ``nu`` is the assumed smoothness driving theta; zero means
-    no decay is imposed on alpha beyond the floor. ``vartheta`` of ``None``
-    selects the largest admissible power of two automatically.
+    no decay is imposed on alpha beyond the floor. The step factor
+    ``vartheta`` is not a setting: it is derived from ``c_omega_bar``,
+    ``c_const``, ``rho`` and the space's exponents by ``choose_vartheta``.
     """
 
     space: SpaceParams
@@ -125,7 +127,6 @@ class SolverConfig:
     alpha00: float = 1.0
     omega_bar: float = 1e8
     c_omega_bar: float = 0.1
-    vartheta: float | None = None
     rho: float = 0.5
     c_const: float = 1.0
     inner_budget: InnerBudget = InnerBudget.power(50.0, 2.0)
@@ -155,8 +156,6 @@ class SolverConfig:
             raise ConfigurationError(
                 f"c_omega_bar must lie in (0, 1), got {self.c_omega_bar}"
             )
-        if self.vartheta is not None and not 0.0 < self.vartheta <= 1.0:
-            raise ConfigurationError(f"vartheta must lie in (0, 1], got {self.vartheta}")
         if self.rho <= 0 or self.c_const <= 0:
             raise ConfigurationError("rho and c_const must be positive")
         if self.c_alpha <= 0:
@@ -187,16 +186,15 @@ class SolverConfig:
                         f"= {bound:g}, got {self.c_alpha}"
                     )
         # fail early rather than in the first inner step
-        self.resolved_vartheta
+        self.vartheta
 
-    @property
+    # cached: derived once per config, on construction
+    @cached_property
     def theta(self) -> float:
         return theta_exponent(self.nu, self.space.r)
 
-    @property
-    def resolved_vartheta(self) -> float:
-        if self.vartheta is not None:
-            return self.vartheta
+    @cached_property
+    def vartheta(self) -> float:
         sp = self.space
         return choose_vartheta(
             self.c_omega_bar, self.c_const, self.rho, sp.p, sp.p_star, sp.s_star
@@ -350,9 +348,11 @@ def run(
     config: SolverConfig,
     x0: GridFunction | None = None,
     truth: GridFunction | None = None,
-    x_init: GridFunction | None = None,
 ) -> RunResult:
-    """Run the full two-loop iteration from x0 (or x_init when they differ).
+    """Run the full two-loop iteration from x0 (zero when not given).
+
+    x0 is both the starting iterate and the reference point of the
+    duality maps and the alpha penalty.
 
     Failures (singular operator, non-finite iterate, exhausted refinement)
     are reported through ``RunResult.reason``, not raised; budget exhaustion
@@ -368,18 +368,18 @@ def run(
     after every step. Every way out leaves both loops for one exit, which
     flushes the record queue, so every record is in ``log.records``.
     """
-    for name, f in (("data", data), ("x0", x0), ("x_init", x_init), ("truth", truth)):
+    for name, f in (("data", data), ("x0", x0), ("truth", truth)):
         if f is not None and f.grid != problem.grid:
             raise GridMismatchError(f"{name} sampled on a different grid")
     if x0 is None:
         x0 = GridFunction.zeros(problem.grid)
-    x = x0 if x_init is None else x_init
+    x = x0
     sp = config.space
     r, p_star, theta = sp.r, sp.p_star, config.theta
     tau, delta = config.tau, config.delta
     weight = problem.grid.cell_volume
     x0_values, data_values = x0.values, data.values
-    vartheta = config.resolved_vartheta
+    vartheta = config.vartheta
     truth_shift = None
     if truth is not None:
         shift = truth.values - x0_values
@@ -470,7 +470,7 @@ def run(
                 # exactly when its input holds one, on its rescale path too
                 if not math.isfinite(t_next):
                     raise NonFiniteIterateError("non-finite iterate or residual")
-                # the record describes z_{n,k}, before the update
+                # the record holds the state of z_{n,k}, before the update
                 row = (n, k, t, t_tilde, omega, alpha, r_n, f_pending, degenerate, refining)
                 queue.push(row, z)
                 u_dual, w, z, resid, t = u_next, w_next, z_next, resid_next, t_next

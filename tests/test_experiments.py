@@ -8,6 +8,7 @@ import pytest
 from newton_landweber import (
     Grid,
     GridFunction,
+    SolverConfig,
     SpaceParams,
     add_outliers,
     apply_overrides,
@@ -20,8 +21,10 @@ from newton_landweber import (
     make_example2d,
     run_experiment,
 )
+from newton_landweber import cli
 from newton_landweber.checks import check_noise_contract
 from newton_landweber.experiments import PRESETS, make_data
+from newton_landweber.schedules import choose_vartheta
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +190,6 @@ def test_overrides_reach_every_layer():
             "max_total_inner": "400",
             "rate_mode": "true",
             "inner_budget": "const:25",
-            "vartheta": "0.125",
         },
     )
     assert spec.space.p == 2.0
@@ -199,7 +201,6 @@ def test_overrides_reach_every_layer():
     assert spec.solver["max_total_inner"] == 400
     assert spec.solver["rate_mode"] is True
     assert spec.solver["inner_budget"].limit(0, 1.0, 2.0) == 25
-    assert spec.solver["vartheta"] == 0.125
 
 
 @pytest.mark.parametrize(
@@ -216,10 +217,26 @@ def test_override_keeps_an_explicit_s(s, p, want_s):
             apply_overrides(spec, {"p": "3"})
 
 
-def test_override_vartheta_auto_restores_default():
-    spec = build_spec("example1", {"vartheta": "0.5"})
-    spec = apply_overrides(spec, {"vartheta": "auto"})
-    assert spec.solver["vartheta"] is None
+def test_vartheta_is_derived_not_configured(tmp_path, capsys):
+    # the step factor comes from the step-size rule alone: no config field,
+    # override key or CLI override sets it
+    spec = make_example1()
+    with pytest.raises(TypeError, match="vartheta"):
+        SolverConfig(space=spec.space, delta=1e-4, vartheta=0.5, **spec.solver)
+    with pytest.raises(ValueError, match="unknown override 'vartheta'"):
+        build_spec("example1", {"vartheta": "0.5"})
+    code = cli.main(["run", "--preset", "example1", "--out", str(tmp_path),
+                     "--override", "vartheta=0.5"])
+    assert code == 2
+    assert "unknown override" in capsys.readouterr().err
+
+    config = SolverConfig(space=spec.space, delta=1e-4, **spec.solver)
+    sp = config.space
+    assert config.vartheta == choose_vartheta(0.1, 1.0, 0.5, sp.p, sp.p_star, sp.s_star)
+    assert config.vartheta == 0.125
+    smaller = config.replace(c_omega_bar=0.05)
+    assert smaller.vartheta == choose_vartheta(0.05, 1.0, 0.5, sp.p, sp.p_star, sp.s_star)
+    assert smaller.vartheta < config.vartheta
 
 
 def test_override_auto_means_none_for_every_optional_field():
@@ -239,7 +256,7 @@ KNOWN_KEYS = (
     "alpha00, c_alpha, c_const, c_omega_bar, delta, eta, inner_budget, m, max_inner, "
     "max_outer, max_total_inner, n, noise_kind, noise_norm, nu, "
     "omega_bar, outlier_count, outlier_magnitude, p, q, r, rate_mode, rho, s, seed, "
-    "tau, tau_tilde, vartheta"
+    "tau, tau_tilde"
 )
 
 

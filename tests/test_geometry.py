@@ -63,8 +63,6 @@ def test_space_params_defaults_and_validation():
         SpaceParams(2.0, 0.9)
     with pytest.warns(UserWarning):
         SpaceParams(2.0, 1.1)
-    with pytest.raises(ValueError):
-        SpaceParams(2.0, 1.1, strict=True)
 
 
 def test_lp_norm_quadrature_linear_function():

@@ -7,13 +7,17 @@ from newton_landweber import Grid, GridFunction, GridMismatchError
 
 
 def test_cell_centers_1d():
-    grid = Grid((4,))
-    assert grid.dim == 1
-    assert grid.size == 4
-    assert grid.spacing == (0.25,)
-    assert grid.cell_volume == 0.25
-    np.testing.assert_allclose(grid.axis_coords(0), [0.125, 0.375, 0.625, 0.875])
-    assert grid.weights.sum() == pytest.approx(1.0, abs=1e-15)
+    # a whole float count is stored as the int it stands for
+    for cells in ((4,), (4.0,)):
+        grid = Grid(cells)
+        assert grid == Grid((4,))
+        assert grid.dim == 1
+        assert type(grid.size) is int and grid.size == 4
+        assert grid.spacing == (0.25,)
+        assert grid.cell_volume == 0.25
+        np.testing.assert_allclose(grid.axis_coords(0), [0.125, 0.375, 0.625, 0.875])
+        assert grid.weights.sum() == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_array_equal(GridFunction.zeros(grid).values, np.zeros(4))
 
 
 def test_cell_centers_2d_ordering():

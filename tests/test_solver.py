@@ -68,7 +68,7 @@ def test_hilbert_case_matches_dense_oracle(p):
         space=SpaceParams(p, 2.0), alpha00=0.5, eta=0.1, q=0.9, c_omega_bar=0.1
     )
     vartheta = {2.0: 2.0**-6, 1.5: 2.0**-5}[p]
-    assert config.resolved_vartheta == vartheta
+    assert config.vartheta == vartheta
 
     result = run(problem, data, config)
     assert result.reason == "outer budget"
@@ -211,7 +211,7 @@ def test_unsolvable_iterate_reported_not_raised():
     # large negative coefficient makes the operator indefinite at the
     # starting point; the factorization failure must come back as a result
     bad_start = GridFunction.constant(problem.grid, -1e4)
-    result = run(problem, data, config, x_init=bad_start)
+    result = run(problem, data, config, x0=bad_start)
     assert result.failed
     assert result.reason.startswith("failure")
     assert "outer iterate 0" in result.reason
@@ -221,7 +221,7 @@ def test_inputs_on_another_grid_rejected():
     problem, _, exact = small_problem()
     config = base_config(delta=1e-3)
     other = GridFunction.zeros(Grid((problem.grid.size + 1,)))
-    for name in ("x0", "x_init"):
+    for name in ("x0", "truth"):
         with pytest.raises(GridMismatchError, match=name):
             run(problem, exact, config, **{name: other})
 
@@ -300,7 +300,6 @@ def test_call_counts_per_step(monkeypatch):
     problem, _, exact = small_problem()
     delta = 1e-3
     data = generate_noise(exact, delta, 2.0, 6)
-    config = base_config(delta=delta, max_outer=4, inner_budget=InnerBudget.constant(10))
     calls = {
         "choose_vartheta": 0, "choose_omega": 0, "solve_state": 0, "forward": 0,
         "GridFunction": 0,
@@ -318,6 +317,8 @@ def test_call_counts_per_step(monkeypatch):
     monkeypatch.setattr(
         GridFunction, "__post_init__", counting("GridFunction", GridFunction.__post_init__)
     )
+    # vartheta is derived on construction and read from the config by run()
+    config = base_config(delta=delta, max_outer=4, inner_budget=InnerBudget.constant(10))
     result = run(problem, data, config)
     steps = len(result.log.records)
     assert steps > 0
