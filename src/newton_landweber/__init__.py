@@ -45,7 +45,6 @@ from .forward import (
 from .solver import (
     IterationLog,
     IterationRecord,
-    NonFiniteIterateError,
     OuterRecord,
     RunResult,
     SolverConfig,
@@ -106,7 +105,6 @@ __all__ = [
     "IterationLog",
     "IterationRecord",
     "OuterRecord",
-    "NonFiniteIterateError",
     "run",
     "ExperimentSpec",
     "NoiseSpec",

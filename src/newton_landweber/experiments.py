@@ -48,7 +48,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Perturbation recipe: norm-scaled gaussian noise, optionally plus outliers.
+    """Perturbation recipe: norm-scaled gaussian noise plus ``outlier_count`` outliers.
 
     ``norm_exponent`` is the exponent of the norm the gaussian part is scaled
     in; ``None`` means the norm of the run's data space. Pinning it (as the
@@ -57,18 +57,13 @@ class NoiseSpec:
     """
 
     delta: float
-    kind: str = "gaussian"
     norm_exponent: float | None = None
-    outlier_count: int = 5
+    outlier_count: int = 0
     outlier_magnitude: float | None = None
 
     def __post_init__(self) -> None:
         if self.delta < 0:
             raise ValueError(f"delta must be >= 0, got {self.delta}")
-        if self.kind not in ("gaussian", "gaussian+outliers"):
-            raise ValueError(
-                f"noise kind must be 'gaussian' or 'gaussian+outliers', got {self.kind!r}"
-            )
         if self.outlier_count < 0:
             raise ValueError(f"outlier count must be >= 0, got {self.outlier_count}")
 
@@ -220,7 +215,7 @@ def make_data(spec: ExperimentSpec, exact: GridFunction) -> tuple[GridFunction, 
     noise = spec.noise
     scale_r = noise.norm_exponent if noise.norm_exponent is not None else spec.space.r
     data = generate_noise(exact, noise.delta, scale_r, spec.seed)
-    if noise.kind == "gaussian+outliers" and noise.outlier_count > 0:
+    if noise.outlier_count > 0:
         magnitude = noise.outlier_magnitude
         if magnitude is None:
             magnitude = 0.5 * float(np.max(np.abs(exact.values)))
@@ -263,15 +258,17 @@ def _triple_peak(t: np.ndarray) -> np.ndarray:
     return _double_peak(t) + np.where((t >= 0.1) & (t <= 0.15), 0.25, 0.0)
 
 
-def make_example1(p: float = 1.1, seed: int = 2) -> ExperimentSpec:
-    """Sparse two-plateau coefficient, u = 1 + 5t, delta = 1e-4, r = 2."""
+def _sparse_example(
+    name: str, truth: Callable, p: float, seed: int, tau_tilde: float, shift: float
+) -> ExperimentSpec:
+    """A sparse plateau coefficient on (0, 1), u = 1 + 5t, delta = 1e-4, r = 2."""
     state = lambda t: 1.0 + 5.0 * t  # noqa: E731
     return ExperimentSpec(
-        name="example1",
+        name=name,
         n=400,
-        truth=_double_peak,
+        truth=truth,
         exact_state=state,
-        rhs=lambda t: state(t) * _double_peak(t),
+        rhs=lambda t: state(t) * truth(t),
         boundary=(1.0, 6.0),
         space=SpaceParams(p=p, r=2.0),
         noise=NoiseSpec(delta=1e-4),
@@ -279,35 +276,23 @@ def make_example1(p: float = 1.1, seed: int = 2) -> ExperimentSpec:
         x0=0.0,
         solver=dict(
             tau=1.02,
-            tau_tilde=0.1,
-            inner_budget=InnerBudget.power(50.0, 2.0),
+            tau_tilde=tau_tilde,
+            inner_budget=InnerBudget.power(shift, 2.0),
             c_omega_bar=0.1,
             max_outer=5000,
         ),
     )
 
 
+def make_example1(p: float = 1.1, seed: int = 2) -> ExperimentSpec:
+    """Sparse two-plateau coefficient, u = 1 + 5t, delta = 1e-4, r = 2."""
+    return _sparse_example("example1", _double_peak, p, seed, tau_tilde=0.1, shift=50.0)
+
+
 def make_example2(p: float = 1.1, seed: int = 148) -> ExperimentSpec:
     """Example 1 plus a low third plateau on [0.1, 0.15]."""
-    state = lambda t: 1.0 + 5.0 * t  # noqa: E731
-    return ExperimentSpec(
-        name="example2",
-        n=400,
-        truth=_triple_peak,
-        exact_state=state,
-        rhs=lambda t: state(t) * _triple_peak(t),
-        boundary=(1.0, 6.0),
-        space=SpaceParams(p=p, r=2.0),
-        noise=NoiseSpec(delta=1e-4),
-        seed=seed,
-        x0=0.0,
-        solver=dict(
-            tau=1.02,
-            tau_tilde=0.01,
-            inner_budget=InnerBudget.power(100.0, 2.0),
-            c_omega_bar=0.1,
-            max_outer=5000,
-        ),
+    return _sparse_example(
+        "example2", _triple_peak, p, seed, tau_tilde=0.01, shift=100.0
     )
 
 
@@ -330,7 +315,6 @@ def make_example3(tau: float = 1.0015, seed: int = 2) -> ExperimentSpec:
         space=SpaceParams(p=2.0, r=1.1),
         noise=NoiseSpec(
             delta=1e-3,
-            kind="gaussian+outliers",
             norm_exponent=1.1,
             outlier_count=5,
             outlier_magnitude=None,
@@ -418,7 +402,7 @@ def _parser(annotation: str) -> Callable[[str], object]:
     return lambda value: None if value.lower() == "auto" else parse(value)
 
 
-_NOISE_KEYS = {"kind": "noise_kind", "norm_exponent": "noise_norm"}
+_NOISE_KEYS = {"norm_exponent": "noise_norm"}
 # override key -> (part of the spec, field name, parser)
 _OVERRIDES = {
     **{key: ("space", key, float) for key in ("p", "r", "s")},
@@ -438,8 +422,8 @@ _OVERRIDES = {
 def apply_overrides(spec: ExperimentSpec, overrides: dict[str, str]) -> ExperimentSpec:
     """Apply flat key=value overrides (strings, as from config files or CLI).
 
-    The keys are ``p r s n m seed``, every :class:`NoiseSpec` field (``kind``
-    and ``norm_exponent`` as ``noise_kind`` and ``noise_norm``) and every
+    The keys are ``p r s n m seed``, every :class:`NoiseSpec` field
+    (``norm_exponent`` as ``noise_norm``) and every
     :class:`SolverConfig` field but ``space`` and ``delta``, each parsed by
     its annotation; anything else raises.
     """

@@ -19,13 +19,15 @@ applications at that c. Both formulas are written once, as kernels on raw
 values (``derivative_values``/``adjoint_values``); ``derivative_apply`` and
 ``adjoint_apply`` add the grid check and the :class:`GridFunction` wrapping.
 
-``state_values`` is F on raw values: it solves for the state, rejects a
-non-finite one, and keeps no factorization. It is the solver's per-step
-residual check. In dim 1 it factors and solves in one ``dgtsv`` call, which
-gives the bits of the ``dgttrf`` + ``dgttrs`` pair that ``solve_state`` keeps
-for reuse; both build the diagonal in one helper. In dim 2 both take the one
-sparse factorize/solve/check path. The c-independent pieces of A(c) and the
-summed right-hand side are built once per :class:`EllipticProblem`.
+``state_values`` is F on raw values and the solver's per-step residual
+check: a pure solve that keeps no factorization and makes no finiteness
+pass, as the solver tests the norm of the residual instead. ``solve_state``
+and ``forward`` reject a non-finite state with :class:`SingularOperatorError`.
+In dim 1 ``state_values`` factors and solves in one ``dgtsv`` call, which
+gives the bits of the ``dgttrf`` + ``dgttrs`` pair that ``solve_state``
+keeps for reuse; both build the diagonal in one helper. In dim 2 both take
+the one sparse factorization path. The c-independent pieces of A(c) and the summed
+right-hand side are built once per :class:`EllipticProblem`.
 """
 
 from __future__ import annotations
@@ -58,6 +60,10 @@ __all__ = [
 
 class SingularOperatorError(RuntimeError):
     """A(c) could not be factorized (or produced a non-finite solve)."""
+
+
+# the failure text of a non-finite state, in SingularOperatorError and in run()
+NON_FINITE_STATE = "operator not invertible at c (non-finite state)"
 
 
 @dataclass(frozen=True)
@@ -206,7 +212,7 @@ def _singular_tridiagonal(info: int) -> SingularOperatorError:
 
 def _finite_state(u: np.ndarray) -> np.ndarray:
     if not np.isfinite(u).all():
-        raise SingularOperatorError("operator not invertible at c (non-finite state)")
+        raise SingularOperatorError(NON_FINITE_STATE)
     return u
 
 
@@ -236,53 +242,49 @@ def _factorize_sparse(problem: EllipticProblem, c: np.ndarray):
     return lu.solve
 
 
-def _factorized_state(
-    problem: EllipticProblem, c: np.ndarray
-) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
-    """Factorize A(c) and solve for the state, rejecting a non-finite one."""
-    if problem.grid.dim == 1:
-        solve = _factorize_tridiagonal(problem, c)
-    else:
-        solve = _factorize_sparse(problem, c)
-    return solve, _finite_state(solve(problem._state_rhs))
-
-
 def state_values(problem: EllipticProblem, c: np.ndarray) -> np.ndarray:
-    """F(c) on raw values, with no grid check; no factorization is kept.
+    """F(c) on raw values: a pure solve, with no grid or finiteness check.
 
-    In dim 1 one ``dgtsv`` call factors A(c) and solves for the state. It
-    eliminates with the same pivots and operations as the ``dgttrf`` +
-    ``dgttrs`` pair of :func:`solve_state`, so the state has the same bits.
-    Raises :class:`SingularOperatorError` as :func:`solve_state` does.
+    No factorization is kept. In dim 1 one ``dgtsv`` call factors A(c) and
+    solves for the state. It eliminates with the same pivots and operations
+    as the ``dgttrf`` + ``dgttrs`` pair of :func:`solve_state`, so the state
+    has the same bits. Raises :class:`SingularOperatorError` when the
+    factorization fails; a non-finite state is returned as it is, for the
+    caller to test (``run`` tests the norm of its residual).
     """
     if problem.grid.dim != 1:
-        return _factorized_state(problem, c)[1]
+        return _factorize_sparse(problem, c)(problem._state_rhs)
     off = problem._off_diagonal
     _, _, _, u, info = lapack.dgtsv(
         off, _tridiagonal_diagonal(problem, c), off, problem._state_rhs, overwrite_d=1
     )
     if info != 0:
         raise _singular_tridiagonal(info)
-    return _finite_state(u)
+    return u
 
 
 def solve_state(problem: EllipticProblem, c: GridFunction) -> ForwardEvaluation:
     """Factorize A(c) and solve for the state; factorization is kept for reuse.
 
     Raises :class:`SingularOperatorError` when A(c) is not invertible, which
-    can happen for strongly negative c. No clipping or projection is applied.
+    can happen for strongly negative c, or when the state is not finite. No
+    clipping or projection is applied.
     """
     if c.grid != problem.grid:
         raise GridMismatchError("coefficient sampled on a different grid")
-    solve, u = _factorized_state(problem, c.values)
+    if problem.grid.dim == 1:
+        solve = _factorize_tridiagonal(problem, c.values)
+    else:
+        solve = _factorize_sparse(problem, c.values)
+    u = _finite_state(solve(problem._state_rhs))
     return ForwardEvaluation(problem, GridFunction(problem.grid, u), solve)
 
 
 def forward(problem: EllipticProblem, c: GridFunction) -> GridFunction:
-    """The coefficient-to-state map F(c)."""
+    """The coefficient-to-state map F(c); a non-finite state raises."""
     if c.grid != problem.grid:
         raise GridMismatchError("coefficient sampled on a different grid")
-    return GridFunction(problem.grid, state_values(problem, c.values))
+    return GridFunction(problem.grid, _finite_state(state_values(problem, c.values)))
 
 
 def derivative_values(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,7 +30,8 @@ class Grid:
         cells = tuple(self.cells)
         if len(cells) not in (1, 2):
             raise ValueError(f"only dim 1 or 2 supported, got {len(cells)}")
-        if any(int(n) != n or n < 2 for n in cells):
+        # the range test comes first: int() raises on an infinite or NaN count
+        if any(not 2 <= n < math.inf or int(n) != n for n in cells):
             raise ValueError(f"need at least 2 cells per axis, got {cells}")
         # a whole float such as 4.0 passes the check; store the count as an int
         object.__setattr__(self, "cells", tuple(int(n) for n in cells))

@@ -20,8 +20,10 @@ residual check is not consulted there.
 :class:`GridFunction` is the type of the API: ``run`` takes and returns grid
 functions. Inside, ``run`` is the two loops over local arrays and scalars:
 the inner loop and its nonlinear residual check run on raw float64 arrays
-through the kernels of ``geometry`` and ``forward``, and each step checks
-for non-finite values once, on the norm t of its new linearized residual.
+through the kernels of ``geometry`` and ``forward``. Both guards against
+non-finite values are scalars: a step tests the norm t of its new
+linearized residual, and the residual check the norm of F(z) - y_delta.
+Every exit of either loop sets its reasons where the loop leaves.
 
 A step computes only what steers the iteration. Its record, with the
 Bregman diagnostic d2 = D_p(truth - x0, z_{n,k} - x0) and gamma =
@@ -48,6 +50,7 @@ from ._warn import warn_at_caller
 # residual check run on the array kernels; the layer tracer in
 # perfbench/tracer.py rebinds them in this module.
 from .forward import (  # noqa: F401
+    NON_FINITE_STATE,
     EllipticProblem,
     SingularOperatorError,
     adjoint_apply,
@@ -87,8 +90,6 @@ __all__ = [
     "OuterRecord",
     "IterationLog",
     "RunResult",
-    "NonFiniteIterateError",
-    "outer_stop",
     "refinement_threshold",
     "run",
 ]
@@ -99,10 +100,6 @@ REASON_TOTAL_INNER = "total inner budget"
 
 # steps whose records are built together, with one Bregman pass over the block
 RECORD_BLOCK = 8
-
-
-class NonFiniteIterateError(FloatingPointError):
-    """An inner step produced a NaN or infinite iterate or residual."""
 
 
 @dataclass(frozen=True)
@@ -269,11 +266,6 @@ class RunResult:
         return self.reason.startswith("failure")
 
 
-def outer_stop(r_n: float, tau: float, delta: float) -> bool:
-    """Discrepancy principle r_n <= tau * delta (true at r_n = 0 for any delta)."""
-    return r_n <= tau * delta
-
-
 def refinement_threshold(r_n: float, config: SolverConfig) -> float:
     """Rate-mode target c_alpha * (r_n + delta)^(r/(1+theta)) for alpha."""
     exponent = config.space.r / (1.0 + config.theta)
@@ -354,19 +346,21 @@ def run(
     x0 is both the starting iterate and the reference point of the
     duality maps and the alpha penalty.
 
-    Failures (singular operator, non-finite iterate, exhausted refinement)
-    are reported through ``RunResult.reason``, not raised; budget exhaustion
-    likewise. Inputs on a grid other than ``problem.grid`` raise
-    :class:`GridMismatchError`. ``truth`` switches on the Bregman
-    diagnostics in the log.
+    Failures (singular operator, non-finite iterate or state, exhausted
+    refinement) are reported through ``RunResult.reason``, not raised;
+    budget exhaustion likewise. Inputs on a grid other than
+    ``problem.grid`` raise :class:`GridMismatchError`. ``truth`` switches
+    on the Bregman diagnostics in the log.
 
     The inner loop carries the dual iterate of z as w = base_dual + u_dual:
     since z is constructed as x0 + J_p^{-1}(w), the term J_p(z - x0) of the
     update equals w exactly, so no pow round trip is needed. A step is kept
     only if the norm t of its new linearized residual is finite, which also
     vouches for the new iterate; the nonlinear residual of z is checked
-    after every step. Every way out leaves both loops for one exit, which
-    flushes the record queue, so every record is in ``log.records``.
+    after every step, and a non-finite norm of it fails the run as a
+    non-finite state. Each exit sets the loop's and the run's reason where
+    it happens, and leaves both loops for one exit, which flushes the
+    record queue, so every record is in ``log.records``.
     """
     for name, f in (("data", data), ("x0", x0), ("truth", truth)):
         if f is not None and f.grid != problem.grid:
@@ -376,7 +370,9 @@ def run(
     x = x0
     sp = config.space
     r, p_star, theta = sp.r, sp.p_star, config.theta
-    tau, delta = config.tau, config.delta
+    delta = config.delta
+    # the discrepancy principle: stop at ||F(x) - y||_r <= tau * delta
+    stop_level = config.tau * delta
     weight = problem.grid.cell_volume
     x0_values, data_values = x0.values, data.values
     vartheta = config.vartheta
@@ -389,7 +385,7 @@ def run(
     rate_active = config.rate_mode and theta > 0.0
     # rate mode runs every loop to its full allowance; with exact data the
     # residual test can never fire, so skip the extra forward solves too
-    check_residual = not rate_active and tau * delta > 0.0
+    check_residual = not rate_active and stop_level > 0.0
     alpha = config.alpha00
     applies = 0
     total_inner = 0
@@ -407,7 +403,7 @@ def run(
         r_n = lp_norm_values(resid0, r, weight)
 
         # in rate mode the loop at the stopping index refines alpha first
-        refining = outer_stop(r_n, tau, delta)
+        refining = r_n <= stop_level
         if refining:
             threshold = refinement_threshold(r_n, config) if rate_active else 0.0
             if threshold <= 0.0:
@@ -439,9 +435,17 @@ def run(
         while True:
             if refining and alpha <= threshold:
                 inner_reason = "refinement"
+                reason = REASON_DISCREPANCY
                 break
             if k >= allowance:
-                inner_reason = "refinement aborted" if refining else "budget"
+                if refining:
+                    inner_reason = "refinement aborted"
+                    reason = (
+                        f"failure: refinement budget exhausted (alpha={alpha:g} > "
+                        f"threshold={threshold:g} after {k} steps)"
+                    )
+                else:
+                    inner_reason = "budget"
                 break
             if (
                 config.max_total_inner is not None
@@ -450,48 +454,52 @@ def run(
                 reason = REASON_TOTAL_INNER
                 inner_reason = "aborted: " + reason
                 break
-            try:
-                gradient = adjoint_values(ev, duality_map_values(resid, r))
-                t_tilde = lp_norm_values(gradient, p_star, weight)
-                omega, degenerate = choose_omega(
-                    t, t_tilde, vartheta, config.omega_bar, sp
-                )
-                u_next = u_dual - alpha * w - omega * gradient
-                w_next = base_dual + u_next
-                # J_p^{-1} is J_{p*}
-                z_next = x0_values + duality_map_values(w_next, p_star)
-                resid_next = derivative_values(ev, z_next - x_n, resid0)
-                applies += 2
-                t_next = lp_norm_values(resid_next, r, weight)
-                # one scalar guards z_next and resid_next: a non-finite z_next
-                # makes h * u non-finite (inf, or NaN where u is 0), a dgttrs
-                # or SuperLU solve carries a non-finite right-hand side entry
-                # into its solution, and lp_norm_values returns inf or NaN
-                # exactly when its input holds one, on its rescale path too
-                if not math.isfinite(t_next):
-                    raise NonFiniteIterateError("non-finite iterate or residual")
-                # the record holds the state of z_{n,k}, before the update
-                row = (n, k, t, t_tilde, omega, alpha, r_n, f_pending, degenerate, refining)
-                queue.push(row, z)
-                u_dual, w, z, resid, t = u_next, w_next, z_next, resid_next, t_next
-                alpha = next_alpha(
-                    alpha_check(t, r_n, delta, config.eta, config.tau_tilde, r, theta),
-                    alpha_hat(alpha, config.q, theta),
-                )
-                k += 1
-                total_inner += 1
-                f_pending = None
-                if check_residual and k < allowance:
-                    f_val = state_values(problem, z)
-                    applies += 1
-                    f_pending = lp_norm_values(f_val - data_values, r, weight)
-                    if outer_stop(f_pending, tau, delta):
-                        f_stop = f_pending
-                        inner_reason = "inner discrepancy"
-                        break
-            except (SingularOperatorError, NonFiniteIterateError) as exc:
-                reason = f"failure: {exc} (iterate n={n}, k={k})"
+            gradient = adjoint_values(ev, duality_map_values(resid, r))
+            t_tilde = lp_norm_values(gradient, p_star, weight)
+            omega, degenerate = choose_omega(t, t_tilde, vartheta, config.omega_bar, sp)
+            u_next = u_dual - alpha * w - omega * gradient
+            w_next = base_dual + u_next
+            # J_p^{-1} is J_{p*}
+            z_next = x0_values + duality_map_values(w_next, p_star)
+            resid_next = derivative_values(ev, z_next - x_n, resid0)
+            applies += 2
+            t_next = lp_norm_values(resid_next, r, weight)
+            # one scalar guards z_next and resid_next: a non-finite z_next
+            # makes h * u non-finite (inf, or NaN where u is 0), a dgttrs
+            # or SuperLU solve carries a non-finite right-hand side entry
+            # into its solution, and lp_norm_values returns inf or NaN
+            # exactly when its input holds one, on its rescale path too
+            if not math.isfinite(t_next):
+                reason = f"failure: non-finite iterate or residual (iterate n={n}, k={k})"
                 break
+            # the record holds the state of z_{n,k}, before the update
+            row = (n, k, t, t_tilde, omega, alpha, r_n, f_pending, degenerate, refining)
+            queue.push(row, z)
+            u_dual, w, z, resid, t = u_next, w_next, z_next, resid_next, t_next
+            alpha = next_alpha(
+                alpha_check(t, r_n, delta, config.eta, config.tau_tilde, r, theta),
+                alpha_hat(alpha, config.q, theta),
+            )
+            k += 1
+            total_inner += 1
+            f_pending = None
+            if check_residual and k < allowance:
+                try:
+                    f_val = state_values(problem, z)
+                except SingularOperatorError as exc:
+                    reason = f"failure: {exc} (iterate n={n}, k={k})"
+                    break
+                applies += 1
+                f_pending = lp_norm_values(f_val - data_values, r, weight)
+                # the same argument for the state: f_pending is inf or NaN
+                # exactly when an entry of F(z) - y is
+                if not math.isfinite(f_pending):
+                    reason = f"failure: {NON_FINITE_STATE} (iterate n={n}, k={k})"
+                    break
+                if f_pending <= stop_level:
+                    f_stop = f_pending
+                    inner_reason = "inner discrepancy"
+                    break
 
         if k > 0:
             x = GridFunction(problem.grid, z)
@@ -500,13 +508,6 @@ def run(
         log.outer.append(
             OuterRecord(n, r_n, alpha_start, allowance, k, alpha, inner_reason, f_stop)
         )
-        if inner_reason == "refinement":
-            reason = REASON_DISCREPANCY
-        elif inner_reason == "refinement aborted":
-            reason = (
-                f"failure: refinement budget exhausted (alpha={alpha:g} > "
-                f"threshold={threshold:g} after {k} steps)"
-            )
         if reason is not None:
             break
         n += 1

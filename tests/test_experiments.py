@@ -39,7 +39,7 @@ def test_example1_pins():
     assert spec.space.p == 1.1
     assert spec.space.r == 2.0
     assert spec.noise.delta == 1e-4
-    assert spec.noise.kind == "gaussian"
+    assert spec.noise.outlier_count == 0
     assert spec.solver["tau"] == 1.02
     # plateau values of the sparse coefficient
     t = np.array([0.35, 0.65, 0.5, 0.0])
@@ -63,7 +63,6 @@ def test_example3_pins():
     spec = make_example3()
     assert spec.space.p == 2.0
     assert spec.space.r == 1.1
-    assert spec.noise.kind == "gaussian+outliers"
     assert spec.noise.norm_exponent == 1.1
     assert spec.noise.outlier_count == 5
     assert spec.solver["tau"] == 1.0015
@@ -254,7 +253,7 @@ def test_override_auto_means_none_for_every_optional_field():
 
 KNOWN_KEYS = (
     "alpha00, c_alpha, c_const, c_omega_bar, delta, eta, inner_budget, m, max_inner, "
-    "max_outer, max_total_inner, n, noise_kind, noise_norm, nu, "
+    "max_outer, max_total_inner, n, noise_norm, nu, "
     "omega_bar, outlier_count, outlier_magnitude, p, q, r, rate_mode, rho, s, seed, "
     "tau, tau_tilde"
 )
@@ -273,12 +272,12 @@ def test_build_spec_rejects_unknown_preset():
 
 
 def test_override_noise_kind_and_bool_parse():
-    spec = build_spec("example1", {"noise_kind": "gaussian+outliers",
-                                   "outlier_count": "3",
-                                   "outlier_magnitude": "0.5"})
-    assert spec.noise.kind == "gaussian+outliers"
+    # outliers are on exactly when outlier_count > 0; there is no kind key
+    spec = build_spec("example1", {"outlier_count": "3", "outlier_magnitude": "0.5"})
     assert spec.noise.outlier_count == 3
     assert spec.noise.outlier_magnitude == 0.5
+    with pytest.raises(ValueError, match="unknown override 'noise_kind'"):
+        build_spec("example1", {"noise_kind": "gaussian+outliers"})
     with pytest.raises(ValueError):
         build_spec("example1", {"rate_mode": "maybe"})
 

@@ -1,5 +1,7 @@
 """Forward map, derivative, adjoint, and discretization order."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import lapack
@@ -106,6 +108,25 @@ def test_singular_operator_raises_2d():
         solve_state(problem, c)
     with pytest.raises(SingularOperatorError):
         state_values(problem, c.values)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_forward_rejects_a_non_finite_state(monkeypatch, bad):
+    # state_values is a pure solve that returns what it gets; forward() keeps
+    # the check that a non-finite state means A(c) is not invertible
+    module = sys.modules["newton_landweber.forward"]
+    solve = module.state_values
+
+    def poisoned(problem, c):
+        u = solve(problem, c).copy()
+        u[1] = bad
+        return u
+
+    monkeypatch.setattr(module, "state_values", poisoned)
+    grid = Grid((8,))
+    problem = interval_problem(grid, lambda t: 1.0, 0.0, 1.0)
+    with pytest.raises(SingularOperatorError, match="non-finite state"):
+        forward(problem, GridFunction.constant(grid, 1.0))
 
 
 @pytest.mark.parametrize("cells", [(60,), (9, 7)])

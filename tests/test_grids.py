@@ -37,6 +37,10 @@ def test_grid_validation():
         Grid((1,))
     with pytest.raises(ValueError):
         Grid((4, 4, 4))
+    # int() would raise OverflowError on inf and its own ValueError on NaN
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="need at least 2 cells per axis"):
+            Grid((bad,))
 
 
 def test_from_callable_matches_manual_sampling():

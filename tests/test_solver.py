@@ -246,34 +246,64 @@ def square_test_problem():
     return problem, truth, forward(problem, truth)
 
 
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
-@pytest.mark.parametrize(
+def poison_nth_output(monkeypatch, name, nth, bad, counted=lambda *args: True):
+    """Rebind solver.<name> so that its nth counted output has one bad entry."""
+    kernel = getattr(solver, name)
+    calls = []
+
+    def poisoned(*args):
+        out = kernel(*args)
+        if counted(*args):
+            calls.append(None)
+            if len(calls) == nth:
+                out = out.copy()
+                out[out.size // 2] = bad
+        return out
+
+    monkeypatch.setattr(solver, name, poisoned)
+
+
+BAD_ENTRIES = pytest.mark.parametrize(
+    "bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"]
+)
+BOTH_PROBLEMS = pytest.mark.parametrize(
     "make_problem", [small_problem, square_test_problem], ids=["interval", "square"]
 )
+
+
+@BAD_ENTRIES
+@BOTH_PROBLEMS
 def test_one_bad_entry_of_an_iterate_fails_its_step(monkeypatch, make_problem, bad):
     # the step checks only the scalar t = ||resid_next||_r: one non-finite
     # entry of z_{n,4} must still reach it through the derivative solve
     problem, _, exact = make_problem()
     config = base_config(space=SpaceParams(1.5, 2.0))
     p_star = config.space.p_star
-    duality_map_values = solver.duality_map_values
-    calls = []
-
-    def poisoned(v, q):
-        out = duality_map_values(v, q)
-        if q == p_star:
-            calls.append(q)
-            if len(calls) == 4:
-                out = out.copy()
-                out[out.size // 2] = bad
-        return out
-
-    monkeypatch.setattr(solver, "duality_map_values", poisoned)
+    poison_nth_output(
+        monkeypatch, "duality_map_values", 4, bad, counted=lambda v, q: q == p_star
+    )
     with np.errstate(over="ignore", invalid="ignore"):
         result = run(problem, exact, config)
-    assert result.reason.startswith("failure: non-finite")
+    assert result.reason.startswith("failure: non-finite iterate or residual")
     assert "k=3" in result.reason
     assert len(result.log.records) == 3
+
+
+@BAD_ENTRIES
+@BOTH_PROBLEMS
+def test_one_bad_entry_of_a_checked_state_fails_its_step(monkeypatch, make_problem, bad):
+    # the residual check tests only the scalar ||F(z) - y||_r: one non-finite
+    # entry of the state F(z_{n,3}) must end the run as a non-finite state
+    problem, _, exact = make_problem()
+    config = base_config(space=SpaceParams(1.5, 2.0), delta=1e-6)
+    poison_nth_output(monkeypatch, "state_values", 3, bad)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = run(problem, exact, config)
+    assert result.reason == (
+        "failure: operator not invertible at c (non-finite state) (iterate n=0, k=3)"
+    )
+    assert len(result.log.records) == 3
+    assert result.log.outer == []
 
 
 def test_alpha_floor_overflow_reported_not_raised():
