@@ -22,25 +22,31 @@ values (``derivative_values``/``adjoint_values``); ``derivative_apply`` and
 ``state_values`` is F on raw values and the solver's per-step residual
 check: a pure solve that keeps no factorization and makes no finiteness
 pass, as the solver tests the norm of the residual instead. ``solve_state``
-and ``forward`` reject a non-finite state with :class:`SingularOperatorError`.
+and ``forward`` scan the state once and reject a non-finite one with
+:class:`SingularOperatorError`; the :class:`GridFunction` they return
+adopts the solve's array without a second scan or a copy.
 In dim 1 ``state_values`` factors and solves in one ``dgtsv`` call, which
 gives the bits of the ``dgttrf`` + ``dgttrs`` pair that ``solve_state``
 keeps for reuse; both build the diagonal in one helper. In dim 2 both take
-the one sparse factorization path. The c-independent pieces of A(c) and the summed
-right-hand side are built once per :class:`EllipticProblem`.
+the one sparse factorization path. The c-independent pieces of A(c) and the
+summed right-hand side are built once per :class:`EllipticProblem`; in
+dim 2 that is the CSC pattern of A(c), so an assembly only writes the
+diagonal. ``scipy.sparse`` is imported with the first 2D problem, so 1D
+runs never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import lapack
-from scipy.sparse.linalg import splu
 
 from .grids import Grid, GridFunction, GridMismatchError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "EllipticProblem",
@@ -74,8 +80,10 @@ class EllipticProblem:
     (left, right, bottom, top) holding the trace sampled at the cell centers
     of each edge. ``boundary_rhs`` is the eliminated-ghost contribution to the
     right-hand side. It, the summed right-hand side ``rhs + boundary_rhs`` and
-    the c-independent part of A(c) (the off-diagonal and 1/h^2 in dim 1, the
-    five-point stencil in dim 2) are fixed once per problem.
+    the c-independent part of A(c) are fixed once per problem: the
+    off-diagonal and 1/h^2 in dim 1; in dim 2 the five-point stencil, as
+    the CSC pattern of stencil + I with the positions of its diagonal in
+    the data array and the stencil's own diagonal.
     """
 
     grid: Grid
@@ -87,7 +95,13 @@ class EllipticProblem:
         init=False, repr=False, compare=False, default=None
     )
     _inv_h2: float = field(init=False, repr=False, compare=False, default=0.0)
-    _stencil: sp.csr_matrix | None = field(
+    _pattern: sp.csc_matrix | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
+    _diagonal_slots: np.ndarray | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
+    _stencil_diagonal: np.ndarray | None = field(
         init=False, repr=False, compare=False, default=None
     )
 
@@ -124,7 +138,10 @@ class EllipticProblem:
             b[0, :] += 2.0 * bottom / hy**2
             b[-1, :] += 2.0 * top / hy**2
             b = b.ravel()
-            object.__setattr__(self, "_stencil", _five_point_stencil(self.grid))
+            pattern, slots, stencil_diagonal = _five_point_pattern(self.grid)
+            object.__setattr__(self, "_pattern", pattern)
+            object.__setattr__(self, "_diagonal_slots", slots)
+            object.__setattr__(self, "_stencil_diagonal", stencil_diagonal)
         b.setflags(write=False)
         object.__setattr__(self, "boundary_rhs", b)
         state_rhs = self.rhs.values + b
@@ -132,8 +149,14 @@ class EllipticProblem:
         object.__setattr__(self, "_state_rhs", state_rhs)
 
 
-def _five_point_stencil(grid: Grid) -> sp.csr_matrix:
-    """c-independent part of A(c) for dim 2, with ghost-eliminated edges."""
+def _five_point_pattern(grid: Grid) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
+    """c-independent part of A(c) for dim 2, with ghost-eliminated edges.
+
+    Returns the CSC pattern of stencil + I, the index in its data array of
+    each diagonal entry (column order) and the stencil's diagonal.
+    """
+    import scipy.sparse as sp
+
     nx, ny = grid.cells
     hx, hy = grid.spacing
 
@@ -144,7 +167,16 @@ def _five_point_stencil(grid: Grid) -> sp.csr_matrix:
 
     tx = second_difference(nx, hx)
     ty = second_difference(ny, hy)
-    return (sp.kron(sp.identity(ny), tx) + sp.kron(ty, sp.identity(nx))).tocsr()
+    stencil = (sp.kron(sp.identity(ny), tx) + sp.kron(ty, sp.identity(nx))).tocsr()
+    pattern = (stencil + sp.identity(grid.size, format="csr")).tocsc()
+    # the indices of a CSC matrix from tocsc are sorted, one diagonal per column
+    columns = np.repeat(np.arange(grid.size), np.diff(pattern.indptr))
+    slots = np.flatnonzero(pattern.indices == columns)
+    stencil_diagonal = stencil.diagonal()
+    # every assembly shares these arrays
+    for a in (pattern.data, pattern.indices, pattern.indptr, slots, stencil_diagonal):
+        a.setflags(write=False)
+    return pattern, slots, stencil_diagonal
 
 
 def interval_problem(
@@ -210,10 +242,11 @@ def _singular_tridiagonal(info: int) -> SingularOperatorError:
     )
 
 
-def _finite_state(u: np.ndarray) -> np.ndarray:
+def _state_function(problem: EllipticProblem, u: np.ndarray) -> GridFunction:
+    """The fresh state u as a grid function, after its one finiteness scan."""
     if not np.isfinite(u).all():
         raise SingularOperatorError(NON_FINITE_STATE)
-    return u
+    return GridFunction._adopt(problem.grid, u)
 
 
 def _factorize_tridiagonal(problem: EllipticProblem, c: np.ndarray):
@@ -231,10 +264,34 @@ def _factorize_tridiagonal(problem: EllipticProblem, c: np.ndarray):
     return solve
 
 
+def _sparse_operator(problem: EllipticProblem, c: np.ndarray) -> sp.csc_matrix:
+    """A(c) in dim 2, with the bits of ``(stencil + diags(c)).tocsc()``.
+
+    stencil_ii + c_i goes into the diagonal slots of a copy of the
+    pattern's data. The sum of sparse matrices drops an entry that cancels
+    to an exact zero, so when a diagonal entry is zero ``eliminate_zeros``
+    does too, on copies of the index arrays, which it compacts in place.
+    """
+    import scipy.sparse as sp
+
+    pattern = problem._pattern
+    diagonal = problem._stencil_diagonal + c
+    data = pattern.data.copy()
+    data[problem._diagonal_slots] = diagonal
+    if diagonal.all():
+        return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+    a = sp.csc_matrix(
+        (data, pattern.indices.copy(), pattern.indptr.copy()), shape=pattern.shape
+    )
+    a.eliminate_zeros()
+    return a
+
+
 def _factorize_sparse(problem: EllipticProblem, c: np.ndarray):
-    a = (problem._stencil + sp.diags(c)).tocsc()
+    from scipy.sparse.linalg import splu
+
     try:
-        lu = splu(a)
+        lu = splu(_sparse_operator(problem, c))
     except RuntimeError as exc:
         raise SingularOperatorError(
             f"operator not invertible at c (sparse factorization: {exc})"
@@ -276,15 +333,15 @@ def solve_state(problem: EllipticProblem, c: GridFunction) -> ForwardEvaluation:
         solve = _factorize_tridiagonal(problem, c.values)
     else:
         solve = _factorize_sparse(problem, c.values)
-    u = _finite_state(solve(problem._state_rhs))
-    return ForwardEvaluation(problem, GridFunction(problem.grid, u), solve)
+    u = _state_function(problem, solve(problem._state_rhs))
+    return ForwardEvaluation(problem, u, solve)
 
 
 def forward(problem: EllipticProblem, c: GridFunction) -> GridFunction:
     """The coefficient-to-state map F(c); a non-finite state raises."""
     if c.grid != problem.grid:
         raise GridMismatchError("coefficient sampled on a different grid")
-    return GridFunction(problem.grid, _finite_state(state_values(problem, c.values)))
+    return _state_function(problem, state_values(problem, c.values))
 
 
 def derivative_values(

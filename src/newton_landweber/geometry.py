@@ -127,14 +127,18 @@ def bregman_values(
 
     ``a_pow`` is |a|^p, passed in so that a caller measuring many b against
     one a computes it once. ``b`` may hold one iterate per row, shape
-    (B, n) against a and a_pow of shape (n,); the distances are then the
-    row-wise sums, an array of B, each equal bit for bit to the distance of
-    that row alone. Accumulated pointwise: each node contributes the Bregman
-    gap of the scalar convex map t -> |t|^p / p, which is nonnegative in
-    exact arithmetic, so the weighted sum cannot go below a few ulps times
-    its magnitude.
+    (B, n), against a and a_pow of shape (n,) or of b's own shape; the
+    distances are then the row-wise sums, an array of B, each equal bit for
+    bit to the distance of that row alone. Accumulated pointwise: each node
+    contributes the Bregman gap of the scalar convex map t -> |t|^p / p,
+    which is nonnegative in exact arithmetic, so the weighted sum cannot go
+    below a few ulps times its magnitude. |b| is taken once, for |b|^p and
+    for J_p(b) = copysign(|b|^(p-1), b), which has the bits of
+    ``duality_map_values(b, p)``.
     """
-    gaps = (a_pow - np.abs(b) ** p) / p - duality_map_values(b, p) * (a - b)
+    mag = np.abs(b)
+    dual = b if p == 2.0 else np.copysign(mag ** (p - 1.0), b)
+    gaps = (a_pow - mag**p) / p - dual * (a - b)
     return weight * np.add.reduce(gaps, axis=-1)
 
 

@@ -102,7 +102,7 @@ class GridFunction:
                 f"expected {self.grid.size} values for grid {self.grid.cells}, "
                 f"got shape {v.shape}"
             )
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("grid function values must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -112,6 +112,19 @@ class GridFunction:
         """Sample ``fn`` at the cell centers; ``fn`` takes one array per axis."""
         vals = np.asarray(fn(*grid.coords()), dtype=float)
         return cls(grid, np.broadcast_to(vals, (grid.size,)))
+
+    @classmethod
+    def _adopt(cls, grid: Grid, values: np.ndarray) -> "GridFunction":
+        """Wrap float64 values of the grid's size that are known to be finite.
+
+        No copy and no checks: the caller hands over an array it owns, which
+        is made read-only, and has already vouched for its finiteness.
+        """
+        values.setflags(write=False)
+        f = object.__new__(cls)
+        object.__setattr__(f, "grid", grid)
+        object.__setattr__(f, "values", values)
+        return f
 
     @classmethod
     def zeros(cls, grid: Grid) -> "GridFunction":

@@ -1,11 +1,18 @@
 """Forward map, derivative, adjoint, and discretization order."""
 
+import importlib
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import lapack
+from scipy.sparse.linalg import splu
 
+import newton_landweber
 from newton_landweber import (
     EllipticProblem,
     Grid,
@@ -19,7 +26,10 @@ from newton_landweber import (
     solve_state,
     square_problem,
 )
-from newton_landweber.forward import state_values
+from newton_landweber.forward import NON_FINITE_STATE, state_values
+
+# the package exports a function named forward that shadows the module
+module_forward = importlib.import_module("newton_landweber.forward")
 
 
 def test_affine_state_exact_1d():
@@ -102,7 +112,7 @@ def test_singular_operator_raises_2d():
     # whose integer elimination hits an exact zero pivot
     grid = Grid((3, 3))
     problem = square_problem(grid, lambda x, y: 1.0, lambda x, y: 0.0 * x)
-    base = problem._stencil.diagonal()
+    base = problem._stencil_diagonal
     c = GridFunction(grid, -base)
     with pytest.raises(SingularOperatorError):
         solve_state(problem, c)
@@ -112,21 +122,111 @@ def test_singular_operator_raises_2d():
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
 def test_forward_rejects_a_non_finite_state(monkeypatch, bad):
-    # state_values is a pure solve that returns what it gets; forward() keeps
-    # the check that a non-finite state means A(c) is not invertible
-    module = sys.modules["newton_landweber.forward"]
-    solve = module.state_values
-
-    def poisoned(problem, c):
-        u = solve(problem, c).copy()
+    # state_values is a pure solve that returns what it gets; solve_state and
+    # forward() scan the state once and raise SingularOperatorError with the
+    # non-finite-state text, in both dimensions, while GridFunction itself
+    # keeps its own ValueError
+    def poisoned(u):
+        u = u.copy()
         u[1] = bad
         return u
 
-    monkeypatch.setattr(module, "state_values", poisoned)
-    grid = Grid((8,))
-    problem = interval_problem(grid, lambda t: 1.0, 0.0, 1.0)
-    with pytest.raises(SingularOperatorError, match="non-finite state"):
-        forward(problem, GridFunction.constant(grid, 1.0))
+    for name in ("_factorize_tridiagonal", "_factorize_sparse"):
+        factorize = getattr(module_forward, name)
+
+        def poisoned_factorize(problem, c, factorize=factorize):
+            solve = factorize(problem, c)
+            return lambda b: poisoned(solve(b))
+
+        monkeypatch.setattr(module_forward, name, poisoned_factorize)
+    solve_values = module_forward.state_values
+    monkeypatch.setattr(
+        module_forward, "state_values", lambda problem, c: poisoned(solve_values(problem, c))
+    )
+    problems = (
+        interval_problem(Grid((8,)), lambda t: 1.0, 0.0, 1.0),
+        square_problem(Grid((4, 3)), lambda x, y: 1.0, lambda x, y: x + y),
+    )
+    for problem in problems:
+        c = GridFunction.constant(problem.grid, 1.0)
+        for call in (solve_state, forward):
+            with pytest.raises(SingularOperatorError) as raised:
+                call(problem, c)
+            assert str(raised.value) == NON_FINITE_STATE
+        with pytest.raises(ValueError, match="^grid function values must be finite$") as raised:
+            GridFunction(problem.grid, poisoned(c.values))
+        assert not isinstance(raised.value, SingularOperatorError)
+
+
+def _literal_stencil(grid):
+    # the five-point stencil with ghost-eliminated edges, built from h alone
+    nx, ny = grid.cells
+    hx, hy = grid.spacing
+
+    def second_difference(n, h):
+        d = np.full(n, 2.0)
+        d[0] = d[-1] = 3.0
+        return sp.diags([d, -np.ones(n - 1), -np.ones(n - 1)], [0, -1, 1]) / h**2
+
+    return (
+        sp.kron(sp.identity(ny), second_difference(nx, hx))
+        + sp.kron(second_difference(ny, hy), sp.identity(nx))
+    ).tocsr()
+
+
+@pytest.mark.parametrize("cells", [(31, 31), (9, 7)])
+def test_sparse_operator_matches_the_literal_sum(cells):
+    # A(c) written into the problem's CSC pattern has the bits of
+    # (stencil + diags(c)).tocsc(): the same indptr, indices and data, and
+    # so the same SuperLU solve, also where a diagonal entry cancels exactly
+    # and the sum drops it
+    grid = Grid(cells)
+    problem = square_problem(grid, lambda x, y: 1.0 + x * y, lambda x, y: x - y)
+    stencil = _literal_stencil(grid)
+    rng = np.random.default_rng(7)
+    for i in range(40):
+        c = rng.choice([-1.0, 1.0], grid.size) * 10.0 ** rng.uniform(-3.0, 4.0, grid.size)
+        if i % 4 == 0:
+            c[rng.integers(grid.size)] = 0.0
+        if i % 4 == 1:
+            j = rng.integers(grid.size)
+            c[j] = -stencil.diagonal()[j]
+        want = (stencil + sp.diags(c)).tocsc()
+        got = module_forward._sparse_operator(problem, c)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        if i % 4 == 1:
+            assert got.nnz == stencil.nnz - 1
+        try:
+            want_u = splu(want).solve(problem._state_rhs)
+        except RuntimeError:
+            with pytest.raises(SingularOperatorError):
+                state_values(problem, c)
+            continue
+        assert state_values(problem, c).tobytes() == want_u.tobytes()
+
+
+def test_import_leaves_scipy_sparse_to_the_first_2d_problem():
+    # 1D never loads scipy.sparse; the first 2D problem does
+    script = (
+        "import sys\n"
+        "import newton_landweber as nl\n"
+        "assert 'scipy.sparse' not in sys.modules\n"
+        "nl.interval_problem(nl.Grid((4,)), lambda t: 1.0, 0.0, 0.0)\n"
+        "assert 'scipy.sparse' not in sys.modules\n"
+        "nl.square_problem(nl.Grid((3, 3)), lambda x, y: 1.0, lambda x, y: 0.0 * x)\n"
+        "assert 'scipy.sparse' in sys.modules\n"
+    )
+    src = str(Path(newton_landweber.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("cells", [(60,), (9, 7)])

@@ -18,6 +18,7 @@ from newton_landweber import (
     phi,
     shifted_bregman,
 )
+from newton_landweber import solver
 from newton_landweber.checks import check_duality_round_trip
 from newton_landweber.geometry import bregman_values, duality_map_values, lp_norm_values
 
@@ -194,6 +195,49 @@ def test_bregman_constant_oracle():
             gaps = (a_pow - np.abs(b) ** p) / p - np.sign(b) * np.abs(b) ** (p - 1.0) * (a - b)
             assert same_bits(distance, 0.125 * gaps.sum())
             assert same_bits(distance, bregman_values(a, a_pow, b, p, 0.125))
+
+
+def _bregman_formula(a, a_pow, b, p, weight):
+    # bregman_values as it was written before it took |b| once
+    dual = b if p == 2.0 else np.copysign(np.abs(b) ** (p - 1.0), b)
+    gaps = (a_pow - np.abs(b) ** p) / p - dual * (a - b)
+    return weight * np.add.reduce(gaps, axis=-1)
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 11.0])
+def test_bregman_values_keeps_the_bits_of_its_formula(p):
+    # one row, or a block of rows as the solver's record queue passes them,
+    # against a and |a|^p of one row or tiled to the block. Each row lies
+    # within two decades of its own scale, and the scales run from 1e-100
+    # to 1e100, so the powers of some rows underflow (and at p = 11 overflow)
+    # while others stay finite; both signs and signed zeros occur
+    rng = np.random.default_rng(int(10 * p))
+    n, block = 37, solver.RECORD_BLOCK
+
+    def values(*shape, scale=None):
+        if scale is None:
+            scale = 10.0 ** rng.uniform(-100.0, 100.0, (*shape[:-1], 1))
+        v = rng.choice([-1.0, 1.0], shape) * scale * 10.0 ** rng.uniform(-2.0, 2.0, shape)
+        v[..., :2] = (0.0, -0.0)
+        return v
+
+    a = values(n, scale=1.0)
+    weight = 0.25
+    with np.errstate(all="ignore"):
+        a_pow = np.abs(a) ** p
+        for b in (values(n), values(n, scale=1.0)):
+            want = _bregman_formula(a, a_pow, b, p, weight)
+            assert same_bits(bregman_values(a, a_pow, b, p, weight), want)
+        for m in (1, block - 1, block):
+            rows = values(m, n)
+            want = _bregman_formula(a, a_pow, rows, p, weight)
+            assert want.shape == (m,)
+            assert same_bits(bregman_values(a, a_pow, rows, p, weight), want)
+            tiles = (m, 1)
+            tiled = bregman_values(np.tile(a, tiles), np.tile(a_pow, tiles), rows, p, weight)
+            assert same_bits(tiled, want)
+        # the last block holds finite distances, not only overflowed ones
+        assert np.isfinite(want).any()
 
 
 def test_bregman_hilbert_case_is_half_square_distance():
