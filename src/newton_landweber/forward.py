@@ -33,15 +33,26 @@ summed right-hand side are built once per :class:`EllipticProblem`; in
 dim 2 that is the CSC pattern of A(c), so an assembly only writes the
 diagonal. ``scipy.sparse`` is imported with the first 2D problem, so 1D
 runs never load it.
+
+The 1D path loads only scipy's compiled LAPACK extension,
+``scipy.linalg._flapack``, from its file. Importing ``scipy.linalg`` would
+run the package's ``__init__``, which loads ``numpy.f2py``,
+``numpy.testing`` and more: about 0.3 s of each cold start, for three
+routines. ``scipy.linalg.lapack`` re-exports this extension, so
+``dgttrf``, ``dgttrs`` and ``dgtsv`` are the same function objects either
+way, and the 1D solves keep their bits.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
+from pathlib import Path
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .grids import Grid, GridFunction, GridMismatchError
 
@@ -62,6 +73,40 @@ __all__ = [
     "derivative_values",
     "adjoint_values",
 ]
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK extension, without scipy.linalg's ``__init__``.
+
+    ``scipy.linalg.lapack`` re-exports this module's routines, so they are
+    the same function objects. The module is registered under its own name,
+    so a later ``import scipy.linalg`` reuses it, as this loader reuses
+    one that scipy.linalg has loaded.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    scipy_spec = find_spec("scipy")
+    if scipy_spec is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    paths = [
+        Path(root, "linalg", "_flapack" + suffix)
+        for root in scipy_spec.submodule_search_locations
+        for suffix in EXTENSION_SUFFIXES
+    ]
+    path = next((str(p) for p in paths if p.is_file()), None)
+    if path is None:
+        tried = ", ".join(map(str, paths))
+        raise ImportError(f"scipy's LAPACK extension not found (tried {tried})", name=name)
+    spec = spec_from_file_location(name, path, loader=ExtensionFileLoader(name, path))
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+lapack = _load_flapack()
 
 
 class SingularOperatorError(RuntimeError):
@@ -209,22 +254,18 @@ def square_problem(
     return EllipticProblem(grid, f, boundary)
 
 
-@dataclass(frozen=True)
-class ForwardEvaluation:
+class ForwardEvaluation(NamedTuple):
     """State u = F(c) together with a reusable factorization of A(c).
 
     ``solve`` is the factorization's own A(c)^{-1} on raw vectors (homogeneous
     boundary data): the ``dgttrs`` closure in dim 1, ``lu.solve`` in dim 2.
+    ``neg_u`` is -u(c), held once so that the adjoint is a single multiply.
     """
 
     problem: EllipticProblem
     u: GridFunction
     solve: Callable[[np.ndarray], np.ndarray]
-    neg_u: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        # -u(c), held once so that the adjoint is a single multiply
-        object.__setattr__(self, "neg_u", -self.u.values)
+    neg_u: np.ndarray
 
 
 def _tridiagonal_diagonal(problem: EllipticProblem, c: np.ndarray) -> np.ndarray:
@@ -334,7 +375,7 @@ def solve_state(problem: EllipticProblem, c: GridFunction) -> ForwardEvaluation:
     else:
         solve = _factorize_sparse(problem, c.values)
     u = _state_function(problem, solve(problem._state_rhs))
-    return ForwardEvaluation(problem, u, solve)
+    return ForwardEvaluation(problem, u, solve, -u.values)
 
 
 def forward(problem: EllipticProblem, c: GridFunction) -> GridFunction:

@@ -207,7 +207,8 @@ class InnerBudget:
             raise ConfigurationError(
                 f"cannot parse inner budget {text!r}; expected '(A+n)^-B' or 'const:K'"
             )
-        return cls.power(float(m.group(1)), float(m.group(2)))
+        return cls.power(float(m.group(1)), float(m.group(2) or m.group(3)))
 
 
-_POWER_RE = re.compile(r"^\((\d+(?:\.\d+)?)\+n\)\^(?:-|\(-)(\d+(?:\.\d+)?)\)?$")
+# the exponent is -B or (-B); a parenthesis must be balanced
+_POWER_RE = re.compile(r"^\((\d+(?:\.\d+)?)\+n\)\^(?:-(\d+(?:\.\d+)?)|\(-(\d+(?:\.\d+)?)\))$")

@@ -207,17 +207,8 @@ def test_sparse_operator_matches_the_literal_sum(cells):
         assert state_values(problem, c).tobytes() == want_u.tobytes()
 
 
-def test_import_leaves_scipy_sparse_to_the_first_2d_problem():
-    # 1D never loads scipy.sparse; the first 2D problem does
-    script = (
-        "import sys\n"
-        "import newton_landweber as nl\n"
-        "assert 'scipy.sparse' not in sys.modules\n"
-        "nl.interval_problem(nl.Grid((4,)), lambda t: 1.0, 0.0, 0.0)\n"
-        "assert 'scipy.sparse' not in sys.modules\n"
-        "nl.square_problem(nl.Grid((3, 3)), lambda x, y: 1.0, lambda x, y: 0.0 * x)\n"
-        "assert 'scipy.sparse' in sys.modules\n"
-    )
+def _run_fresh(script: str) -> None:
+    # a fresh interpreter, so that the script sees its own import graph
     src = str(Path(newton_landweber.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     done = subprocess.run(
@@ -227,6 +218,58 @@ def test_import_leaves_scipy_sparse_to_the_first_2d_problem():
         text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_import_leaves_scipy_sparse_to_the_first_2d_problem():
+    # 1D loads neither scipy.sparse nor scipy.linalg's package (nor the
+    # numpy.f2py it pulls in), only the LAPACK extension; the first 2D
+    # problem loads scipy.sparse
+    _run_fresh(
+        "import sys\n"
+        "import numpy as np\n"
+        "import newton_landweber as nl\n"
+        "from newton_landweber.forward import _sparse_operator, state_values\n"
+        "assert 'scipy.sparse' not in sys.modules\n"
+        "grid = nl.Grid((4,))\n"
+        "problem = nl.interval_problem(grid, lambda t: 1.0, 0.0, 0.0)\n"
+        "c = np.ones(grid.size)\n"
+        "nl.solve_state(problem, nl.GridFunction(grid, c))\n"
+        "state_values(problem, c)\n"
+        "for name in ('scipy.sparse', 'scipy.linalg', 'numpy.f2py'):\n"
+        "    assert name not in sys.modules, name\n"
+        "grid = nl.Grid((3, 3))\n"
+        "problem = nl.square_problem(grid, lambda x, y: 1.0, lambda x, y: 0.0 * x)\n"
+        "assert 'scipy.sparse' in sys.modules\n"
+        "c = np.ones(grid.size)\n"
+        "u = nl.solve_state(problem, nl.GridFunction(grid, c)).u.values\n"
+        "residual = _sparse_operator(problem, c) @ u - problem._state_rhs\n"
+        "assert np.abs(residual).max() < 1e-12 * np.abs(problem._state_rhs).max()\n"
+    )
+
+
+@pytest.mark.parametrize("scipy_first", [False, True])
+def test_forward_kernels_are_scipy_linalg_lapack_in_either_import_order(scipy_first):
+    # the extension loaded by file is the one scipy.linalg.lapack re-exports,
+    # so the 1D solves run the same function objects as through scipy; this
+    # also fails when a scipy release renames its private extension
+    first, second = "import newton_landweber.forward", "import scipy.linalg.lapack as lapack"
+    if scipy_first:
+        first, second = second, first
+    _run_fresh(
+        "import sys\n"
+        f"{first}\n"
+        f"{second}\n"
+        "forward = sys.modules['newton_landweber.forward']\n"
+        "for name in ('dgttrf', 'dgttrs', 'dgtsv'):\n"
+        "    assert getattr(forward.lapack, name) is getattr(lapack, name), name\n"
+    )
+
+
+def test_missing_lapack_extension_names_the_paths_it_tried(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(module_forward, "EXTENSION_SUFFIXES", [".missing.so"])
+    with pytest.raises(ImportError, match=r"_flapack\.missing\.so"):
+        module_forward._load_flapack()
 
 
 @pytest.mark.parametrize("cells", [(60,), (9, 7)])

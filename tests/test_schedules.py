@@ -141,11 +141,13 @@ def test_inner_budget_huge_allowance_capped():
 def test_inner_budget_parse_round_trip():
     for text, expected in (
         ("(50+n)^-2", InnerBudget.power(50.0, 2.0)),
+        ("(50+n)^(-2)", InnerBudget.power(50.0, 2.0)),
         ("(1+n)^-1.1", InnerBudget.power(1.0, 1.1)),
         ("const:25", InnerBudget.constant(25)),
         ("25", InnerBudget.constant(25)),
     ):
         parsed = InnerBudget.parse(text)
         assert parsed == expected
-    with pytest.raises(ConfigurationError):
-        InnerBudget.parse("n^-2")
+    for bad in ("n^-2", "(50+n)^(-2", "(50+n)^-2)"):
+        with pytest.raises(ConfigurationError):
+            InnerBudget.parse(bad)
