@@ -62,7 +62,7 @@ class NoiseSpec:
     outlier_magnitude: float | None = None
 
     def __post_init__(self) -> None:
-        if self.delta < 0:
+        if not self.delta >= 0:  # written positively, so that NaN fails it
             raise ValueError(f"delta must be >= 0, got {self.delta}")
         if self.outlier_count < 0:
             raise ValueError(f"outlier count must be >= 0, got {self.outlier_count}")
@@ -405,7 +405,7 @@ def _parser(annotation: str) -> Callable[[str], object]:
 _NOISE_KEYS = {"norm_exponent": "noise_norm"}
 # override key -> (part of the spec, field name, parser)
 _OVERRIDES = {
-    **{key: ("space", key, float) for key in ("p", "r", "s")},
+    **{key: ("space", key, float) for key in ("p", "r")},
     **{key: ("spec", key, int) for key in ("n", "m", "seed")},
     **{
         _NOISE_KEYS.get(f.name, f.name): ("noise", f.name, _parser(f.type))
@@ -422,10 +422,10 @@ _OVERRIDES = {
 def apply_overrides(spec: ExperimentSpec, overrides: dict[str, str]) -> ExperimentSpec:
     """Apply flat key=value overrides (strings, as from config files or CLI).
 
-    The keys are ``p r s n m seed``, every :class:`NoiseSpec` field
+    The keys are ``p r n m seed``, every :class:`NoiseSpec` field
     (``norm_exponent`` as ``noise_norm``) and every
     :class:`SolverConfig` field but ``space`` and ``delta``, each parsed by
-    its annotation; anything else raises.
+    its annotation; anything else raises, as does ``m`` on a 1D spec.
     """
     changes: dict[str, dict] = {"space": {}, "spec": {}, "noise": {}, "solver": dict(spec.solver)}
     for key, raw in overrides.items():
@@ -436,16 +436,12 @@ def apply_overrides(spec: ExperimentSpec, overrides: dict[str, str]) -> Experime
         part, name, parse = _OVERRIDES[key]
         changes[part][name] = parse(str(raw).strip())
 
-    space_kw, spec_changes = changes["space"], changes["spec"]
-    if space_kw:
-        sp = spec.space
-        # an s of the spec that is not the default max(p, 2) was set on purpose
-        s_default = sp.s == max(sp.p, 2.0)
-        spec_changes["space"] = SpaceParams(
-            p=space_kw.get("p", sp.p),
-            r=space_kw.get("r", sp.r),
-            s=space_kw.get("s", None if s_default else sp.s),
-        )
+    spec_changes = changes["spec"]
+    if "m" in spec_changes and spec.m is None:
+        # a 1D spec's callables take one coordinate
+        raise ValueError("override 'm' needs a 2D preset")
+    if changes["space"]:
+        spec_changes["space"] = replace(spec.space, **changes["space"])
     if changes["noise"]:
         spec_changes["noise"] = replace(spec.noise, **changes["noise"])
     return replace(spec, solver=changes["solver"], **spec_changes)

@@ -25,14 +25,18 @@ pass, as the solver tests the norm of the residual instead. ``solve_state``
 and ``forward`` scan the state once and reject a non-finite one with
 :class:`SingularOperatorError`; the :class:`GridFunction` they return
 adopts the solve's array without a second scan or a copy.
-In dim 1 ``state_values`` factors and solves in one ``dgtsv`` call, which
-gives the bits of the ``dgttrf`` + ``dgttrs`` pair that ``solve_state``
-keeps for reuse; both build the diagonal in one helper. In dim 2 both take
-the one sparse factorization path. The c-independent pieces of A(c) and the
-summed right-hand side are built once per :class:`EllipticProblem`; in
-dim 2 that is the CSC pattern of A(c), so an assembly only writes the
-diagonal. ``scipy.sparse`` is imported with the first 2D problem, so 1D
-runs never load it.
+
+Each :class:`EllipticProblem` builds one operator for its dimension, once;
+no solve path branches on the dimension after that. The operator holds the
+c-independent pieces of A(c), eliminates the boundary ghosts into the
+right-hand side, and offers ``factorize(c)``, which returns a solve, and
+``state(c, rhs)``, a one-shot solve that keeps nothing. In dim 1 the
+operator is tridiagonal: ``factorize`` is ``dgttrf`` with a ``dgttrs``
+closure, and ``state`` one ``dgtsv`` call, which gives the same bits. In
+dim 2 it is the five-point stencil, kept as the CSC pattern of A(c) so
+that an assembly only writes the diagonal, and both go through ``splu``.
+``scipy.sparse`` is imported with the first 2D problem, so 1D runs never
+load it.
 
 The 1D path loads only scipy's compiled LAPACK extension,
 ``scipy.linalg._flapack``, from its file. Importing ``scipy.linalg`` would
@@ -117,6 +121,158 @@ class SingularOperatorError(RuntimeError):
 NON_FINITE_STATE = "operator not invertible at c (non-finite state)"
 
 
+def _singular_tridiagonal(info: int) -> SingularOperatorError:
+    return SingularOperatorError(
+        f"operator not invertible at c (tridiagonal factorization info={info})"
+    )
+
+
+class _TridiagonalOperator:
+    """A(c) in dim 1: a fixed off-diagonal -1/h^2 and the diagonal 2/h^2 + c.
+
+    Ghost elimination adds 1/h^2 to the first and last diagonal entries.
+    """
+
+    def __init__(self, grid: Grid) -> None:
+        (h,) = grid.spacing
+        self.grid = grid
+        self.inv_h2 = 1.0 / h**2
+        self.off_diagonal = np.full(grid.size - 1, -1.0 / h**2)
+        self.off_diagonal.setflags(write=False)
+
+    def boundary_terms(self, boundary: tuple) -> tuple[tuple, np.ndarray]:
+        """The traces (g0, g1) as floats, and their right-hand side terms."""
+        g0, g1 = (float(v) for v in boundary)
+        (h,) = self.grid.spacing
+        b = np.zeros(self.grid.size)
+        b[0] += 2.0 * g0 / h**2
+        b[-1] += 2.0 * g1 / h**2
+        return (g0, g1), b
+
+    def diagonal(self, c: np.ndarray) -> np.ndarray:
+        """Main diagonal of A(c), a fresh array."""
+        inv_h2 = self.inv_h2
+        diag = 2.0 * inv_h2 + c  # 2 * (1/h^2) is 2/h^2 bit for bit
+        diag[0] += inv_h2
+        diag[-1] += inv_h2
+        return diag
+
+    def factorize(self, c: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        off = self.off_diagonal
+        dl, d, du, du2, ipiv, info = lapack.dgttrf(off, self.diagonal(c), off)
+        if info != 0:
+            raise _singular_tridiagonal(info)
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            x, info = lapack.dgttrs(dl, d, du, du2, ipiv, b)
+            if info != 0:
+                raise SingularOperatorError(f"tridiagonal solve failed (info={info})")
+            return x
+
+        return solve
+
+    def state(self, c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """A(c)^{-1} rhs in one ``dgtsv`` call, with the bits of ``factorize``.
+
+        ``dgtsv`` eliminates with the same pivots and operations as the
+        ``dgttrf`` + ``dgttrs`` pair.
+        """
+        off = self.off_diagonal
+        _, _, _, u, info = lapack.dgtsv(off, self.diagonal(c), off, rhs, overwrite_d=1)
+        if info != 0:
+            raise _singular_tridiagonal(info)
+        return u
+
+
+class _FivePointOperator:
+    """A(c) in dim 2: the five-point stencil with ghost-eliminated edges, plus c.
+
+    Holds the CSC pattern of stencil + I, the index in its data array of
+    each diagonal entry (column order) and the stencil's own diagonal.
+    """
+
+    def __init__(self, grid: Grid) -> None:
+        import scipy.sparse as sp
+
+        nx, ny = grid.cells
+        hx, hy = grid.spacing
+
+        def second_difference(n: int, h: float) -> sp.csr_matrix:
+            d = np.full(n, 2.0)
+            d[0] = d[-1] = 3.0  # ghost elimination
+            return sp.diags([d, -np.ones(n - 1), -np.ones(n - 1)], [0, -1, 1]) / h**2
+
+        tx = second_difference(nx, hx)
+        ty = second_difference(ny, hy)
+        stencil = (sp.kron(sp.identity(ny), tx) + sp.kron(ty, sp.identity(nx))).tocsr()
+        pattern = (stencil + sp.identity(grid.size, format="csr")).tocsc()
+        # the indices of a CSC matrix from tocsc are sorted, one diagonal per column
+        columns = np.repeat(np.arange(grid.size), np.diff(pattern.indptr))
+        slots = np.flatnonzero(pattern.indices == columns)
+        stencil_diagonal = stencil.diagonal()
+        # every assembly shares these arrays
+        for a in (pattern.data, pattern.indices, pattern.indptr, slots, stencil_diagonal):
+            a.setflags(write=False)
+        self.grid = grid
+        self.pattern = pattern
+        self.diagonal_slots = slots
+        self.stencil_diagonal = stencil_diagonal
+
+    def boundary_terms(self, boundary: tuple) -> tuple[tuple, np.ndarray]:
+        """The four edge traces as read-only arrays, and their right-hand side terms."""
+        nx, ny = self.grid.cells
+        hx, hy = self.grid.spacing
+        left, right, bottom, top = (np.array(a, dtype=float) for a in boundary)
+        if left.shape != (ny,) or right.shape != (ny,):
+            raise ValueError(f"left/right traces must have length {ny}")
+        if bottom.shape != (nx,) or top.shape != (nx,):
+            raise ValueError(f"bottom/top traces must have length {nx}")
+        for a in (left, right, bottom, top):
+            a.setflags(write=False)
+        b = np.zeros((ny, nx))
+        b[:, 0] += 2.0 * left / hx**2
+        b[:, -1] += 2.0 * right / hx**2
+        b[0, :] += 2.0 * bottom / hy**2
+        b[-1, :] += 2.0 * top / hy**2
+        return (left, right, bottom, top), b.ravel()
+
+    def matrix(self, c: np.ndarray) -> sp.csc_matrix:
+        """A(c), with the bits of ``(stencil + diags(c)).tocsc()``.
+
+        stencil_ii + c_i goes into the diagonal slots of a copy of the
+        pattern's data. The sum of sparse matrices drops an entry that cancels
+        to an exact zero, so when a diagonal entry is zero ``eliminate_zeros``
+        does too, on copies of the index arrays, which it compacts in place.
+        """
+        import scipy.sparse as sp
+
+        pattern = self.pattern
+        diagonal = self.stencil_diagonal + c
+        data = pattern.data.copy()
+        data[self.diagonal_slots] = diagonal
+        if diagonal.all():
+            return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+        a = sp.csc_matrix(
+            (data, pattern.indices.copy(), pattern.indptr.copy()), shape=pattern.shape
+        )
+        a.eliminate_zeros()
+        return a
+
+    def factorize(self, c: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        from scipy.sparse.linalg import splu
+
+        try:
+            lu = splu(self.matrix(c))
+        except RuntimeError as exc:
+            raise SingularOperatorError(
+                f"operator not invertible at c (sparse factorization: {exc})"
+            ) from exc
+        return lu.solve
+
+    def state(self, c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        return self.factorize(c)(rhs)
+
+
 @dataclass(frozen=True)
 class EllipticProblem:
     """Geometry, source term and Dirichlet data of the state equation.
@@ -125,10 +281,7 @@ class EllipticProblem:
     (left, right, bottom, top) holding the trace sampled at the cell centers
     of each edge. ``boundary_rhs`` is the eliminated-ghost contribution to the
     right-hand side. It, the summed right-hand side ``rhs + boundary_rhs`` and
-    the c-independent part of A(c) are fixed once per problem: the
-    off-diagonal and 1/h^2 in dim 1; in dim 2 the five-point stencil, as
-    the CSC pattern of stencil + I with the positions of its diagonal in
-    the data array and the stencil's own diagonal.
+    the operator A(c) of the grid's dimension are fixed once per problem.
     """
 
     grid: Grid
@@ -136,92 +289,24 @@ class EllipticProblem:
     boundary: tuple
     boundary_rhs: np.ndarray = field(init=False, repr=False, compare=False)
     _state_rhs: np.ndarray = field(init=False, repr=False, compare=False)
-    _off_diagonal: np.ndarray | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
-    _inv_h2: float = field(init=False, repr=False, compare=False, default=0.0)
-    _pattern: sp.csc_matrix | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
-    _diagonal_slots: np.ndarray | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
-    _stencil_diagonal: np.ndarray | None = field(
-        init=False, repr=False, compare=False, default=None
+    _operator: _TridiagonalOperator | _FivePointOperator = field(
+        init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
         if self.rhs.grid != self.grid:
             raise GridMismatchError("rhs sampled on a different grid")
-        if self.grid.dim == 1:
-            g0, g1 = (float(v) for v in self.boundary)
-            object.__setattr__(self, "boundary", (g0, g1))
-            (h,) = self.grid.spacing
-            b = np.zeros(self.grid.size)
-            b[0] += 2.0 * g0 / h**2
-            b[-1] += 2.0 * g1 / h**2
-            off = np.full(self.grid.size - 1, -1.0 / h**2)
-            off.setflags(write=False)
-            object.__setattr__(self, "_off_diagonal", off)
-            object.__setattr__(self, "_inv_h2", 1.0 / h**2)
-        else:
-            nx, ny = self.grid.cells
-            hx, hy = self.grid.spacing
-            left, right, bottom, top = (
-                np.array(a, dtype=float) for a in self.boundary
-            )
-            if left.shape != (ny,) or right.shape != (ny,):
-                raise ValueError(f"left/right traces must have length {ny}")
-            if bottom.shape != (nx,) or top.shape != (nx,):
-                raise ValueError(f"bottom/top traces must have length {nx}")
-            for a in (left, right, bottom, top):
-                a.setflags(write=False)
-            object.__setattr__(self, "boundary", (left, right, bottom, top))
-            b = np.zeros((ny, nx))
-            b[:, 0] += 2.0 * left / hx**2
-            b[:, -1] += 2.0 * right / hx**2
-            b[0, :] += 2.0 * bottom / hy**2
-            b[-1, :] += 2.0 * top / hy**2
-            b = b.ravel()
-            pattern, slots, stencil_diagonal = _five_point_pattern(self.grid)
-            object.__setattr__(self, "_pattern", pattern)
-            object.__setattr__(self, "_diagonal_slots", slots)
-            object.__setattr__(self, "_stencil_diagonal", stencil_diagonal)
+        # the one branch on the dimension
+        operator_type = _TridiagonalOperator if self.grid.dim == 1 else _FivePointOperator
+        operator = operator_type(self.grid)
+        boundary, b = operator.boundary_terms(self.boundary)
         b.setflags(write=False)
-        object.__setattr__(self, "boundary_rhs", b)
         state_rhs = self.rhs.values + b
         state_rhs.setflags(write=False)
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "boundary_rhs", b)
         object.__setattr__(self, "_state_rhs", state_rhs)
-
-
-def _five_point_pattern(grid: Grid) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
-    """c-independent part of A(c) for dim 2, with ghost-eliminated edges.
-
-    Returns the CSC pattern of stencil + I, the index in its data array of
-    each diagonal entry (column order) and the stencil's diagonal.
-    """
-    import scipy.sparse as sp
-
-    nx, ny = grid.cells
-    hx, hy = grid.spacing
-
-    def second_difference(n: int, h: float) -> sp.csr_matrix:
-        d = np.full(n, 2.0)
-        d[0] = d[-1] = 3.0  # ghost elimination
-        return sp.diags([d, -np.ones(n - 1), -np.ones(n - 1)], [0, -1, 1]) / h**2
-
-    tx = second_difference(nx, hx)
-    ty = second_difference(ny, hy)
-    stencil = (sp.kron(sp.identity(ny), tx) + sp.kron(ty, sp.identity(nx))).tocsr()
-    pattern = (stencil + sp.identity(grid.size, format="csr")).tocsc()
-    # the indices of a CSC matrix from tocsc are sorted, one diagonal per column
-    columns = np.repeat(np.arange(grid.size), np.diff(pattern.indptr))
-    slots = np.flatnonzero(pattern.indices == columns)
-    stencil_diagonal = stencil.diagonal()
-    # every assembly shares these arrays
-    for a in (pattern.data, pattern.indices, pattern.indptr, slots, stencil_diagonal):
-        a.setflags(write=False)
-    return pattern, slots, stencil_diagonal
+        object.__setattr__(self, "_operator", operator)
 
 
 def interval_problem(
@@ -268,21 +353,6 @@ class ForwardEvaluation(NamedTuple):
     neg_u: np.ndarray
 
 
-def _tridiagonal_diagonal(problem: EllipticProblem, c: np.ndarray) -> np.ndarray:
-    """Main diagonal of A(c) in dim 1, a fresh array."""
-    inv_h2 = problem._inv_h2
-    diag = 2.0 * inv_h2 + c  # 2 * (1/h^2) is 2/h^2 bit for bit
-    diag[0] += inv_h2
-    diag[-1] += inv_h2
-    return diag
-
-
-def _singular_tridiagonal(info: int) -> SingularOperatorError:
-    return SingularOperatorError(
-        f"operator not invertible at c (tridiagonal factorization info={info})"
-    )
-
-
 def _state_function(problem: EllipticProblem, u: np.ndarray) -> GridFunction:
     """The fresh state u as a grid function, after its one finiteness scan."""
     if not np.isfinite(u).all():
@@ -290,75 +360,16 @@ def _state_function(problem: EllipticProblem, u: np.ndarray) -> GridFunction:
     return GridFunction._adopt(problem.grid, u)
 
 
-def _factorize_tridiagonal(problem: EllipticProblem, c: np.ndarray):
-    off = problem._off_diagonal
-    dl, d, du, du2, ipiv, info = lapack.dgttrf(off, _tridiagonal_diagonal(problem, c), off)
-    if info != 0:
-        raise _singular_tridiagonal(info)
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        x, info = lapack.dgttrs(dl, d, du, du2, ipiv, b)
-        if info != 0:
-            raise SingularOperatorError(f"tridiagonal solve failed (info={info})")
-        return x
-
-    return solve
-
-
-def _sparse_operator(problem: EllipticProblem, c: np.ndarray) -> sp.csc_matrix:
-    """A(c) in dim 2, with the bits of ``(stencil + diags(c)).tocsc()``.
-
-    stencil_ii + c_i goes into the diagonal slots of a copy of the
-    pattern's data. The sum of sparse matrices drops an entry that cancels
-    to an exact zero, so when a diagonal entry is zero ``eliminate_zeros``
-    does too, on copies of the index arrays, which it compacts in place.
-    """
-    import scipy.sparse as sp
-
-    pattern = problem._pattern
-    diagonal = problem._stencil_diagonal + c
-    data = pattern.data.copy()
-    data[problem._diagonal_slots] = diagonal
-    if diagonal.all():
-        return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
-    a = sp.csc_matrix(
-        (data, pattern.indices.copy(), pattern.indptr.copy()), shape=pattern.shape
-    )
-    a.eliminate_zeros()
-    return a
-
-
-def _factorize_sparse(problem: EllipticProblem, c: np.ndarray):
-    from scipy.sparse.linalg import splu
-
-    try:
-        lu = splu(_sparse_operator(problem, c))
-    except RuntimeError as exc:
-        raise SingularOperatorError(
-            f"operator not invertible at c (sparse factorization: {exc})"
-        ) from exc
-    return lu.solve
-
-
 def state_values(problem: EllipticProblem, c: np.ndarray) -> np.ndarray:
     """F(c) on raw values: a pure solve, with no grid or finiteness check.
 
-    No factorization is kept. In dim 1 one ``dgtsv`` call factors A(c) and
-    solves for the state. It eliminates with the same pivots and operations
-    as the ``dgttrf`` + ``dgttrs`` pair of :func:`solve_state`, so the state
-    has the same bits. Raises :class:`SingularOperatorError` when the
-    factorization fails; a non-finite state is returned as it is, for the
-    caller to test (``run`` tests the norm of its residual).
+    No factorization is kept; in dim 1 this is one ``dgtsv`` call, with the
+    bits of the state of :func:`solve_state`. Raises
+    :class:`SingularOperatorError` when the factorization fails; a non-finite
+    state is returned as it is, for the caller to test (``run`` tests the
+    norm of its residual).
     """
-    if problem.grid.dim != 1:
-        return _factorize_sparse(problem, c)(problem._state_rhs)
-    off = problem._off_diagonal
-    _, _, _, u, info = lapack.dgtsv(
-        off, _tridiagonal_diagonal(problem, c), off, problem._state_rhs, overwrite_d=1
-    )
-    if info != 0:
-        raise _singular_tridiagonal(info)
-    return u
+    return problem._operator.state(c, problem._state_rhs)
 
 
 def solve_state(problem: EllipticProblem, c: GridFunction) -> ForwardEvaluation:
@@ -370,10 +381,7 @@ def solve_state(problem: EllipticProblem, c: GridFunction) -> ForwardEvaluation:
     """
     if c.grid != problem.grid:
         raise GridMismatchError("coefficient sampled on a different grid")
-    if problem.grid.dim == 1:
-        solve = _factorize_tridiagonal(problem, c.values)
-    else:
-        solve = _factorize_sparse(problem, c.values)
+    solve = problem._operator.factorize(c.values)
     u = _state_function(problem, solve(problem._state_rhs))
     return ForwardEvaluation(problem, u, solve, -u.values)
 

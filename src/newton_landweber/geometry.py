@@ -50,34 +50,36 @@ def conjugate_exponent(q: float) -> float:
 
 @dataclass(frozen=True)
 class SpaceParams:
-    """Exponents of the solution space L^p, data space L^r, and smoothness s.
+    """Exponents of the solution space L^p and the data space L^r.
 
-    ``s`` is the convexity power of the solution space; L^p with p in (1, 2]
-    is 2-uniformly convex and p-uniformly convex for p >= 2, so the default is
-    max(p, 2). Exponents outside r >= s >= p (the regime in which the
+    The convexity power ``s`` of the solution space is derived, not set:
+    L^p is s-uniformly convex exactly for s >= max(p, 2), since no Banach
+    space has a modulus of convexity of power type below 2, so
+    s = max(p, 2). Exponents outside r >= s (the regime in which the
     step-size analysis is proved) are accepted with a warning.
     """
 
     p: float
     r: float
-    s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.p <= 1.0:
-            raise ValueError(f"p must exceed 1, got {self.p}")
-        if self.r <= 1.0:
-            raise ValueError(f"r must exceed 1, got {self.r}")
-        if self.s is None:
-            object.__setattr__(self, "s", max(self.p, 2.0))
-        if self.s < self.p:
-            raise ValueError(f"s >= p required, got s={self.s} p={self.p}")
-        if not (self.r >= self.s >= self.p):
+        # written positively, so that NaN fails them; an infinite p would
+        # make p* = inf / inf a NaN
+        if not 1.0 < self.p < math.inf:
+            raise ValueError(f"p must be finite and exceed 1, got {self.p}")
+        if not 1.0 < self.r < math.inf:
+            raise ValueError(f"r must be finite and exceed 1, got {self.r}")
+        if not self.r >= self.s:
             warn_at_caller(
                 f"exponents outside the analyzed regime r >= s >= p: "
                 f"p={self.p} s={self.s} r={self.r}"
             )
 
-    # cached: the solver's step-size rule reads both on every inner step
+    # cached: the solver's step-size rule reads these on every inner step
+    @cached_property
+    def s(self) -> float:
+        return max(self.p, 2.0)
+
     @cached_property
     def p_star(self) -> float:
         return conjugate_exponent(self.p)
@@ -191,23 +193,18 @@ def shifted_bregman(
     return bregman(x_new - x0, x - x0, p)
 
 
-def phi(
-    lam,
-    c_const: float,
-    rho: float,
-    p: float,
-    p_star: float,
-    s_star: float,
-):
+def phi(lam, c_const: float, rho: float, space: SpaceParams):
     """Step-size majorant 2^(s*-1) C (p rho^2)^(1-s*/p*) lam^s* + 2^(p*-1) C lam^p*.
 
-    Convex and increasing on lam >= 0; accepts a scalar or an array. The
+    Convex and increasing on lam >= 0; accepts a scalar or an array. As
+    s >= 2, s* <= 2 and only p -> 1 sends an exponent to infinity; the
     terms are written as C/2 (p rho^2)^(1-s*/p*) (2 lam)^s* and C/2
-    (2 lam)^p*, which stay finite as s -> 1 and p -> 1.
+    (2 lam)^p*, so that 2^(p*-1) alone cannot overflow.
     """
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):
         raise ValueError("phi is defined for nonnegative arguments")
+    p, p_star, s_star = space.p, space.p_star, space.s_star
     out = (
         0.5
         * c_const

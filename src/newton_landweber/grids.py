@@ -76,11 +76,6 @@ class Grid:
         xx, yy = np.meshgrid(x, y)  # shape (ny, nx), C-order flattening
         return xx.ravel(), yy.ravel()
 
-    @property
-    def weights(self) -> np.ndarray:
-        """Quadrature weights, one per node (uniform: the cell volume)."""
-        return np.full(self.size, self.cell_volume)
-
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:

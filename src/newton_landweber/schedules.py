@@ -38,12 +38,12 @@ def theta_exponent(nu: float, r: float) -> float:
     nu = 0 gives theta = 0 exactly (no assumed source condition). The
     denominator must stay positive for the exponent to make sense.
     """
-    if nu < 0 or nu > 0.5:
+    if not 0.0 <= nu <= 0.5:
         raise ConfigurationError(f"nu must lie in [0, 1/2], got {nu}")
     if nu == 0:
         return 0.0
     denom = r * (1.0 + 2.0 * nu) - 4.0 * nu
-    if denom <= 0:
+    if not denom > 0:
         raise ConfigurationError(f"theta undefined: r={r}, nu={nu}")
     return 4.0 * nu / denom
 
@@ -52,9 +52,7 @@ def choose_vartheta(
     c_omega_bar: float,
     c_const: float,
     rho: float,
-    p: float,
-    p_star: float,
-    s_star: float,
+    space: SpaceParams,
     max_halvings: int = 64,
 ) -> float:
     """Largest vartheta = 2^-j, j >= 0, satisfying the majorant-ratio condition.
@@ -66,10 +64,12 @@ def choose_vartheta(
         2^(s*-1) C (p rho^2)^(1-s*/p*) vt^(s*-1) + 2^(p*-1) C vt^(p*-1)
             <= c_omega_bar,
     which makes phi(omega t_tilde) <= c_omega_bar * omega * t^r automatic for
-    the omega rule below, for all positive scalars t, t_tilde. The terms are
+    the omega rule below, for all positive scalars t, t_tilde. As s >= 2,
+    s* <= 2 and only p -> 1 sends an exponent to infinity: the terms are
     computed as C (p rho^2)^(1-s*/p*) (2 vt)^(s*-1) and C (2 vt)^(p*-1), as
-    2^(s*-1) and 2^(p*-1) alone overflow when s -> 1 or p -> 1.
+    2^(p*-1) alone overflows when p -> 1.
     """
+    p, p_star, s_star = space.p, space.p_star, space.s_star
     lead = c_const * (p * rho**2) ** (1.0 - s_star / p_star)
     for j in range(max_halvings + 1):
         vt = 2.0**-j
@@ -155,14 +155,15 @@ class InnerBudget:
 
     def __post_init__(self) -> None:
         if self.kind == "power":
-            if self.shift <= 0:  # a_0 = shift^-exponent must be finite
+            # each check is written positively, so that NaN fails it
+            if not self.shift > 0:  # a_0 = shift^-exponent must be finite
                 raise ConfigurationError(f"shift must be > 0, got {self.shift}")
-            if self.exponent <= 1.0:
+            if not self.exponent > 1.0:
                 raise ConfigurationError(
                     f"power budget needs exponent > 1 for summability, got {self.exponent}"
                 )
         elif self.kind == "constant":
-            if self.k_bar < 1:
+            if not self.k_bar >= 1:
                 raise ConfigurationError(f"constant budget needs k_bar >= 1, got {self.k_bar}")
         else:
             raise ConfigurationError(f"unknown inner budget kind {self.kind!r}")

@@ -138,11 +138,12 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         sp = self.space
-        if self.delta < 0:
+        # every range check is written positively, so that NaN fails it
+        if not self.delta >= 0:
             raise ConfigurationError(f"delta must be >= 0, got {self.delta}")
-        if self.tau <= 1.0:
+        if not self.tau > 1.0:
             raise ConfigurationError(f"tau must exceed 1, got {self.tau}")
-        if self.tau_tilde <= 0:
+        if not self.tau_tilde > 0:
             raise ConfigurationError(f"tau_tilde must be positive, got {self.tau_tilde}")
         if not 0.0 <= self.eta < 1.0:
             raise ConfigurationError(f"eta must lie in [0, 1), got {self.eta}")
@@ -150,27 +151,27 @@ class SolverConfig:
             raise ConfigurationError(f"q must lie in (0, 1), got {self.q}")
         if not 0.0 < self.alpha00 <= 1.0:
             raise ConfigurationError(f"alpha00 must lie in (0, 1], got {self.alpha00}")
-        if self.omega_bar <= 0:
+        if not self.omega_bar > 0:
             raise ConfigurationError(f"omega_bar must be positive, got {self.omega_bar}")
         if not 0.0 < self.c_omega_bar < 1.0:
             raise ConfigurationError(
                 f"c_omega_bar must lie in (0, 1), got {self.c_omega_bar}"
             )
-        if self.rho <= 0 or self.c_const <= 0:
-            raise ConfigurationError("rho and c_const must be positive")
-        if self.c_alpha <= 0:
-            raise ConfigurationError(f"c_alpha must be positive, got {self.c_alpha}")
+        for name in ("rho", "c_const", "c_alpha"):
+            if not getattr(self, name) > 0:
+                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("max_outer", "max_inner"):
-            if getattr(self, name) < 1:
+            if not getattr(self, name) >= 1:
                 raise ConfigurationError(f"{name} must be >= 1")
-        if self.max_total_inner is not None and self.max_total_inner < 1:
+        if self.max_total_inner is not None and not self.max_total_inner >= 1:
             raise ConfigurationError("max_total_inner must be >= 1 when set")
 
         theta = self.theta  # validates nu against r
-        if sp.s_star < theta + 1.0 or sp.p_star < theta + 1.0:
+        # s >= p gives s* <= p*, so p* >= theta+1 follows
+        if sp.s_star < theta + 1.0:
             raise ConfigurationError(
                 f"theta={theta:g} too large for the space: need "
-                f"s* >= theta+1 and p* >= theta+1 (s*={sp.s_star:g}, p*={sp.p_star:g})"
+                f"s* >= theta+1 (s*={sp.s_star:g})"
             )
         if self.rate_mode:
             if theta == 0.0:
@@ -195,10 +196,7 @@ class SolverConfig:
 
     @cached_property
     def vartheta(self) -> float:
-        sp = self.space
-        return choose_vartheta(
-            self.c_omega_bar, self.c_const, self.rho, sp.p, sp.p_star, sp.s_star
-        )
+        return choose_vartheta(self.c_omega_bar, self.c_const, self.rho, self.space)
 
     def replace(self, **changes) -> "SolverConfig":
         return replace(self, **changes)

@@ -2,6 +2,8 @@
 
 import csv
 
+import pytest
+
 from newton_landweber import cli
 from newton_landweber.checks import ALL_CHECKS
 from newton_landweber.reporting import (
@@ -100,6 +102,16 @@ def test_unknown_override_key(tmp_path, capsys):
                      "--override", "bogus=1"])
     assert code == 2
     assert "unknown override" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", ["tau=nan", "m=10"])
+def test_invalid_override_value_exit_code(tmp_path, capsys, override):
+    # a NaN setting and a 1D preset given m are configuration errors, not
+    # failed runs
+    code = cli.main(["run", "--preset", "example1", "--out", str(tmp_path),
+                     "--override", override])
+    assert code == 2
+    assert capsys.readouterr().err
 
 
 def test_missing_preset(tmp_path, capsys):

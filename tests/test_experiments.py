@@ -1,6 +1,6 @@
 """Experiment presets, noise generation, overrides, and report wiring."""
 
-from dataclasses import replace
+import math
 
 import numpy as np
 import pytest
@@ -23,8 +23,8 @@ from newton_landweber import (
 )
 from newton_landweber import cli
 from newton_landweber.checks import check_noise_contract
-from newton_landweber.experiments import PRESETS, make_data
-from newton_landweber.schedules import choose_vartheta
+from newton_landweber.experiments import PRESETS, NoiseSpec, make_data
+from newton_landweber.schedules import InnerBudget, choose_vartheta, theta_exponent
 
 
 # ---------------------------------------------------------------------------
@@ -202,20 +202,6 @@ def test_overrides_reach_every_layer():
     assert spec.solver["inner_budget"].limit(0, 1.0, 2.0) == 25
 
 
-@pytest.mark.parametrize(
-    "s, p, want_s", [(2.5, "1.2", 2.5), (None, "1.2", 2.0), (None, "2.5", 2.5)]
-)
-def test_override_keeps_an_explicit_s(s, p, want_s):
-    # an s set on the spec survives a p or r override; a default s follows p
-    spec = replace(make_example1(), space=SpaceParams(1.1, 3.0, s=s))
-    assert apply_overrides(spec, {"p": p}).space.s == want_s
-    assert apply_overrides(spec, {"r": "4"}).space.s == (2.0 if s is None else s)
-    if s is not None:
-        # a p above the kept s is rejected, not met by silently raising s
-        with pytest.raises(ValueError, match="s >= p"):
-            apply_overrides(spec, {"p": "3"})
-
-
 def test_vartheta_is_derived_not_configured(tmp_path, capsys):
     # the step factor comes from the step-size rule alone: no config field,
     # override key or CLI override sets it
@@ -230,11 +216,10 @@ def test_vartheta_is_derived_not_configured(tmp_path, capsys):
     assert "unknown override" in capsys.readouterr().err
 
     config = SolverConfig(space=spec.space, delta=1e-4, **spec.solver)
-    sp = config.space
-    assert config.vartheta == choose_vartheta(0.1, 1.0, 0.5, sp.p, sp.p_star, sp.s_star)
+    assert config.vartheta == choose_vartheta(0.1, 1.0, 0.5, config.space)
     assert config.vartheta == 0.125
     smaller = config.replace(c_omega_bar=0.05)
-    assert smaller.vartheta == choose_vartheta(0.05, 1.0, 0.5, sp.p, sp.p_star, sp.s_star)
+    assert smaller.vartheta == choose_vartheta(0.05, 1.0, 0.5, config.space)
     assert smaller.vartheta < config.vartheta
 
 
@@ -254,7 +239,7 @@ def test_override_auto_means_none_for_every_optional_field():
 KNOWN_KEYS = (
     "alpha00, c_alpha, c_const, c_omega_bar, delta, eta, inner_budget, m, max_inner, "
     "max_outer, max_total_inner, n, noise_norm, nu, "
-    "omega_bar, outlier_count, outlier_magnitude, p, q, r, rate_mode, rho, s, seed, "
+    "omega_bar, outlier_count, outlier_magnitude, p, q, r, rate_mode, rho, seed, "
     "tau, tau_tilde"
 )
 
@@ -264,6 +249,46 @@ def test_unknown_override_lists_known_keys():
     with pytest.raises(ValueError) as info:
         apply_overrides(spec, {"taus": "1.2"})
     assert str(info.value) == f"unknown override 'taus'; known keys: {KNOWN_KEYS}"
+
+
+NAN = math.nan
+NAN_SOLVER = dict(space=SpaceParams(1.1, 2.0), delta=1e-3, tau=1.5)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        *(
+            pytest.param(
+                lambda name=name: SolverConfig(**{**NAN_SOLVER, name: NAN}),
+                rf"^{name} must",
+                id=name,
+            )
+            for name in ("delta", "tau", "tau_tilde", "omega_bar", "rho", "c_const", "c_alpha")
+        ),
+        pytest.param(lambda: theta_exponent(NAN, 2.0), "^nu must", id="nu"),
+        pytest.param(lambda: InnerBudget.power(NAN, 2.0), "^shift must", id="shift"),
+        pytest.param(lambda: InnerBudget.power(50.0, NAN), "needs exponent", id="exponent"),
+        pytest.param(lambda: NoiseSpec(NAN), "^delta must", id="noise_delta"),
+        pytest.param(lambda: SpaceParams(NAN, 2.0), "^p must", id="p"),
+        pytest.param(lambda: SpaceParams(1.1, NAN), "^r must", id="r"),
+        pytest.param(lambda: SpaceParams(math.inf, 2.0), "^p must", id="p_inf"),
+        pytest.param(lambda: SpaceParams(2.0, math.inf), "^r must", id="r_inf"),
+    ],
+)
+def test_non_finite_settings_fail_their_range_checks(build, message):
+    # each check is written so that NaN (and, for p and r, inf) fails it,
+    # with its own message
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_override_m_needs_a_2d_preset():
+    # a 1D preset's callables take one coordinate; a 2D one takes its m
+    with pytest.raises(ValueError, match="override 'm' needs a 2D preset"):
+        build_spec("example1", {"m": "10"})
+    spec = build_spec("example2d", {"m": "10"})
+    assert spec.grid().cells == (spec.n + 1, 11)
 
 
 def test_build_spec_rejects_unknown_preset():

@@ -112,7 +112,7 @@ def test_singular_operator_raises_2d():
     # whose integer elimination hits an exact zero pivot
     grid = Grid((3, 3))
     problem = square_problem(grid, lambda x, y: 1.0, lambda x, y: 0.0 * x)
-    base = problem._stencil_diagonal
+    base = problem._operator.stencil_diagonal
     c = GridFunction(grid, -base)
     with pytest.raises(SingularOperatorError):
         solve_state(problem, c)
@@ -131,14 +131,14 @@ def test_forward_rejects_a_non_finite_state(monkeypatch, bad):
         u[1] = bad
         return u
 
-    for name in ("_factorize_tridiagonal", "_factorize_sparse"):
-        factorize = getattr(module_forward, name)
+    for operator in (module_forward._TridiagonalOperator, module_forward._FivePointOperator):
+        factorize = operator.factorize
 
-        def poisoned_factorize(problem, c, factorize=factorize):
-            solve = factorize(problem, c)
+        def poisoned_factorize(self, c, factorize=factorize):
+            solve = factorize(self, c)
             return lambda b: poisoned(solve(b))
 
-        monkeypatch.setattr(module_forward, name, poisoned_factorize)
+        monkeypatch.setattr(operator, "factorize", poisoned_factorize)
     solve_values = module_forward.state_values
     monkeypatch.setattr(
         module_forward, "state_values", lambda problem, c: poisoned(solve_values(problem, c))
@@ -192,7 +192,7 @@ def test_sparse_operator_matches_the_literal_sum(cells):
             j = rng.integers(grid.size)
             c[j] = -stencil.diagonal()[j]
         want = (stencil + sp.diags(c)).tocsc()
-        got = module_forward._sparse_operator(problem, c)
+        got = problem._operator.matrix(c)
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -228,7 +228,7 @@ def test_import_leaves_scipy_sparse_to_the_first_2d_problem():
         "import sys\n"
         "import numpy as np\n"
         "import newton_landweber as nl\n"
-        "from newton_landweber.forward import _sparse_operator, state_values\n"
+        "from newton_landweber.forward import state_values\n"
         "assert 'scipy.sparse' not in sys.modules\n"
         "grid = nl.Grid((4,))\n"
         "problem = nl.interval_problem(grid, lambda t: 1.0, 0.0, 0.0)\n"
@@ -242,7 +242,7 @@ def test_import_leaves_scipy_sparse_to_the_first_2d_problem():
         "assert 'scipy.sparse' in sys.modules\n"
         "c = np.ones(grid.size)\n"
         "u = nl.solve_state(problem, nl.GridFunction(grid, c)).u.values\n"
-        "residual = _sparse_operator(problem, c) @ u - problem._state_rhs\n"
+        "residual = problem._operator.matrix(c) @ u - problem._state_rhs\n"
         "assert np.abs(residual).max() < 1e-12 * np.abs(problem._state_rhs).max()\n"
     )
 

@@ -54,10 +54,13 @@ def test_conjugate_exponent():
 
 def test_space_params_defaults_and_validation():
     sp = SpaceParams(1.1, 2.0)
-    assert sp.s == 2.0
     assert sp.p_star == pytest.approx(11.0)
     assert sp.s_star == pytest.approx(2.0)
-    assert SpaceParams(3.0, 4.0).s == 3.0
+    # s is derived from p, never set
+    for p in (1.1, 2.0, 3.0):
+        assert SpaceParams(p, 4.0).s == max(p, 2.0)
+    with pytest.raises(TypeError):
+        SpaceParams(1.1, 2.0, s=2.5)
     with pytest.raises(ValueError):
         SpaceParams(1.0, 2.0)
     with pytest.raises(ValueError):
@@ -267,11 +270,13 @@ def test_shifted_bregman_reduces_to_plain_at_zero_shift():
 def test_phi_shape_and_values():
     # p = s = 2: phi(lam) = 2 C lam^2 / ... both exponents collapse to 2,
     # and (p rho^2)^(1 - s*/p*) = 1, so phi(lam) = 4 C lam^2 at C = 1
-    assert phi(1.0, 1.0, 0.5, 2.0, 2.0, 2.0) == pytest.approx(4.0)
-    assert phi(0.5, 1.0, 0.5, 2.0, 2.0, 2.0) == pytest.approx(1.0)
-    assert phi(0.0, 1.0, 0.5, 2.0, 2.0, 2.0) == 0.0
+    hilbert = SpaceParams(2.0, 2.0)
+    assert phi(1.0, 1.0, 0.5, hilbert) == pytest.approx(4.0)
+    assert phi(0.5, 1.0, 0.5, hilbert) == pytest.approx(1.0)
+    assert phi(0.0, 1.0, 0.5, hilbert) == 0.0
     lams = np.linspace(0.0, 2.0, 41)
-    vals = phi(lams, 0.25, 0.5, 1.1, 11.0, 2.0)
+    # p = 1.1: p* = 11, s* = 2
+    vals = phi(lams, 0.25, 0.5, SpaceParams(1.1, 2.0))
     assert np.all(np.diff(vals) >= 0.0)
     with pytest.raises(ValueError):
-        phi(-1.0, 1.0, 0.5, 2.0, 2.0, 2.0)
+        phi(-1.0, 1.0, 0.5, hilbert)

@@ -16,7 +16,7 @@ def test_cell_centers_1d():
         assert grid.spacing == (0.25,)
         assert grid.cell_volume == 0.25
         np.testing.assert_allclose(grid.axis_coords(0), [0.125, 0.375, 0.625, 0.875])
-        assert grid.weights.sum() == pytest.approx(1.0, abs=1e-15)
+        assert grid.cell_volume * grid.size == pytest.approx(1.0)
         np.testing.assert_array_equal(GridFunction.zeros(grid).values, np.zeros(4))
 
 
@@ -29,7 +29,7 @@ def test_cell_centers_2d_ordering():
     np.testing.assert_allclose(x[:3], grid.axis_coords(0))
     np.testing.assert_allclose(y[:3], [0.25, 0.25, 0.25])
     np.testing.assert_allclose(y[3:], [0.75, 0.75, 0.75])
-    assert grid.weights.sum() == pytest.approx(1.0, abs=1e-15)
+    assert grid.cell_volume * grid.size == pytest.approx(1.0)
 
 
 def test_grid_validation():

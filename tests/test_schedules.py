@@ -29,12 +29,13 @@ def test_theta_worked_values():
 
 def test_choose_vartheta_halving_rule():
     # p = s = 2 collapses the condition to 4 C vt <= c_bar
-    assert choose_vartheta(5e-3, 1.0, 0.5, 2.0, 2.0, 2.0) == 2.0**-10
-    assert choose_vartheta(5e-3, 1.0 / 16.0, 0.5, 2.0, 2.0, 2.0) == 2.0**-6
+    hilbert = SpaceParams(2.0, 2.0)
+    assert choose_vartheta(5e-3, 1.0, 0.5, hilbert) == 2.0**-10
+    assert choose_vartheta(5e-3, 1.0 / 16.0, 0.5, hilbert) == 2.0**-6
     # a loose bound admits vt = 1 (j = 0)
-    assert choose_vartheta(4.0, 1.0, 0.5, 2.0, 2.0, 2.0) == 1.0
+    assert choose_vartheta(4.0, 1.0, 0.5, hilbert) == 1.0
     with pytest.raises(ConfigurationError):
-        choose_vartheta(1e-25, 1.0, 0.5, 2.0, 2.0, 2.0, max_halvings=8)
+        choose_vartheta(1e-25, 1.0, 0.5, hilbert, max_halvings=8)
 
 
 def test_choose_vartheta_guarantees_phi_ratio():
