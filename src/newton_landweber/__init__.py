@@ -38,9 +38,7 @@ from .forward import (
     adjoint_apply,
     derivative_apply,
     forward,
-    interval_problem,
     solve_state,
-    square_problem,
 )
 from .solver import (
     IterationLog,
@@ -94,8 +92,6 @@ __all__ = [
     "EllipticProblem",
     "ForwardEvaluation",
     "SingularOperatorError",
-    "interval_problem",
-    "square_problem",
     "solve_state",
     "forward",
     "derivative_apply",

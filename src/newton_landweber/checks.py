@@ -25,7 +25,7 @@ from .experiments import (
     make_example1,
     run_experiment,
 )
-from .forward import adjoint_apply, derivative_apply, forward, interval_problem, solve_state, square_problem
+from .forward import EllipticProblem, adjoint_apply, derivative_apply, forward, solve_state
 from .geometry import (
     SpaceParams,
     bregman,
@@ -164,8 +164,8 @@ def check_adjoint_identity(seed: int = 3) -> CheckResult:
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     problems = (
-        interval_problem(Grid((51,)), lambda t: 1.0 + t, 1.0, 2.0),
-        square_problem(Grid((13, 13)), lambda x, y: 1.0 + x * y, lambda x, y: 1.0 + x + y),
+        EllipticProblem(Grid((51,)), lambda t: 1.0 + t, lambda t: 1.0 + t),
+        EllipticProblem(Grid((13, 13)), lambda x, y: 1.0 + x * y, lambda x, y: 1.0 + x + y),
     )
     gaps = []
     for problem in problems:
@@ -178,7 +178,7 @@ def check_adjoint_identity(seed: int = 3) -> CheckResult:
             gaps.append(gap / (lp_norm(h, 2.0) * lp_norm(w, 2.0)))
     # dense oracle: assemble both operators column by column
     grid = Grid((20,))
-    problem = interval_problem(grid, lambda t: 1.0 + t, 1.0, 2.0)
+    problem = EllipticProblem(grid, lambda t: 1.0 + t, lambda t: 1.0 + t)
     ev = solve_state(problem, GridFunction(grid, 1.0 + rng.random(grid.size)))
     basis = [GridFunction(grid, e) for e in np.eye(grid.size)]
     deriv = np.column_stack([derivative_apply(ev, e).values for e in basis])
@@ -196,7 +196,7 @@ def check_adjoint_identity(seed: int = 3) -> CheckResult:
 def check_taylor_order(seed: int = 4) -> CheckResult:
     """Remainder ||F(c+th) - F(c) - t F'(c)h|| decays with fitted order >= 1.9."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    problem = interval_problem(Grid((51,)), lambda t: 1.0 + t, 1.0, 2.0)
+    problem = EllipticProblem(Grid((51,)), lambda t: 1.0 + t, lambda t: 1.0 + t)
     grid = problem.grid
     steps = np.array([1e-1, 1e-2, 1e-3, 1e-4])
     orders = []

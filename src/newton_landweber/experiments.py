@@ -1,10 +1,10 @@
 """Experiment presets, noise generation, and the end-to-end run harness.
 
 Each preset builds an :class:`ExperimentSpec` holding the problem definition
-(truth coefficient, exact state, right-hand side, boundary data), the space
-exponents, the noise recipe, and the solver settings of one named test
-case. Specs are plain frozen data: the same spec plus the same seed always
-produces the same data, the same iteration trace, and the same report.
+(truth coefficient, exact state, right-hand side), the space exponents,
+the noise recipe, and the solver settings of one named test case. Specs
+are plain frozen data: the same spec plus the same seed always produces
+the same data, the same iteration trace, and the same report.
 
 Randomness policy: all draws come from numpy's PCG64 generator seeded
 explicitly; Gaussians are produced by a Box-Muller transform of uniform
@@ -14,13 +14,14 @@ documented algorithm, not to numpy's internal ziggurat tables.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
 
-from .forward import EllipticProblem, interval_problem, square_problem
+from .forward import EllipticProblem
 from .geometry import SpaceParams, lp_norm
 from .grids import Grid, GridFunction
 from .schedules import InnerBudget
@@ -62,9 +63,13 @@ class NoiseSpec:
     outlier_magnitude: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.delta >= 0:  # written positively, so that NaN fails it
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
-        if self.outlier_count < 0:
+        # written positively, so that NaN fails them
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
+        q = self.norm_exponent
+        if q is not None and not q >= 1.0:  # inf is the max norm
+            raise ValueError(f"norm exponent must be >= 1, got {q}")
+        if not self.outlier_count >= 0:
             raise ValueError(f"outlier count must be >= 0, got {self.outlier_count}")
 
 
@@ -74,9 +79,9 @@ class ExperimentSpec:
 
     ``n`` (and ``m`` for dim 2) follow the convention of the test problems:
     the interval is divided into n+1 equal subintervals, so the grid carries
-    n+1 cells per axis. ``boundary`` is (g0, g1) for dim 1 and a callable
-    g(x, y) for dim 2. ``solver`` holds keyword overrides applied on top of
-    the :class:`SolverConfig` defaults.
+    n+1 cells per axis. ``exact_state`` is also the Dirichlet data: the
+    problem takes its trace. ``solver`` holds keyword overrides applied on
+    top of the :class:`SolverConfig` defaults.
     """
 
     name: str
@@ -84,17 +89,12 @@ class ExperimentSpec:
     truth: Callable
     exact_state: Callable
     rhs: Callable
-    boundary: tuple | Callable
     space: SpaceParams
     noise: NoiseSpec
     seed: int
     m: int | None = None
     x0: Callable | float = 0.0
     solver: dict = field(default_factory=dict)
-
-    @property
-    def dim(self) -> int:
-        return 1 if self.m is None else 2
 
     def grid(self) -> Grid:
         if self.m is None:
@@ -137,7 +137,7 @@ def generate_noise(u: GridFunction, delta: float, r: float, seed: int) -> GridFu
     PCG64 stream; a zero draw (probability zero) is redrawn. delta = 0
     returns u unchanged.
     """
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     if delta == 0.0:
         return u
@@ -157,7 +157,7 @@ def add_outliers(
     data: GridFunction, count: int, magnitude: float, seed: int
 ) -> GridFunction:
     """Add +-magnitude at ``count`` distinct nodes chosen from the seeded stream."""
-    if count < 0:
+    if not count >= 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if count == 0:
         return data
@@ -190,11 +190,7 @@ def assemble_problem(
 ) -> tuple[EllipticProblem, GridFunction, GridFunction, GridFunction]:
     """Instantiate (problem, truth, exact data, initial guess) on the grid."""
     grid = spec.grid()
-    if spec.dim == 1:
-        g0, g1 = spec.boundary
-        problem = interval_problem(grid, spec.rhs, g0, g1)
-    else:
-        problem = square_problem(grid, spec.rhs, spec.boundary)
+    problem = EllipticProblem(grid, spec.rhs, spec.exact_state)
     truth = GridFunction.from_callable(grid, spec.truth)
     exact = GridFunction.from_callable(grid, spec.exact_state)
     if callable(spec.x0):
@@ -269,7 +265,6 @@ def _sparse_example(
         truth=truth,
         exact_state=state,
         rhs=lambda t: state(t) * truth(t),
-        boundary=(1.0, 6.0),
         space=SpaceParams(p=p, r=2.0),
         noise=NoiseSpec(delta=1e-4),
         seed=seed,
@@ -311,7 +306,6 @@ def make_example3(tau: float = 1.0015, seed: int = 2) -> ExperimentSpec:
         truth=truth,
         exact_state=state,
         rhs=lambda t: state(t) * truth(t),
-        boundary=(1.0, -1.0),
         space=SpaceParams(p=2.0, r=1.1),
         noise=NoiseSpec(
             delta=1e-3,
@@ -347,7 +341,6 @@ def make_example2d(delta: float = 1e-3, r: float = 2.0, seed: int = 2) -> Experi
         truth=truth,
         exact_state=state,
         rhs=lambda x, y: state(x, y) * truth(x, y),
-        boundary=state,
         space=SpaceParams(p=1.1, r=r),
         noise=NoiseSpec(delta=delta),
         seed=seed,

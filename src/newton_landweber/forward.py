@@ -26,17 +26,21 @@ and ``forward`` scan the state once and reject a non-finite one with
 :class:`SingularOperatorError`; the :class:`GridFunction` they return
 adopts the solve's array without a second scan or a copy.
 
-Each :class:`EllipticProblem` builds one operator for its dimension, once;
-no solve path branches on the dimension after that. The operator holds the
-c-independent pieces of A(c), eliminates the boundary ghosts into the
-right-hand side, and offers ``factorize(c)``, which returns a solve, and
-``state(c, rhs)``, a one-shot solve that keeps nothing. In dim 1 the
-operator is tridiagonal: ``factorize`` is ``dgttrf`` with a ``dgttrs``
-closure, and ``state`` one ``dgtsv`` call, which gives the same bits. In
-dim 2 it is the five-point stencil, kept as the CSC pattern of A(c) so
-that an assembly only writes the diagonal, and both go through ``splu``.
-``scipy.sparse`` is imported with the first 2D problem, so 1D runs never
-load it.
+:class:`EllipticProblem` ``(grid, f, g)`` is the one problem constructor in
+either dimension: the source f is a callable or a :class:`GridFunction`,
+and the Dirichlet data g is a callable with one coordinate per axis, such
+as the exact state. Each problem builds one operator for its dimension,
+once; no solve path branches on the dimension after that. The operator
+holds the c-independent pieces of A(c), samples g on the boundary (at 0
+and 1 in dim 1, at the cell centres of the four edges in dim 2) and
+eliminates the ghosts into the right-hand side, and offers
+``factorize(c)``, which returns a solve, and ``state(c, rhs)``, a one-shot
+solve that keeps nothing. In dim 1 the operator is tridiagonal:
+``factorize`` is ``dgttrf`` with a ``dgttrs`` closure, and ``state`` one
+``dgtsv`` call, which gives the same bits. In dim 2 it is the five-point
+stencil, kept as the CSC pattern of A(c) so that an assembly only writes
+the diagonal, and both go through ``splu``. ``scipy.sparse`` is imported
+with the first 2D problem, so 1D runs never load it.
 
 The 1D path loads only scipy's compiled LAPACK extension,
 ``scipy.linalg._flapack``, from its file. Importing ``scipy.linalg`` would
@@ -67,8 +71,6 @@ __all__ = [
     "EllipticProblem",
     "ForwardEvaluation",
     "SingularOperatorError",
-    "interval_problem",
-    "square_problem",
     "solve_state",
     "forward",
     "derivative_apply",
@@ -140,14 +142,13 @@ class _TridiagonalOperator:
         self.off_diagonal = np.full(grid.size - 1, -1.0 / h**2)
         self.off_diagonal.setflags(write=False)
 
-    def boundary_terms(self, boundary: tuple) -> tuple[tuple, np.ndarray]:
-        """The traces (g0, g1) as floats, and their right-hand side terms."""
-        g0, g1 = (float(v) for v in boundary)
+    def boundary_terms(self, g: Callable) -> np.ndarray:
+        """The right-hand side terms of the traces g(0) and g(1)."""
         (h,) = self.grid.spacing
         b = np.zeros(self.grid.size)
-        b[0] += 2.0 * g0 / h**2
-        b[-1] += 2.0 * g1 / h**2
-        return (g0, g1), b
+        b[0] += 2.0 * g(0.0) / h**2
+        b[-1] += 2.0 * g(1.0) / h**2
+        return b
 
     def diagonal(self, c: np.ndarray) -> np.ndarray:
         """Main diagonal of A(c), a fresh array."""
@@ -218,23 +219,20 @@ class _FivePointOperator:
         self.diagonal_slots = slots
         self.stencil_diagonal = stencil_diagonal
 
-    def boundary_terms(self, boundary: tuple) -> tuple[tuple, np.ndarray]:
-        """The four edge traces as read-only arrays, and their right-hand side terms."""
-        nx, ny = self.grid.cells
+    def boundary_terms(self, g: Callable) -> np.ndarray:
+        """The right-hand side terms of g at the cell centres of the four edges.
+
+        A scalar g broadcasts along its edge.
+        """
+        x = self.grid.axis_coords(0)
+        y = self.grid.axis_coords(1)
         hx, hy = self.grid.spacing
-        left, right, bottom, top = (np.array(a, dtype=float) for a in boundary)
-        if left.shape != (ny,) or right.shape != (ny,):
-            raise ValueError(f"left/right traces must have length {ny}")
-        if bottom.shape != (nx,) or top.shape != (nx,):
-            raise ValueError(f"bottom/top traces must have length {nx}")
-        for a in (left, right, bottom, top):
-            a.setflags(write=False)
-        b = np.zeros((ny, nx))
-        b[:, 0] += 2.0 * left / hx**2
-        b[:, -1] += 2.0 * right / hx**2
-        b[0, :] += 2.0 * bottom / hy**2
-        b[-1, :] += 2.0 * top / hy**2
-        return (left, right, bottom, top), b.ravel()
+        b = np.zeros((y.size, x.size))
+        b[:, 0] += 2.0 * g(np.zeros_like(y), y) / hx**2
+        b[:, -1] += 2.0 * g(np.ones_like(y), y) / hx**2
+        b[0, :] += 2.0 * g(x, np.zeros_like(x)) / hy**2
+        b[-1, :] += 2.0 * g(x, np.ones_like(x)) / hy**2
+        return b.ravel()
 
     def matrix(self, c: np.ndarray) -> sp.csc_matrix:
         """A(c), with the bits of ``(stencil + diags(c)).tocsc()``.
@@ -275,18 +273,19 @@ class _FivePointOperator:
 
 @dataclass(frozen=True)
 class EllipticProblem:
-    """Geometry, source term and Dirichlet data of the state equation.
+    """The state equation -Laplace(u) + c u = f on (0,1)^dim with trace u = g.
 
-    ``boundary`` is (g0, g1) for dim 1; for dim 2 a tuple of four arrays
-    (left, right, bottom, top) holding the trace sampled at the cell centers
-    of each edge. ``boundary_rhs`` is the eliminated-ghost contribution to the
-    right-hand side. It, the summed right-hand side ``rhs + boundary_rhs`` and
-    the operator A(c) of the grid's dimension are fixed once per problem.
+    ``rhs`` is f, a :class:`GridFunction` on ``grid`` or a callable that is
+    sampled at the cell centres. ``boundary`` is the Dirichlet data g, a
+    callable with one coordinate per axis; the operator samples it once.
+    ``boundary_rhs`` is the eliminated-ghost contribution to the right-hand
+    side. It, the summed right-hand side ``rhs + boundary_rhs`` and the
+    operator A(c) of the grid's dimension are fixed once per problem.
     """
 
     grid: Grid
-    rhs: GridFunction
-    boundary: tuple
+    rhs: GridFunction | Callable
+    boundary: Callable
     boundary_rhs: np.ndarray = field(init=False, repr=False, compare=False)
     _state_rhs: np.ndarray = field(init=False, repr=False, compare=False)
     _operator: _TridiagonalOperator | _FivePointOperator = field(
@@ -294,49 +293,20 @@ class EllipticProblem:
     )
 
     def __post_init__(self) -> None:
+        if not isinstance(self.rhs, GridFunction):
+            object.__setattr__(self, "rhs", GridFunction.from_callable(self.grid, self.rhs))
         if self.rhs.grid != self.grid:
             raise GridMismatchError("rhs sampled on a different grid")
         # the one branch on the dimension
         operator_type = _TridiagonalOperator if self.grid.dim == 1 else _FivePointOperator
         operator = operator_type(self.grid)
-        boundary, b = operator.boundary_terms(self.boundary)
+        b = operator.boundary_terms(self.boundary)
         b.setflags(write=False)
         state_rhs = self.rhs.values + b
         state_rhs.setflags(write=False)
-        object.__setattr__(self, "boundary", boundary)
         object.__setattr__(self, "boundary_rhs", b)
         object.__setattr__(self, "_state_rhs", state_rhs)
         object.__setattr__(self, "_operator", operator)
-
-
-def interval_problem(
-    grid: Grid, f: Callable | GridFunction, g0: float, g1: float
-) -> EllipticProblem:
-    """State equation -u'' + c u = f on (0,1) with u(0) = g0, u(1) = g1."""
-    if grid.dim != 1:
-        raise ValueError("interval_problem needs a 1-d grid")
-    if not isinstance(f, GridFunction):
-        f = GridFunction.from_callable(grid, f)
-    return EllipticProblem(grid, f, (g0, g1))
-
-
-def square_problem(
-    grid: Grid, f: Callable | GridFunction, g: Callable
-) -> EllipticProblem:
-    """State equation -Laplace(u) + c u = f on (0,1)^2 with trace u = g."""
-    if grid.dim != 2:
-        raise ValueError("square_problem needs a 2-d grid")
-    if not isinstance(f, GridFunction):
-        f = GridFunction.from_callable(grid, f)
-    x = grid.axis_coords(0)
-    y = grid.axis_coords(1)
-    boundary = (
-        g(np.zeros_like(y), y),
-        g(np.ones_like(y), y),
-        g(x, np.zeros_like(x)),
-        g(x, np.ones_like(x)),
-    )
-    return EllipticProblem(grid, f, boundary)
 
 
 class ForwardEvaluation(NamedTuple):

@@ -43,7 +43,7 @@ __all__ = [
 
 def conjugate_exponent(q: float) -> float:
     """Hoelder conjugate q* = q / (q - 1) for q > 1."""
-    if q <= 1.0:
+    if not q > 1.0:  # written positively, so that NaN fails it
         raise ValueError(f"conjugate exponent needs q > 1, got {q}")
     return q / (q - 1.0)
 
@@ -146,7 +146,7 @@ def bregman_values(
 
 def lp_norm(f: GridFunction, q: float) -> float:
     """Weighted discrete L^q norm, (sum_i w_i |f_i|^q)^(1/q)."""
-    if q < 1.0:
+    if not q >= 1.0:  # written positively, so that NaN fails it
         raise ValueError(f"norm exponent must be >= 1, got {q}")
     return lp_norm_values(f.values, q, f.grid.cell_volume)
 
@@ -164,7 +164,7 @@ def duality_map(f: GridFunction, q: float) -> GridFunction:
     For q = 2 this is the identity (returned as-is, no pow round-off). Zero
     maps to zero for every q > 1.
     """
-    if q <= 1.0:
+    if not q > 1.0:  # written positively, so that NaN fails it
         raise ValueError(f"duality map needs q > 1, got {q}")
     if q == 2.0:
         return f
@@ -178,7 +178,7 @@ def inverse_duality_map(g: GridFunction, q: float) -> GridFunction:
 
 def bregman(x_new: GridFunction, x: GridFunction, p: float) -> float:
     """Bregman distance of (1/p)||.||_p^p from x to x_new (see bregman_values)."""
-    if p <= 1.0:
+    if not p > 1.0:  # written positively, so that NaN fails it
         raise ValueError(f"bregman needs p > 1, got {p}")
     if x_new.grid != x.grid:
         raise GridMismatchError(f"grids differ: {x_new.grid.cells} vs {x.grid.cells}")

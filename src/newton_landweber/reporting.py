@@ -18,8 +18,6 @@ from .solver import IterationLog
 __all__ = [
     "ITERATION_COLUMNS",
     "SUMMARY_COLUMNS",
-    "SOLUTION_COLUMNS_1D",
-    "SOLUTION_COLUMNS_2D",
     "write_iterations",
     "write_solution",
     "write_run",
@@ -52,8 +50,6 @@ SUMMARY_COLUMNS = [
     "reason",
     "wall_ms",
 ]
-SOLUTION_COLUMNS_1D = ["x", "c_true", "c_rec"]
-SOLUTION_COLUMNS_2D = ["x", "y", "c_true", "c_rec"]
 
 
 def _cell(value) -> str:
@@ -105,17 +101,10 @@ def write_summary_rows(path: str, reports: Iterable[RunReport]) -> None:
 
 
 def write_solution(path: str, report: RunReport) -> None:
-    """Node coordinates with the true and reconstructed coefficient."""
+    """Node coordinates (one column per axis) with the true and reconstructed coefficient."""
     grid = report.truth.grid
-    coords = grid.coords()
-    truth = report.truth.values
-    rec = report.result.final.values
-    if grid.dim == 1:
-        header = SOLUTION_COLUMNS_1D
-        rows = zip(coords[0], truth, rec)
-    else:
-        header = SOLUTION_COLUMNS_2D
-        rows = zip(coords[0], coords[1], truth, rec)
+    header = ["x", "y"][: grid.dim] + ["c_true", "c_rec"]
+    rows = zip(*grid.coords(), report.truth.values, report.result.final.values)
     _write_rows(path, header, ([float(v) for v in row] for row in rows))
 
 

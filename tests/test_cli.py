@@ -6,12 +6,12 @@ import pytest
 
 from newton_landweber import cli
 from newton_landweber.checks import ALL_CHECKS
-from newton_landweber.reporting import (
-    ITERATION_COLUMNS,
-    SOLUTION_COLUMNS_1D,
-    SOLUTION_COLUMNS_2D,
-    SUMMARY_COLUMNS,
-)
+
+# the CSV headers, written out as the README shows them
+ITERATION_HEADER = ["n", "k", "t", "t_tilde", "omega", "alpha", "r_n", "F_residual", "d2", "gamma"]
+SUMMARY_HEADER = [
+    "preset", "p", "r", "delta", "seed", "n_star", "N_p", "err_L2", "err_Lp", "reason", "wall_ms"
+]
 
 SMALL = ["--override", "n=60", "--override", "max_total_inner=150"]
 LABEL = "example1_p1.1_r2_delta0.0001_tau1.02_seed2"
@@ -29,12 +29,12 @@ def test_run_writes_csvs(tmp_path, capsys):
     assert "example1:" in out and "wrote" in out
     rundir = tmp_path / LABEL
     assert rundir.is_dir()
-    assert read_rows(rundir / "iterations.csv")[0] == ITERATION_COLUMNS
-    assert read_rows(rundir / "summary.csv")[0] == SUMMARY_COLUMNS
-    assert read_rows(rundir / "solution.csv")[0] == SOLUTION_COLUMNS_1D
+    assert read_rows(rundir / "iterations.csv")[0] == ITERATION_HEADER
+    assert read_rows(rundir / "summary.csv")[0] == SUMMARY_HEADER
+    assert read_rows(rundir / "solution.csv")[0] == ["x", "c_true", "c_rec"]
     summary = read_rows(rundir / "summary.csv")
     assert len(summary) == 2
-    row = dict(zip(SUMMARY_COLUMNS, summary[1]))
+    row = dict(zip(SUMMARY_HEADER, summary[1]))
     assert row["preset"] == "example1"
     assert row["seed"] == "2"
     # one iteration row per recorded inner step
@@ -49,7 +49,7 @@ def test_run_2d_solution_columns(tmp_path):
     ])
     assert code == 0
     (rundir,) = [d for d in tmp_path.iterdir() if d.is_dir()]
-    assert read_rows(rundir / "solution.csv")[0] == SOLUTION_COLUMNS_2D
+    assert read_rows(rundir / "solution.csv")[0] == ["x", "y", "c_true", "c_rec"]
 
 
 def test_outdir_env_var(tmp_path, monkeypatch, capsys):
@@ -104,10 +104,10 @@ def test_unknown_override_key(tmp_path, capsys):
     assert "unknown override" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override", ["tau=nan", "m=10"])
+@pytest.mark.parametrize("override", ["tau=nan", "m=10", "noise_norm=nan"])
 def test_invalid_override_value_exit_code(tmp_path, capsys, override):
     # a NaN setting and a 1D preset given m are configuration errors, not
-    # failed runs
+    # failed runs (a NaN noise norm would redraw the noise forever)
     code = cli.main(["run", "--preset", "example1", "--out", str(tmp_path),
                      "--override", override])
     assert code == 2
@@ -152,7 +152,7 @@ def test_outputs_are_byte_identical_across_reruns(tmp_path):
     # the summary differs only in wall-clock time
     rows_a = read_rows(dir_a / "summary.csv")
     rows_b = read_rows(dir_b / "summary.csv")
-    wall = SUMMARY_COLUMNS.index("wall_ms")
+    wall = SUMMARY_HEADER.index("wall_ms")
     for ra, rb in zip(rows_a, rows_b):
         masked_a = ra[:wall] + ra[wall + 1:]
         masked_b = rb[:wall] + rb[wall + 1:]
@@ -167,7 +167,7 @@ def test_sweep_merges_summaries(tmp_path, capsys):
     ])
     assert code == 0
     merged = read_rows(tmp_path / "sweep_summary.csv")
-    assert merged[0] == SUMMARY_COLUMNS
+    assert merged[0] == SUMMARY_HEADER
     assert len(merged) == 5  # header + 2x2 combinations
     # unlabeled swept keys are tagged onto the directory name
     dirs = sorted(d.name for d in tmp_path.iterdir() if d.is_dir())

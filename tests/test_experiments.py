@@ -12,9 +12,13 @@ from newton_landweber import (
     SpaceParams,
     add_outliers,
     apply_overrides,
+    bregman,
     build_spec,
     compute_error,
+    conjugate_exponent,
+    duality_map,
     generate_noise,
+    lp_norm,
     make_example1,
     make_example2,
     make_example3,
@@ -34,7 +38,7 @@ from newton_landweber.schedules import InnerBudget, choose_vartheta, theta_expon
 def test_example1_pins():
     spec = make_example1()
     assert spec.n == 400
-    assert spec.dim == 1
+    assert spec.grid().dim == 1
     assert spec.grid().cells == (401,)
     assert spec.space.p == 1.1
     assert spec.space.r == 2.0
@@ -45,7 +49,7 @@ def test_example1_pins():
     t = np.array([0.35, 0.65, 0.5, 0.0])
     np.testing.assert_allclose(spec.truth(t), [0.5, 1.0, 0.0, 0.0])
     assert spec.exact_state(np.array(0.2)) == pytest.approx(2.0)
-    assert spec.boundary == (1.0, 6.0)
+    assert (spec.exact_state(0.0), spec.exact_state(1.0)) == (1.0, 6.0)
     # inner allowance coefficient a_0 = 50^-2
     assert spec.solver["inner_budget"].coefficient(0) == pytest.approx(4e-4)
 
@@ -77,7 +81,7 @@ def test_example3_pins():
 
 def test_example2d_pins():
     spec = make_example2d()
-    assert spec.dim == 2
+    assert spec.grid().dim == 2
     assert (spec.n, spec.m) == (30, 30)
     assert spec.grid().cells == (31, 31)
     assert spec.space.p == 1.1
@@ -253,6 +257,7 @@ def test_unknown_override_lists_known_keys():
 
 NAN = math.nan
 NAN_SOLVER = dict(space=SpaceParams(1.1, 2.0), delta=1e-3, tau=1.5)
+ONES = GridFunction.constant(Grid((8,)), 1.0)
 
 
 @pytest.mark.parametrize(
@@ -270,6 +275,22 @@ NAN_SOLVER = dict(space=SpaceParams(1.1, 2.0), delta=1e-3, tau=1.5)
         pytest.param(lambda: InnerBudget.power(NAN, 2.0), "^shift must", id="shift"),
         pytest.param(lambda: InnerBudget.power(50.0, NAN), "needs exponent", id="exponent"),
         pytest.param(lambda: NoiseSpec(NAN), "^delta must", id="noise_delta"),
+        pytest.param(lambda: NoiseSpec(math.inf), "^delta must", id="noise_delta_inf"),
+        pytest.param(
+            lambda: NoiseSpec(1e-3, norm_exponent=NAN), "^norm exponent must", id="noise_norm"
+        ),
+        pytest.param(
+            lambda: NoiseSpec(1e-3, outlier_count=NAN), "^outlier count must", id="outlier_count"
+        ),
+        pytest.param(lambda: conjugate_exponent(NAN), "^conjugate exponent needs", id="conjugate"),
+        pytest.param(lambda: lp_norm(ONES, NAN), "^norm exponent must", id="lp_norm"),
+        pytest.param(lambda: duality_map(ONES, NAN), "^duality map needs", id="duality_map"),
+        pytest.param(lambda: bregman(ONES, ONES, NAN), "^bregman needs", id="bregman"),
+        pytest.param(lambda: generate_noise(ONES, NAN, 2.0, 0), "^delta must", id="noise_level"),
+        pytest.param(
+            lambda: generate_noise(ONES, 1e-3, NAN, 0), "^norm exponent must", id="noise_exponent"
+        ),
+        pytest.param(lambda: add_outliers(ONES, NAN, 1.0, 0), "^count must", id="add_outliers"),
         pytest.param(lambda: SpaceParams(NAN, 2.0), "^p must", id="p"),
         pytest.param(lambda: SpaceParams(1.1, NAN), "^r must", id="r"),
         pytest.param(lambda: SpaceParams(math.inf, 2.0), "^p must", id="p_inf"),
@@ -277,8 +298,8 @@ NAN_SOLVER = dict(space=SpaceParams(1.1, 2.0), delta=1e-3, tau=1.5)
     ],
 )
 def test_non_finite_settings_fail_their_range_checks(build, message):
-    # each check is written so that NaN (and, for p and r, inf) fails it,
-    # with its own message
+    # each check is written so that NaN (and, for p, r and the noise level,
+    # inf) fails it, with its own message
     with pytest.raises(ValueError, match=message):
         build()
 

@@ -22,9 +22,7 @@ from newton_landweber import (
     adjoint_apply,
     derivative_apply,
     forward,
-    interval_problem,
     solve_state,
-    square_problem,
 )
 from newton_landweber.forward import NON_FINITE_STATE, state_values
 
@@ -38,7 +36,7 @@ def test_affine_state_exact_1d():
     grid = Grid((80,))
     u = lambda t: 1.0 + 5.0 * t  # noqa: E731
     c = lambda t: 2.0 + np.sin(t)  # noqa: E731
-    problem = interval_problem(grid, lambda t: c(t) * u(t), 1.0, 6.0)
+    problem = EllipticProblem(grid, lambda t: c(t) * u(t), u)
     got = forward(problem, GridFunction.from_callable(grid, c))
     np.testing.assert_allclose(got.values, u(grid.axis_coords(0)), rtol=0, atol=1e-10)
 
@@ -47,11 +45,22 @@ def test_affine_state_exact_2d():
     grid = Grid((12, 12))
     u = lambda x, y: 1.0 + x + y  # noqa: E731
     c = lambda x, y: 1.0 + x * x * y  # noqa: E731
-    problem = square_problem(grid, lambda x, y: c(x, y) * u(x, y), u)
+    problem = EllipticProblem(grid, lambda x, y: c(x, y) * u(x, y), u)
     cf = GridFunction.from_callable(grid, c)
     got = forward(problem, cf)
     xs, ys = grid.coords()
     np.testing.assert_allclose(got.values, u(xs, ys), rtol=0, atol=1e-10)
+
+
+def test_scalar_dirichlet_data_broadcasts_along_the_edges():
+    # g may return a scalar: it gives the bits of the array-valued g
+    grid = Grid((9, 7))
+    f = lambda x, y: 1.0 + x * y  # noqa: E731
+    scalar = EllipticProblem(grid, f, lambda x, y: 1.0)
+    array = EllipticProblem(grid, f, lambda x, y: 1.0 + 0.0 * x)
+    assert scalar.boundary_rhs.tobytes() == array.boundary_rhs.tobytes()
+    c = GridFunction.constant(grid, 1.0)
+    assert forward(scalar, c).values.tobytes() == forward(array, c).values.tobytes()
 
 
 def test_x_only_2d_problem_reproduces_1d_state():
@@ -64,13 +73,16 @@ def test_x_only_2d_problem_reproduces_1d_state():
     f = lambda x: 2.0 + np.sin(3.0 * x)  # noqa: E731
     line = Grid((41,))
     u_line = forward(
-        interval_problem(line, f, g0, g1), GridFunction.from_callable(line, c)
+        EllipticProblem(line, f, lambda t: g0 + (g1 - g0) * t),
+        GridFunction.from_callable(line, c),
     ).values
     grid = Grid((41, 17))
     ny = grid.cells[1]
-    boundary = (np.full(ny, g0), np.full(ny, g1), u_line, u_line)
+    # g0 and g1 at x = 0 and 1, the 1D state at the cell centres in x
+    nodes = [0.0, *line.axis_coords(0), 1.0]
+    trace = [g0, *u_line, g1]
     problem = EllipticProblem(
-        grid, GridFunction.from_callable(grid, lambda x, y: f(x)), boundary
+        grid, lambda x, y: f(x), lambda x, y: np.interp(x, nodes, trace)
     )
     got = forward(problem, GridFunction.from_callable(grid, lambda x, y: c(x)))
     rows = got.values.reshape(ny, -1)
@@ -87,7 +99,7 @@ def test_second_order_convergence():
     errors = []
     for n in (32, 64):
         grid = Grid((n,))
-        problem = interval_problem(grid, f, 0.0, 0.0)
+        problem = EllipticProblem(grid, f, lambda t: 0.0)
         got = forward(problem, GridFunction.from_callable(grid, c))
         errors.append(np.max(np.abs(got.values - u(grid.axis_coords(0)))))
     ratio = errors[0] / errors[1]
@@ -99,7 +111,7 @@ def test_singular_operator_raises_1d():
     # the discrete operator; all entries are integers so the zero pivot is hit
     # exactly during elimination
     grid = Grid((4,))
-    problem = interval_problem(grid, lambda t: 1.0, 0.0, 0.0)
+    problem = EllipticProblem(grid, lambda t: 1.0, lambda t: 0.0)
     c = GridFunction(grid, [-32.0, 0.0, 0.0, -32.0])
     with pytest.raises(SingularOperatorError):
         solve_state(problem, c)
@@ -111,7 +123,7 @@ def test_singular_operator_raises_2d():
     # cancelling the diagonal leaves the (singular) grid-adjacency matrix,
     # whose integer elimination hits an exact zero pivot
     grid = Grid((3, 3))
-    problem = square_problem(grid, lambda x, y: 1.0, lambda x, y: 0.0 * x)
+    problem = EllipticProblem(grid, lambda x, y: 1.0, lambda x, y: 0.0 * x)
     base = problem._operator.stencil_diagonal
     c = GridFunction(grid, -base)
     with pytest.raises(SingularOperatorError):
@@ -144,8 +156,8 @@ def test_forward_rejects_a_non_finite_state(monkeypatch, bad):
         module_forward, "state_values", lambda problem, c: poisoned(solve_values(problem, c))
     )
     problems = (
-        interval_problem(Grid((8,)), lambda t: 1.0, 0.0, 1.0),
-        square_problem(Grid((4, 3)), lambda x, y: 1.0, lambda x, y: x + y),
+        EllipticProblem(Grid((8,)), lambda t: 1.0, lambda t: t),
+        EllipticProblem(Grid((4, 3)), lambda x, y: 1.0, lambda x, y: x + y),
     )
     for problem in problems:
         c = GridFunction.constant(problem.grid, 1.0)
@@ -181,7 +193,7 @@ def test_sparse_operator_matches_the_literal_sum(cells):
     # so the same SuperLU solve, also where a diagonal entry cancels exactly
     # and the sum drops it
     grid = Grid(cells)
-    problem = square_problem(grid, lambda x, y: 1.0 + x * y, lambda x, y: x - y)
+    problem = EllipticProblem(grid, lambda x, y: 1.0 + x * y, lambda x, y: x - y)
     stencil = _literal_stencil(grid)
     rng = np.random.default_rng(7)
     for i in range(40):
@@ -231,14 +243,14 @@ def test_import_leaves_scipy_sparse_to_the_first_2d_problem():
         "from newton_landweber.forward import state_values\n"
         "assert 'scipy.sparse' not in sys.modules\n"
         "grid = nl.Grid((4,))\n"
-        "problem = nl.interval_problem(grid, lambda t: 1.0, 0.0, 0.0)\n"
+        "problem = nl.EllipticProblem(grid, lambda t: 1.0, lambda t: 0.0)\n"
         "c = np.ones(grid.size)\n"
         "nl.solve_state(problem, nl.GridFunction(grid, c))\n"
         "state_values(problem, c)\n"
         "for name in ('scipy.sparse', 'scipy.linalg', 'numpy.f2py'):\n"
         "    assert name not in sys.modules, name\n"
         "grid = nl.Grid((3, 3))\n"
-        "problem = nl.square_problem(grid, lambda x, y: 1.0, lambda x, y: 0.0 * x)\n"
+        "problem = nl.EllipticProblem(grid, lambda x, y: 1.0, lambda x, y: 0.0 * x)\n"
         "assert 'scipy.sparse' in sys.modules\n"
         "c = np.ones(grid.size)\n"
         "u = nl.solve_state(problem, nl.GridFunction(grid, c)).u.values\n"
@@ -278,9 +290,9 @@ def test_state_values_matches_forward(cells):
     grid = Grid(cells)
     c = 1.0 + np.random.default_rng(3).random(grid.size)
     if grid.dim == 1:
-        problem = interval_problem(grid, lambda t: 1.0 + t, 0.5, -1.0)
+        problem = EllipticProblem(grid, lambda t: 1.0 + t, lambda t: 0.5 - 1.5 * t)
     else:
-        problem = square_problem(grid, lambda x, y: 1.0 + x * y, lambda x, y: x - y)
+        problem = EllipticProblem(grid, lambda x, y: 1.0 + x * y, lambda x, y: x - y)
     got = state_values(problem, c)
     assert got.tobytes() == forward(problem, GridFunction(grid, c)).values.tobytes()
     assert got.tobytes() == solve_state(problem, GridFunction(grid, c)).u.values.tobytes()
@@ -303,7 +315,7 @@ def test_state_values_matches_dgttrf_where_it_pivots(n):
     # dgttrs assembly, on coefficients that force row interchanges (c down
     # to -4/h^2 cancels the diagonal) and on coefficients over eight decades
     grid = Grid((n,))
-    problem = interval_problem(grid, lambda t: 1.0 + t, 0.5, -1.0)
+    problem = EllipticProblem(grid, lambda t: 1.0 + t, lambda t: 0.5 - 1.5 * t)
     (h,) = grid.spacing
     off = np.full(n - 1, -1.0 / h**2)
     rhs = problem.rhs.values + problem.boundary_rhs
@@ -327,7 +339,7 @@ def test_state_values_matches_dgttrf_where_it_pivots(n):
 
 
 def test_grid_mismatch_rejected():
-    problem = interval_problem(Grid((8,)), lambda t: 1.0, 0.0, 0.0)
+    problem = EllipticProblem(Grid((8,)), lambda t: 1.0, lambda t: 0.0)
     other = GridFunction.constant(Grid((9,)), 1.0)
     with pytest.raises(GridMismatchError):
         solve_state(problem, other)
@@ -342,7 +354,7 @@ def test_forward_positive_coefficient_state_bounded():
     # with f = 0 and positive boundary data the state stays between the
     # boundary values (discrete maximum principle for c >= 0)
     grid = Grid((40,))
-    problem = interval_problem(grid, lambda t: 0.0, 1.0, 2.0)
+    problem = EllipticProblem(grid, lambda t: 0.0, lambda t: 1.0 + t)
     got = forward(problem, GridFunction.constant(grid, 0.0))
     assert np.all(got.values >= 1.0 - 1e-12)
     assert np.all(got.values <= 2.0 + 1e-12)

@@ -7,6 +7,7 @@ import pytest
 
 from newton_landweber import (
     ConfigurationError,
+    EllipticProblem,
     Grid,
     GridFunction,
     GridMismatchError,
@@ -16,12 +17,10 @@ from newton_landweber import (
     build_spec,
     forward,
     generate_noise,
-    interval_problem,
     lp_norm,
     make_example1,
     run,
     shifted_bregman,
-    square_problem,
 )
 from newton_landweber import solver
 from newton_landweber.experiments import assemble_problem, make_data
@@ -33,7 +32,7 @@ def small_problem(n=50, g0=1.0, g1=2.0):
     truth = GridFunction.from_callable(grid, lambda t: 1.0 + 0.5 * t)
     state = lambda t: g0 + (g1 - g0) * t  # noqa: E731
     rhs = lambda t: state(t) * (1.0 + 0.5 * t)  # noqa: E731
-    problem = interval_problem(grid, rhs, g0, g1)
+    problem = EllipticProblem(grid, rhs, state)
     exact = GridFunction.from_callable(grid, state)
     return problem, truth, exact
 
@@ -241,7 +240,7 @@ def test_non_finite_iterate_reported_not_raised():
 
 def square_test_problem():
     grid = Grid((9, 7))
-    problem = square_problem(grid, lambda x, y: 1.0 + x * y, lambda x, y: 1.0 + x + y)
+    problem = EllipticProblem(grid, lambda x, y: 1.0 + x * y, lambda x, y: 1.0 + x + y)
     truth = GridFunction.from_callable(grid, lambda x, y: 1.0 + 0.5 * x)
     return problem, truth, forward(problem, truth)
 
@@ -310,7 +309,7 @@ def test_alpha_floor_overflow_reported_not_raised():
     # at r = 10 a residual near 1e31 overflows the power of the alpha floor:
     # the floor is infinite, alpha is capped at 1, and the run stops cleanly
     grid = Grid((50,))
-    problem = interval_problem(grid, GridFunction.constant(grid, 1.0), 0.0, 0.0)
+    problem = EllipticProblem(grid, GridFunction.constant(grid, 1.0), lambda t: 0.0)
     data = GridFunction.from_callable(grid, lambda t: np.sin(np.pi * t) * 10**30.85)
     config = SolverConfig(
         space=SpaceParams(2.0, 10.0), delta=1e-3, tau=1.5,
