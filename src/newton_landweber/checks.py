@@ -247,12 +247,9 @@ def step_bound_audit(log: IterationLog, config: SolverConfig) -> CheckResult:
     previous loop's last weight (the first at alpha00) and its first step
     uses it. A broken inequality counts as an excess of 1.
     """
-    records = log.records
+    omega, alpha, t, t_tilde = (log.column(name) for name in ("omega", "alpha", "t", "t_tilde"))
     worst = 0.0
-    if records:
-        omega, alpha, t, t_tilde = np.array(
-            [(rec.omega, rec.alpha, rec.t, rec.t_tilde) for rec in records]
-        ).T
+    if alpha.size:
         bound = config.vartheta * config.omega_bar
         if not np.all((omega > 0.0) & (omega <= bound) & (alpha > 0.0) & (alpha <= 1.0)):
             worst = 1.0
@@ -262,11 +259,11 @@ def step_bound_audit(log: IterationLog, config: SolverConfig) -> CheckResult:
         worst = _worst([worst, excess])
     carried, first = config.alpha00, 0
     for outer in log.outer:
-        if outer.alpha_start != carried or (outer.steps and records[first].alpha != carried):
+        if outer.alpha_start != carried or (outer.steps and alpha[first] != carried):
             worst = max(worst, 1.0)
         carried, first = outer.alpha_end, first + outer.steps
     return CheckResult(
-        "step bounds", worst <= 1e-12, f"{len(records)} steps audited, worst excess {worst:.2e}"
+        "step bounds", worst <= 1e-12, f"{alpha.size} steps audited, worst excess {worst:.2e}"
     )
 
 

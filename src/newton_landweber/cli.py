@@ -21,7 +21,7 @@ import sys
 
 from .checks import run_checks
 from .experiments import PRESETS, ExperimentSpec, RunReport, build_spec, run_experiment
-from .reporting import write_run, write_summary_rows
+from .reporting import summary_row, write_run, write_summary_rows
 
 ENV_OUT = "NEWTON_LANDWEBER_OUT"
 
@@ -136,7 +136,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     preset, base = _gather_overrides(args)
     axes = _parse_vary(args.vary)
     outdir = resolve_outdir(args.out)
-    reports = []
+    # a run's summary row, not its report, so that a sweep holds one run at a time
+    rows = []
     failed = 0
     for combo in itertools.product(*(options for _, options in axes)):
         overrides = dict(base)
@@ -147,14 +148,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if key not in LABEL_KEYS
         )
         report, rundir = _execute(preset, overrides, outdir, extra)
-        reports.append(report)
+        rows.append(summary_row(report))
         print(_report_line(report) + f"  [{rundir}]")
         failed += report.result.failed
     merged = os.path.join(outdir, "sweep_summary.csv")
-    write_summary_rows(merged, reports)
+    write_summary_rows(merged, rows)
     print(f"wrote {merged}")
     if failed:
-        print(f"{failed} of {len(reports)} runs failed", file=sys.stderr)
+        print(f"{failed} of {len(rows)} runs failed", file=sys.stderr)
         return 1
     return 0
 

@@ -71,6 +71,9 @@ class NoiseSpec:
             raise ValueError(f"norm exponent must be >= 1, got {q}")
         if not self.outlier_count >= 0:
             raise ValueError(f"outlier count must be >= 0, got {self.outlier_count}")
+        m = self.outlier_magnitude
+        if m is not None and not math.isfinite(m):
+            raise ValueError(f"outlier_magnitude must be finite or None, got {m}")
 
 
 @dataclass(frozen=True)
@@ -427,7 +430,10 @@ def apply_overrides(spec: ExperimentSpec, overrides: dict[str, str]) -> Experime
                 f"unknown override {key!r}; known keys: {', '.join(sorted(_OVERRIDES))}"
             )
         part, name, parse = _OVERRIDES[key]
-        changes[part][name] = parse(str(raw).strip())
+        try:
+            changes[part][name] = parse(str(raw).strip())
+        except ValueError as exc:
+            raise ValueError(f"override {key!r}: {exc}") from exc
 
     spec_changes = changes["spec"]
     if "m" in spec_changes and spec.m is None:

@@ -1,9 +1,11 @@
 """CSV emission: per-step iteration traces, run summaries, solution profiles.
 
-All floats are written with ``repr`` (shortest round-trip form), so output is
-byte-identical across runs of the same seed. The lone exception is wall-clock
-time in the summary, which is inherently nondeterministic and formatted to
-three decimals; consumers comparing outputs should mask that column.
+Every value is a Python int, float, str or None, and the csv module writes a
+float with ``repr`` (shortest round-trip form) and None as an empty cell, so
+output is byte-identical across runs of the same seed. The lone exception is
+wall-clock time in the summary, which is inherently nondeterministic and
+formatted to three decimals; consumers comparing outputs should mask that
+column.
 """
 
 from __future__ import annotations
@@ -52,27 +54,20 @@ SUMMARY_COLUMNS = [
 ]
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_rows(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
+    """Rows of Python values: the csv module writes a float as its ``repr``, None as empty."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(rows)
 
 
 def write_iterations(path: str, log: IterationLog) -> None:
     """One row per inner step, in execution order.
 
     The columns are the leading fields of :class:`IterationRecord`, in its
-    field order.
+    field order. The records are built from the log's blocks one at a time,
+    as the rows are written.
     """
     width = len(ITERATION_COLUMNS)
     _write_rows(path, ITERATION_COLUMNS, (rec[:width] for rec in log.records))
@@ -95,9 +90,9 @@ def summary_row(report: RunReport) -> list:
     ]
 
 
-def write_summary_rows(path: str, reports: Iterable[RunReport]) -> None:
-    """Summary CSV, one row per run (one for a run, all of them for a sweep)."""
-    _write_rows(path, SUMMARY_COLUMNS, (summary_row(r) for r in reports))
+def write_summary_rows(path: str, rows: Iterable[list]) -> None:
+    """Summary CSV from ``summary_row`` rows: one for a run, all of them for a sweep."""
+    _write_rows(path, SUMMARY_COLUMNS, rows)
 
 
 def write_solution(path: str, report: RunReport) -> None:
@@ -117,6 +112,6 @@ def write_run(outdir: str, report: RunReport) -> dict[str, str]:
         "solution": os.path.join(outdir, "solution.csv"),
     }
     write_iterations(paths["iterations"], report.result.log)
-    write_summary_rows(paths["summary"], [report])
+    write_summary_rows(paths["summary"], [summary_row(report)])
     write_solution(paths["solution"], report)
     return paths

@@ -25,20 +25,24 @@ non-finite values are scalars: a step tests the norm t of its new
 linearized residual, and the residual check the norm of F(z) - y_delta.
 Every exit of either loop sets its reasons where the loop leaves.
 
-A step computes only what steers the iteration. Its record, with the
-Bregman diagnostic d2 = D_p(truth - x0, z_{n,k} - x0) and gamma =
-d2 alpha^-theta, which steer nothing, is built afterwards: ``run()``
+A step computes only what steers the iteration. Its row of the log, with
+the Bregman diagnostic d2 = D_p(truth - x0, z_{n,k} - x0) and gamma =
+d2 alpha^-theta, which steer nothing, is written afterwards: ``run()``
 queues each step's scalars and the shift z_{n,k} - x0 of its iterate and
-computes d2 for blocks of RECORD_BLOCK = 32 steps in one pass. Every way
-out of the loops (the discrepancy principle, a budget, the refinement, a
-failure) goes through one exit that flushes the queue, so every record is
-in ``log.records``.
+computes d2 for blocks of RECORD_BLOCK = 32 steps in one pass, then packs
+the block's rows into one numpy array of STEP_DTYPE, about 90 bytes a
+step. ``log.records`` reads them back as :class:`IterationRecord` tuples,
+built one at a time on access. Every way out of the loops (the discrepancy
+principle, a budget, the refinement, a failure) goes through one exit that
+flushes the queue, so every step is in the log.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import operator
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -99,10 +103,26 @@ REASON_DISCREPANCY = "discrepancy"
 REASON_OUTER_BUDGET = "outer budget"
 REASON_TOTAL_INNER = "total inner budget"
 
-# steps whose records are built together, with one Bregman pass over the
-# block; the fastest of 8, 16, 32 and 64 at 401 cells, where a flush's
-# temporaries take 100 KB each (200 KB at 64)
+# steps whose rows are written together, with one Bregman pass over the
+# block, into one array of the log; the fastest of 8, 16, 32 and 64 at 401
+# cells, where a flush's temporaries take 100 KB each (200 KB at 64)
 RECORD_BLOCK = 32
+
+# one row of the log per step: the fields of IterationRecord, then whether
+# each optional field holds a value. A flag, not NaN, marks a missing value,
+# because d2 and gamma are NaN where the Bregman sum overflows (inf - inf).
+# Packed, 85 bytes; float64 holds every Python float the loop makes exactly.
+STEP_DTYPE = np.dtype(
+    [("n", np.int64), ("k", np.int64)]
+    + [
+        (name, np.float64)
+        for name in ("t", "t_tilde", "omega", "alpha", "r_n", "f_residual", "d2", "gamma")
+    ]
+    + [
+        (name, np.bool_)
+        for name in ("degenerate", "refinement", "has_f_residual", "has_d2", "has_gamma")
+    ]
+)
 
 
 @dataclass(frozen=True)
@@ -210,8 +230,9 @@ class IterationRecord(NamedTuple):
     when it was evaluated for the stopping check. ``d2``/``gamma`` are the
     shifted Bregman distance to the supplied truth and its alpha^-theta
     rescaling (synthetic runs only), computed after the step with those of
-    the steps around it (see ``run``). A named tuple: immutable, and built
-    once per inner step without a setattr per field.
+    the steps around it (see ``run``). The log keeps its steps as packed
+    rows and builds a record from its row each time ``log.records`` is read;
+    a named tuple is immutable and built without a setattr per field.
     """
 
     n: int
@@ -241,14 +262,94 @@ class OuterRecord(NamedTuple):
     f_residual_stop: float | None = None
 
 
-@dataclass
+def _record(row: tuple) -> IterationRecord:
+    """The record of one STEP_DTYPE row, given as a tuple of Python scalars."""
+    (n, k, t, t_tilde, omega, alpha, r_n, f_residual, d2, gamma,
+     degenerate, refinement, has_f_residual, has_d2, has_gamma) = row
+    return IterationRecord(
+        n, k, t, t_tilde, omega, alpha, r_n,
+        f_residual if has_f_residual else None,
+        d2 if has_d2 else None,
+        gamma if has_gamma else None,
+        degenerate, refinement,
+    )
+
+
+class StepRecords(Sequence):
+    """The steps of a log as a read-only sequence of :class:`IterationRecord`.
+
+    A view: each record is built from its packed row when it is read, and
+    none is kept. Every block of the log but the last holds RECORD_BLOCK
+    rows, so an index finds its block by division.
+    """
+
+    __slots__ = ("_blocks",)
+
+    def __init__(self, blocks: list[np.ndarray]):
+        self._blocks = blocks
+
+    def __len__(self) -> int:
+        blocks = self._blocks
+        return (len(blocks) - 1) * RECORD_BLOCK + len(blocks[-1]) if blocks else 0
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        size = len(self)
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError(f"step {index} out of range for {size} steps")
+        block, row = divmod(i, RECORD_BLOCK)
+        return _record(self._blocks[block][row].item())
+
+    def __iter__(self) -> Iterator[IterationRecord]:
+        for block in self._blocks:
+            for row in block.tolist():
+                yield _record(row)
+
+
 class IterationLog:
-    records: list[IterationRecord] = field(default_factory=list)
-    outer: list[OuterRecord] = field(default_factory=list)
+    """The steps and outer loops of one run, in execution order.
+
+    ``outer`` holds one :class:`OuterRecord` per outer loop. The steps are
+    kept as numpy blocks of RECORD_BLOCK rows of STEP_DTYPE, which
+    ``records`` reads as :class:`IterationRecord` tuples and ``column`` as
+    arrays. Two logs are equal when their outer records are and their step
+    rows agree bit for bit.
+    """
+
+    def __init__(self) -> None:
+        self.outer: list[OuterRecord] = []
+        # written by the run's _RecordQueue, the last block at the run's end
+        self._blocks: list[np.ndarray] = []
+
+    @property
+    def records(self) -> StepRecords:
+        return StepRecords(self._blocks)
 
     @property
     def total_inner(self) -> int:
         return len(self.records)
+
+    def column(self, name: str) -> np.ndarray:
+        """One STEP_DTYPE field of every step, in step order.
+
+        An optional field reads 0.0 where its ``has_`` column is false.
+        """
+        if not self._blocks:
+            return np.empty(0, STEP_DTYPE[name])
+        return np.concatenate([block[name] for block in self._blocks])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IterationLog):
+            return NotImplemented
+        return (
+            self.outer == other.outer
+            and len(self._blocks) == len(other._blocks)
+            and all(a.tobytes() == b.tobytes() for a, b in zip(self._blocks, other._blocks))
+        )
 
 
 @dataclass
@@ -274,7 +375,7 @@ def refinement_threshold(r_n: float, config: SolverConfig) -> float:
 
 
 class _RecordQueue:
-    """Steps of one run waiting for their :class:`IterationRecord`.
+    """Steps of one run waiting for their row of the log.
 
     Each step pushes its scalars and its iterate z_{n,k}, whose shift
     z_{n,k} - x0 is written into a row of a preallocated (RECORD_BLOCK, n)
@@ -282,8 +383,10 @@ class _RecordQueue:
     once per run, so a flush computes the Bregman diagnostic d2 of every
     queued iterate in one pass of ``bregman_values`` over same-shape slices
     of the filled rows, with no broadcasting, and gamma = d2 * alpha^-theta
-    per row, then appends the records to the log in step order. The queue
-    flushes itself when it holds RECORD_BLOCK steps, so it never holds more.
+    per row in Python float arithmetic, then appends the rows to the log as
+    one STEP_DTYPE block. The queue flushes itself when it holds
+    RECORD_BLOCK steps, so every block but the one of the run's last flush
+    is full.
     """
 
     def __init__(
@@ -295,7 +398,7 @@ class _RecordQueue:
         theta: float,
         weight: float,
     ):
-        self.records = log.records
+        self.blocks = log._blocks
         self.x0 = x0
         self.p = p
         self.theta = theta
@@ -330,18 +433,24 @@ class _RecordQueue:
                 shift[:m], shift_pow[:m], self.shifts[:m], self.p, self.weight
             ).tolist()
         theta = self.theta
+        packed = []
         for row, d2 in zip(rows, d2s):
             n, k, t, t_tilde, omega, alpha, r_n, f_residual, degenerate, refinement = row
+            # per row, not vectorized: numpy's array power may differ from
+            # C pow in the last bit
             if d2 is None or theta == 0.0:
                 gamma = d2
             else:
                 gamma = d2 * alpha**-theta if alpha > 0 else None
-            self.records.append(
-                IterationRecord(
-                    n, k, t, t_tilde, omega, alpha, r_n, f_residual,
-                    d2, gamma, degenerate, refinement,
-                )
-            )
+            packed.append((
+                n, k, t, t_tilde, omega, alpha, r_n,
+                0.0 if f_residual is None else f_residual,
+                0.0 if d2 is None else d2,
+                0.0 if gamma is None else gamma,
+                degenerate, refinement,
+                f_residual is not None, d2 is not None, gamma is not None,
+            ))
+        self.blocks.append(np.array(packed, dtype=STEP_DTYPE))
         rows.clear()
 
 
@@ -371,7 +480,7 @@ def run(
     after every step, and a non-finite norm of it fails the run as a
     non-finite state. Each exit sets the loop's and the run's reason where
     it happens, and leaves both loops for one exit, which flushes the
-    record queue, so every record is in ``log.records``.
+    record queue, so every step is in the log.
     """
     for name, f in (("data", data), ("x0", x0), ("truth", truth)):
         if f is not None and f.grid != problem.grid:

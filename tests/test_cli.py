@@ -104,14 +104,33 @@ def test_unknown_override_key(tmp_path, capsys):
     assert "unknown override" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override", ["tau=nan", "m=10", "noise_norm=nan"])
-def test_invalid_override_value_exit_code(tmp_path, capsys, override):
-    # a NaN setting and a 1D preset given m are configuration errors, not
-    # failed runs (a NaN noise norm would redraw the noise forever)
-    code = cli.main(["run", "--preset", "example1", "--out", str(tmp_path),
-                     "--override", override])
-    assert code == 2
-    assert capsys.readouterr().err
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        pytest.param(["tau=nan"], "tau must", id="tau=nan"),
+        pytest.param(["m=10"], "override 'm'", id="m=10"),
+        pytest.param(["noise_norm=nan"], "norm exponent must", id="noise_norm=nan"),
+        pytest.param(["tau=abc"], "override 'tau': ", id="tau=abc"),
+        pytest.param(["outlier_count=1.5"], "override 'outlier_count': ", id="outlier_count=1.5"),
+        *(
+            pytest.param(
+                ["outlier_count=3", f"outlier_magnitude={value}"],
+                "outlier_magnitude must",
+                id=f"outlier_magnitude={value}",
+            )
+            for value in ("nan", "inf")
+        ),
+    ],
+)
+def test_invalid_override_value_exit_code(tmp_path, capsys, overrides, named):
+    # a value that does not parse, a NaN setting and a 1D preset given m are
+    # configuration errors, not failed runs (a NaN noise norm would redraw
+    # the noise forever), and the message names the setting
+    args = ["run", "--preset", "example1", "--out", str(tmp_path)]
+    for override in overrides:
+        args += ["--override", override]
+    assert cli.main(args) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_missing_preset(tmp_path, capsys):

@@ -282,6 +282,16 @@ ONES = GridFunction.constant(Grid((8,)), 1.0)
         pytest.param(
             lambda: NoiseSpec(1e-3, outlier_count=NAN), "^outlier count must", id="outlier_count"
         ),
+        pytest.param(
+            lambda: NoiseSpec(1e-3, outlier_count=3, outlier_magnitude=NAN),
+            "^outlier_magnitude must",
+            id="outlier_magnitude",
+        ),
+        pytest.param(
+            lambda: NoiseSpec(1e-3, outlier_count=3, outlier_magnitude=math.inf),
+            "^outlier_magnitude must",
+            id="outlier_magnitude_inf",
+        ),
         pytest.param(lambda: conjugate_exponent(NAN), "^conjugate exponent needs", id="conjugate"),
         pytest.param(lambda: lp_norm(ONES, NAN), "^norm exponent must", id="lp_norm"),
         pytest.param(lambda: duality_map(ONES, NAN), "^duality map needs", id="duality_map"),
@@ -298,8 +308,8 @@ ONES = GridFunction.constant(Grid((8,)), 1.0)
     ],
 )
 def test_non_finite_settings_fail_their_range_checks(build, message):
-    # each check is written so that NaN (and, for p, r and the noise level,
-    # inf) fails it, with its own message
+    # each check is written so that NaN (and, for p, r, the noise level and
+    # the outlier magnitude, inf) fails it, with its own message
     with pytest.raises(ValueError, match=message):
         build()
 

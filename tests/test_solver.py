@@ -1,6 +1,10 @@
 """Two-loop solver mechanics: updates, schedules, budgets, rate mode."""
 
+import gc
 import inspect
+import math
+import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from newton_landweber import (
 )
 from newton_landweber import solver
 from newton_landweber.experiments import assemble_problem, make_data
+from newton_landweber.reporting import write_iterations
 from newton_landweber.solver import refinement_threshold
 
 
@@ -234,7 +239,7 @@ def test_non_finite_iterate_reported_not_raised():
         result = run(problem, exact * 1e40, config)
     assert result.reason.startswith("failure: non-finite")
     assert "iterate n=0, k=0" in result.reason
-    assert result.log.records == []
+    assert len(result.log.records) == 0
     np.testing.assert_array_equal(result.final.values, np.zeros(problem.grid.size))
 
 
@@ -556,7 +561,7 @@ def test_records_match_public_api_on_example1(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         result, _ = checked_run(problem, exact * 1e40, config, x0, truth)
     assert result.reason.startswith("failure: non-finite")
-    assert result.log.records == []
+    assert len(result.log.records) == 0
 
 
 def test_records_are_immutable_with_their_fields_and_defaults():
@@ -581,3 +586,111 @@ def test_records_are_immutable_with_their_fields_and_defaults():
         for name, _ in fields(type(record)):
             with pytest.raises(AttributeError):
                 setattr(record, name, 0)
+
+
+def test_records_view_is_a_read_only_sequence():
+    # 3 outer loops of 25 steps: 75 records in blocks of 32, 32 and 11
+    problem, truth, exact = small_problem()
+    data = generate_noise(exact, 1e-3, 2.0, 7)
+    config = base_config(delta=1e-3, max_outer=3, inner_budget=InnerBudget.constant(25))
+    result = run(problem, data, config, truth=truth)
+    records = result.log.records
+    assert isinstance(records, Sequence)
+    assert len(records) == result.log.total_inner == 75
+    listed = list(records)
+    assert [(rec.n, rec.k) for rec in listed] == [(n, k) for n in range(3) for k in range(25)]
+    for i in (0, 31, 32, 63, 64, 74, -1, -11, -75):
+        assert records[i] == listed[i]
+    for index in (75, -76):
+        with pytest.raises(IndexError):
+            records[index]
+    assert records[5:70:7] == listed[5:70:7]
+    assert records[::-1] == listed[::-1]
+    assert records[80:] == []
+    for rec in listed:
+        assert type(rec) is solver.IterationRecord
+        assert type(rec.n) is int and type(rec.k) is int
+        for value in (rec.t, rec.t_tilde, rec.omega, rec.alpha, rec.r_n, rec.d2, rec.gamma):
+            assert type(value) is float
+        assert type(rec.degenerate) is bool and type(rec.refinement) is bool
+    assert any(rec.f_residual is None for rec in listed)
+    assert any(type(rec.f_residual) is float for rec in listed)
+    assert not hasattr(records, "append")
+    with pytest.raises(TypeError):
+        records[0] = listed[1]
+    with pytest.raises(TypeError):
+        del records[0]
+
+
+def test_log_keeps_none_and_nan_apart(tmp_path):
+    # |1e200|^2 overflows, so the Bregman sum of each row is inf - inf
+    rows = [
+        (0, 0, 1.0, 2.0, 3.0, 0.5, 4.0, None, False, False),
+        (0, 1, 1.0, 2.0, 3.0, 0.5, 4.0, math.nan, True, False),
+        (0, 2, 1.0, 2.0, 3.0, 0.5, 4.0, 0.25, False, True),
+    ]
+    huge = np.full(4, 1e200)
+    logs = []
+    for truth_shift in (None, (huge, np.full(4, math.inf))):
+        log = solver.IterationLog()
+        queue = solver._RecordQueue(log, np.zeros(4), truth_shift, 2.0, 1.0, 0.25)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row in rows:
+                queue.push(row, huge)
+            queue.flush()
+        logs.append(log)
+    no_truth, overflowed = (list(log.records) for log in logs)
+    for rec in no_truth:
+        assert rec.d2 is None and rec.gamma is None
+    for rec in overflowed:
+        assert math.isnan(rec.d2) and math.isnan(rec.gamma)
+    for recs in (no_truth, overflowed):
+        assert recs[0].f_residual is None
+        assert math.isnan(recs[1].f_residual)
+        assert recs[2].f_residual == 0.25
+        assert [(rec.degenerate, rec.refinement) for rec in recs] == [
+            (False, False), (True, False), (False, True)
+        ]
+    path = tmp_path / "iterations.csv"
+    write_iterations(str(path), logs[1])
+    assert path.read_text().splitlines()[1:] == [
+        "0,0,1.0,2.0,3.0,0.5,4.0,,nan,nan",
+        "0,1,1.0,2.0,3.0,0.5,4.0,nan,nan,nan",
+        "0,2,1.0,2.0,3.0,0.5,4.0,0.25,nan,nan",
+    ]
+
+
+def test_log_equality_compares_the_steps_bit_for_bit():
+    problem, truth, exact = small_problem()
+    data = generate_noise(exact, 1e-3, 2.0, 8)
+    config = base_config(delta=1e-3, max_outer=2, inner_budget=InnerBudget.constant(40))
+    a = run(problem, data, config, truth=truth).log
+    b = run(problem, data, config, truth=truth).log
+    assert a == b
+    # one d2 of the second block one ulp up
+    block = b._blocks[1]
+    block["d2"][3] = np.nextafter(block["d2"][3], math.inf)
+    step = solver.RECORD_BLOCK + 3
+    assert b.records[step].d2 == np.nextafter(a.records[step].d2, math.inf)
+    assert a != b
+
+
+def test_log_holds_at_most_128_bytes_per_step():
+    # example1 p = 1.1: about 100 bytes a step with the steps packed, outer
+    # records included, against 313 with one named tuple per step
+    spec = make_example1(1.1)
+    problem, truth, exact, x0 = assemble_problem(spec)
+    data, delta = make_data(spec, exact)
+    config = SolverConfig(space=spec.space, delta=delta, **spec.solver)
+    run(problem, data, config.replace(max_total_inner=50), x0=x0, truth=truth)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run(problem, data, config.replace(max_total_inner=2000), x0=x0, truth=truth)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result.log.total_inner == 2000
+    assert held / 2000 <= 128
