@@ -257,11 +257,15 @@ def step_bound_audit(log: IterationLog, config: SolverConfig) -> CheckResult:
             omega, t, t_tilde, config.space, config.c_const, config.rho, config.c_omega_bar
         )
         worst = _worst([worst, excess])
-    carried, first = config.alpha00, 0
-    for outer in log.outer:
-        if outer.alpha_start != carried or (outer.steps and alpha[first] != carried):
-            worst = max(worst, 1.0)
-        carried, first = outer.alpha_end, first + outer.steps
+    steps, alpha_start, alpha_end = (
+        log.outer.column(name) for name in ("steps", "alpha_start", "alpha_end")
+    )
+    # loop i starts at the weight loop i-1 ended with, at its step sum(steps[:i])
+    carried = np.concatenate(([config.alpha00], alpha_end))[:-1]
+    first = np.cumsum(steps) - steps
+    stepped = steps > 0
+    if np.any(alpha_start != carried) or np.any(alpha[first[stepped]] != carried[stepped]):
+        worst = max(worst, 1.0)
     return CheckResult(
         "step bounds", worst <= 1e-12, f"{alpha.size} steps audited, worst excess {worst:.2e}"
     )

@@ -31,10 +31,13 @@ d2 alpha^-theta, which steer nothing, is written afterwards: ``run()``
 queues each step's scalars and the shift z_{n,k} - x0 of its iterate and
 computes d2 for blocks of RECORD_BLOCK = 32 steps in one pass, then packs
 the block's rows into one numpy array of STEP_DTYPE, about 90 bytes a
-step. ``log.records`` reads them back as :class:`IterationRecord` tuples,
-built one at a time on access. Every way out of the loops (the discrepancy
-principle, a budget, the refinement, a failure) goes through one exit that
-flushes the queue, so every step is in the log.
+step. Each outer loop's summary is packed the same way, RECORD_BLOCK rows
+of OUTER_DTYPE to an array, 58 bytes a loop. ``log.records`` and
+``log.outer`` are read-only views that build :class:`IterationRecord` and
+:class:`OuterRecord` tuples one at a time on access. Every way out of the
+loops (the discrepancy principle, a budget, the refinement, a failure) goes
+through one exit that flushes the queue, so every step and every finished
+outer loop is in the log.
 """
 
 from __future__ import annotations
@@ -103,6 +106,17 @@ REASON_DISCREPANCY = "discrepancy"
 REASON_OUTER_BUDGET = "outer budget"
 REASON_TOTAL_INNER = "total inner budget"
 
+# every inner_reason an outer record can hold; the log stores its index here
+INNER_REASONS = (
+    REASON_DISCREPANCY,
+    REASON_OUTER_BUDGET,
+    "budget",
+    "inner discrepancy",
+    "refinement",
+    "refinement aborted",
+    "aborted: " + REASON_TOTAL_INNER,
+)
+
 # steps whose rows are written together, with one Bregman pass over the
 # block, into one array of the log; the fastest of 8, 16, 32 and 64 at 401
 # cells, where a flush's temporaries take 100 KB each (200 KB at 64)
@@ -121,6 +135,23 @@ STEP_DTYPE = np.dtype(
     + [
         (name, np.bool_)
         for name in ("degenerate", "refinement", "has_f_residual", "has_d2", "has_gamma")
+    ]
+)
+
+# one row of the log per outer loop: the fields of OuterRecord, with
+# inner_reason as its index in INNER_REASONS and a flag for f_residual_stop.
+# Packed, 58 bytes.
+OUTER_DTYPE = np.dtype(
+    [
+        ("n", np.int64),
+        ("r_n", np.float64),
+        ("alpha_start", np.float64),
+        ("allowance", np.int64),
+        ("steps", np.int64),
+        ("alpha_end", np.float64),
+        ("inner_reason", np.int8),
+        ("f_residual_stop", np.float64),
+        ("has_f_residual_stop", np.bool_),
     ]
 )
 
@@ -250,7 +281,11 @@ class IterationRecord(NamedTuple):
 
 
 class OuterRecord(NamedTuple):
-    """Summary of one outer iterate and its inner loop."""
+    """Summary of one outer iterate and its inner loop.
+
+    As with the steps, the log keeps a packed row per loop and builds the
+    record from it each time ``log.outer`` is read.
+    """
 
     n: int
     r_n: float
@@ -275,18 +310,30 @@ def _record(row: tuple) -> IterationRecord:
     )
 
 
-class StepRecords(Sequence):
-    """The steps of a log as a read-only sequence of :class:`IterationRecord`.
+def _outer_record(row: tuple) -> OuterRecord:
+    """The record of one OUTER_DTYPE row, given as a tuple of Python scalars."""
+    n, r_n, alpha_start, allowance, steps, alpha_end, reason, f_stop, has_f_stop = row
+    return OuterRecord(
+        n, r_n, alpha_start, allowance, steps, alpha_end,
+        INNER_REASONS[reason],
+        f_stop if has_f_stop else None,
+    )
 
-    A view: each record is built from its packed row when it is read, and
-    none is kept. Every block of the log but the last holds RECORD_BLOCK
-    rows, so an index finds its block by division.
+
+class PackedRows(Sequence):
+    """One table of a log as a read-only sequence of records.
+
+    A view: each record is built from its packed row by ``decode`` when it
+    is read, and none is kept. Every block of the table but the last holds
+    RECORD_BLOCK rows, so an index finds its block by division.
     """
 
-    __slots__ = ("_blocks",)
+    __slots__ = ("_blocks", "_dtype", "_decode")
 
-    def __init__(self, blocks: list[np.ndarray]):
+    def __init__(self, blocks: list[np.ndarray], dtype: np.dtype, decode):
         self._blocks = blocks
+        self._dtype = dtype
+        self._decode = decode
 
     def __len__(self) -> int:
         blocks = self._blocks
@@ -300,55 +347,67 @@ class StepRecords(Sequence):
         if i < 0:
             i += size
         if not 0 <= i < size:
-            raise IndexError(f"step {index} out of range for {size} steps")
+            raise IndexError(f"row {index} out of range for {size} rows")
         block, row = divmod(i, RECORD_BLOCK)
-        return _record(self._blocks[block][row].item())
+        return self._decode(self._blocks[block][row].item())
 
-    def __iter__(self) -> Iterator[IterationRecord]:
+    def __iter__(self) -> Iterator:
+        decode = self._decode
         for block in self._blocks:
             for row in block.tolist():
-                yield _record(row)
+                yield decode(row)
+
+    def column(self, name: str) -> np.ndarray:
+        """One field of every row, in order.
+
+        An optional field reads 0.0 where its ``has_`` column is false.
+        """
+        if not self._blocks:
+            return np.empty(0, self._dtype[name])
+        return np.concatenate([block[name] for block in self._blocks])
+
+
+def _same_rows(a: list[np.ndarray], b: list[np.ndarray]) -> bool:
+    return len(a) == len(b) and all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
 class IterationLog:
     """The steps and outer loops of one run, in execution order.
 
-    ``outer`` holds one :class:`OuterRecord` per outer loop. The steps are
-    kept as numpy blocks of RECORD_BLOCK rows of STEP_DTYPE, which
-    ``records`` reads as :class:`IterationRecord` tuples and ``column`` as
-    arrays. Two logs are equal when their outer records are and their step
-    rows agree bit for bit.
+    Both tables are kept as numpy blocks of RECORD_BLOCK rows: the steps of
+    STEP_DTYPE, which ``records`` reads as :class:`IterationRecord` tuples,
+    and the outer loops of OUTER_DTYPE, which ``outer`` reads as
+    :class:`OuterRecord` tuples. ``column`` gives one step field as an
+    array, ``outer.column`` one outer field. Two logs are equal when the
+    rows of both tables agree bit for bit.
     """
 
     def __init__(self) -> None:
-        self.outer: list[OuterRecord] = []
-        # written by the run's _RecordQueue, the last block at the run's end
-        self._blocks: list[np.ndarray] = []
+        # written by the run's _RecordQueue, the last blocks at the run's end
+        self._step_blocks: list[np.ndarray] = []
+        self._outer_blocks: list[np.ndarray] = []
 
     @property
-    def records(self) -> StepRecords:
-        return StepRecords(self._blocks)
+    def records(self) -> PackedRows:
+        return PackedRows(self._step_blocks, STEP_DTYPE, _record)
+
+    @property
+    def outer(self) -> PackedRows:
+        return PackedRows(self._outer_blocks, OUTER_DTYPE, _outer_record)
 
     @property
     def total_inner(self) -> int:
         return len(self.records)
 
     def column(self, name: str) -> np.ndarray:
-        """One STEP_DTYPE field of every step, in step order.
-
-        An optional field reads 0.0 where its ``has_`` column is false.
-        """
-        if not self._blocks:
-            return np.empty(0, STEP_DTYPE[name])
-        return np.concatenate([block[name] for block in self._blocks])
+        """One STEP_DTYPE field of every step, in step order."""
+        return self.records.column(name)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IterationLog):
             return NotImplemented
-        return (
-            self.outer == other.outer
-            and len(self._blocks) == len(other._blocks)
-            and all(a.tobytes() == b.tobytes() for a, b in zip(self._blocks, other._blocks))
+        return _same_rows(self._step_blocks, other._step_blocks) and _same_rows(
+            self._outer_blocks, other._outer_blocks
         )
 
 
@@ -375,7 +434,7 @@ def refinement_threshold(r_n: float, config: SolverConfig) -> float:
 
 
 class _RecordQueue:
-    """Steps of one run waiting for their row of the log.
+    """Steps and outer loops of one run waiting for their rows of the log.
 
     Each step pushes its scalars and its iterate z_{n,k}, whose shift
     z_{n,k} - x0 is written into a row of a preallocated (RECORD_BLOCK, n)
@@ -384,9 +443,10 @@ class _RecordQueue:
     queued iterate in one pass of ``bregman_values`` over same-shape slices
     of the filled rows, with no broadcasting, and gamma = d2 * alpha^-theta
     per row in Python float arithmetic, then appends the rows to the log as
-    one STEP_DTYPE block. The queue flushes itself when it holds
-    RECORD_BLOCK steps, so every block but the one of the run's last flush
-    is full.
+    one STEP_DTYPE block. Outer loops are queued as OUTER_DTYPE rows, their
+    inner reason as its index in INNER_REASONS, and packed the same way.
+    Each table flushes itself when it holds RECORD_BLOCK rows, so every
+    block but the one of the run's last flush is full.
     """
 
     def __init__(
@@ -398,12 +458,14 @@ class _RecordQueue:
         theta: float,
         weight: float,
     ):
-        self.blocks = log._blocks
+        self.step_blocks = log._step_blocks
+        self.outer_blocks = log._outer_blocks
         self.x0 = x0
         self.p = p
         self.theta = theta
         self.weight = weight
         self.rows: list[tuple] = []
+        self.outer_rows: list[tuple] = []
         if truth_shift is None:
             self.shifts = None
         else:
@@ -418,9 +480,34 @@ class _RecordQueue:
             np.subtract(z, self.x0, out=self.shifts[len(rows)])
         rows.append(row)
         if len(rows) == RECORD_BLOCK:
-            self.flush()
+            self._flush_steps()
+
+    def push_outer(self, row: tuple) -> None:
+        """Queue (n, r_n, alpha_start, allowance, steps, alpha_end, inner_reason, f_residual_stop).
+
+        An inner reason outside INNER_REASONS raises ``ValueError``.
+        """
+        n, r_n, alpha_start, allowance, steps, alpha_end, inner_reason, f_stop = row
+        rows = self.outer_rows
+        rows.append((
+            n, r_n, alpha_start, allowance, steps, alpha_end,
+            INNER_REASONS.index(inner_reason),
+            0.0 if f_stop is None else f_stop,
+            f_stop is not None,
+        ))
+        if len(rows) == RECORD_BLOCK:
+            self._flush_outer()
 
     def flush(self) -> None:
+        self._flush_steps()
+        self._flush_outer()
+
+    def _flush_outer(self) -> None:
+        if self.outer_rows:
+            self.outer_blocks.append(np.array(self.outer_rows, dtype=OUTER_DTYPE))
+            self.outer_rows.clear()
+
+    def _flush_steps(self) -> None:
         rows = self.rows
         m = len(rows)
         if m == 0:
@@ -450,7 +537,7 @@ class _RecordQueue:
                 degenerate, refinement,
                 f_residual is not None, d2 is not None, gamma is not None,
             ))
-        self.blocks.append(np.array(packed, dtype=STEP_DTYPE))
+        self.step_blocks.append(np.array(packed, dtype=STEP_DTYPE))
         rows.clear()
 
 
@@ -480,7 +567,7 @@ def run(
     after every step, and a non-finite norm of it fails the run as a
     non-finite state. Each exit sets the loop's and the run's reason where
     it happens, and leaves both loops for one exit, which flushes the
-    record queue, so every step is in the log.
+    record queue, so every step and outer loop is in the log.
     """
     for name, f in (("data", data), ("x0", x0), ("truth", truth)):
         if f is not None and f.grid != problem.grid:
@@ -534,7 +621,7 @@ def run(
         else:
             allowance = min(config.inner_budget.limit(n, r_n, r), config.max_inner)
         if reason is not None:
-            log.outer.append(OuterRecord(n, r_n, alpha, 0, 0, alpha, reason))
+            queue.push_outer((n, r_n, alpha, 0, 0, alpha, reason, None))
             break
 
         x_n = x.values
@@ -626,9 +713,7 @@ def run(
             x = GridFunction._adopt(problem.grid, z)
         if inner_reason is None:
             break  # a failed step: the loop has no outer record
-        log.outer.append(
-            OuterRecord(n, r_n, alpha_start, allowance, k, alpha, inner_reason, f_stop)
-        )
+        queue.push_outer((n, r_n, alpha_start, allowance, k, alpha, inner_reason, f_stop))
         if reason is not None:
             break
         n += 1

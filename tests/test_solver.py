@@ -27,9 +27,11 @@ from newton_landweber import (
     shifted_bregman,
 )
 from newton_landweber import solver
+from newton_landweber.checks import step_bound_audit
 from newton_landweber.experiments import assemble_problem, make_data
 from newton_landweber.reporting import write_iterations
 from newton_landweber.solver import refinement_threshold
+from test_acceptance import RATE_OVERRIDES
 
 
 def small_problem(n=50, g0=1.0, g1=2.0):
@@ -307,7 +309,7 @@ def test_one_bad_entry_of_a_checked_state_fails_its_step(monkeypatch, make_probl
         "failure: operator not invertible at c (non-finite state) (iterate n=0, k=3)"
     )
     assert len(result.log.records) == 3
-    assert result.log.outer == []
+    assert len(result.log.outer) == 0
 
 
 def test_alpha_floor_overflow_reported_not_raised():
@@ -622,6 +624,101 @@ def test_records_view_is_a_read_only_sequence():
         del records[0]
 
 
+def test_outer_view_is_a_read_only_sequence():
+    # one step per loop: 70 loops and the closing "outer budget" record make
+    # 71 outer records in blocks of 32, 32 and 7
+    problem, truth, exact = small_problem()
+    data = generate_noise(exact, 1e-6, 2.0, 7)
+    config = base_config(delta=1e-6, max_outer=70, inner_budget=InnerBudget.constant(1))
+    result = run(problem, data, config, truth=truth)
+    assert result.reason == "outer budget"
+    outer = result.log.outer
+    assert isinstance(outer, Sequence)
+    assert len(outer) == 71
+    listed = list(outer)
+    assert [rec.n for rec in listed] == list(range(71))
+    assert sum(rec.steps for rec in listed) == result.log.total_inner == 70
+    for i in (0, 31, 32, 63, 64, 70, -1, -7, -8, -39, -40, -71):
+        assert outer[i] == listed[i]
+    for index in (71, -72):
+        with pytest.raises(IndexError):
+            outer[index]
+    assert outer[5:70:7] == listed[5:70:7]
+    assert outer[::-1] == listed[::-1]
+    assert outer[80:] == []
+    for rec in listed:
+        assert type(rec) is solver.OuterRecord
+        for value in (rec.n, rec.allowance, rec.steps):
+            assert type(value) is int
+        for value in (rec.r_n, rec.alpha_start, rec.alpha_end):
+            assert type(value) is float
+        assert rec.f_residual_stop is None or type(rec.f_residual_stop) is float
+        assert rec.inner_reason in solver.INNER_REASONS
+    assert {rec.inner_reason for rec in listed} == {"budget", "outer budget"}
+    assert not hasattr(outer, "append")
+    with pytest.raises(TypeError):
+        outer[0] = listed[1]
+    with pytest.raises(TypeError):
+        del outer[0]
+
+
+def test_outer_records_keep_the_residual_stop():
+    # early loops stop on the nonlinear residual check and log its value
+    problem, _, exact = small_problem()
+    data = generate_noise(exact, 5e-3, 2.0, 7)
+    config = base_config(delta=5e-3, max_outer=20, inner_budget=InnerBudget.constant(200))
+    outer = run(problem, data, config).log.outer
+    stops = [rec for rec in outer if rec.inner_reason == "inner discrepancy"]
+    assert stops
+    for rec in stops:
+        assert type(rec.f_residual_stop) is float
+        assert rec.f_residual_stop <= config.tau * config.delta
+    assert all(rec.f_residual_stop is None for rec in outer if rec not in stops)
+
+
+def test_an_unknown_inner_reason_raises():
+    log = solver.IterationLog()
+    queue = solver._RecordQueue(log, np.zeros(4), None, 2.0, 0.0, 0.25)
+    with pytest.raises(ValueError):
+        queue.push_outer((0, 1.0, 1.0, 5, 5, 0.5, "bugdet", None))
+    queue.flush()
+    assert len(log.outer) == 0
+
+
+def test_log_equality_compares_the_outer_loops_bit_for_bit():
+    problem, truth, exact = small_problem()
+    data = generate_noise(exact, 1e-6, 2.0, 8)
+    config = base_config(delta=1e-6, max_outer=40, inner_budget=InnerBudget.constant(1))
+    a = run(problem, data, config, truth=truth).log
+    b = run(problem, data, config, truth=truth).log
+    assert a == b
+    # one r_n of the second block one ulp up
+    block = b._outer_blocks[1]
+    block["r_n"][3] = np.nextafter(block["r_n"][3], math.inf)
+    loop = solver.RECORD_BLOCK + 3
+    assert b.outer[loop].r_n == np.nextafter(a.outer[loop].r_n, math.inf)
+    assert a.column("r_n").tobytes() == b.column("r_n").tobytes()
+    assert a != b
+
+
+def test_step_bound_audit_sees_a_broken_carry_over():
+    problem, _, exact = small_problem()
+    data = generate_noise(exact, 1e-3, 2.0, 6)
+    config = base_config(delta=1e-3, max_outer=4, inner_budget=InnerBudget.constant(10))
+    log = run(problem, data, config).log
+    assert step_bound_audit(log, config).ok
+    # a loop that does not start at the weight the one before it ended with
+    alpha_start = log._outer_blocks[0]["alpha_start"]
+    alpha_start[2] = np.nextafter(alpha_start[2], 0.0)
+    assert not step_bound_audit(log, config).ok
+    alpha_start[2] = log.outer[1].alpha_end
+    assert step_bound_audit(log, config).ok
+    # a first step that does not use the loop's starting weight
+    alpha = log._step_blocks[0]["alpha"]
+    alpha[10] = np.nextafter(alpha[10], 0.0)
+    assert not step_bound_audit(log, config).ok
+
+
 def test_log_keeps_none_and_nan_apart(tmp_path):
     # |1e200|^2 overflows, so the Bregman sum of each row is inf - inf
     rows = [
@@ -668,17 +765,15 @@ def test_log_equality_compares_the_steps_bit_for_bit():
     b = run(problem, data, config, truth=truth).log
     assert a == b
     # one d2 of the second block one ulp up
-    block = b._blocks[1]
+    block = b._step_blocks[1]
     block["d2"][3] = np.nextafter(block["d2"][3], math.inf)
     step = solver.RECORD_BLOCK + 3
     assert b.records[step].d2 == np.nextafter(a.records[step].d2, math.inf)
     assert a != b
 
 
-def test_log_holds_at_most_128_bytes_per_step():
-    # example1 p = 1.1: about 100 bytes a step with the steps packed, outer
-    # records included, against 313 with one named tuple per step
-    spec = make_example1(1.1)
+def held_bytes_per_step(spec, steps):
+    """Bytes a run capped at ``steps`` steps still holds, per step (tracemalloc)."""
     problem, truth, exact, x0 = assemble_problem(spec)
     data, delta = make_data(spec, exact)
     config = SolverConfig(space=spec.space, delta=delta, **spec.solver)
@@ -687,10 +782,27 @@ def test_log_holds_at_most_128_bytes_per_step():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        result = run(problem, data, config.replace(max_total_inner=2000), x0=x0, truth=truth)
+        result = run(problem, data, config.replace(max_total_inner=steps), x0=x0, truth=truth)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert result.log.total_inner == 2000
-    assert held / 2000 <= 128
+    assert result.log.total_inner == steps
+    return result, held / steps
+
+
+def test_log_holds_at_most_128_bytes_per_step():
+    # example1 p = 1.1: about 100 bytes a step with the steps packed, outer
+    # records included, against 313 with one named tuple per step
+    _, per_step = held_bytes_per_step(make_example1(1.1), 2000)
+    assert per_step <= 128
+
+
+def test_rate_log_holds_at_most_192_bytes_per_step():
+    # the rate run takes one step per outer loop before its refinement tail:
+    # about 153 bytes a step with both tables packed, against 287 with one
+    # named tuple per outer loop
+    spec = build_spec("example1", dict(RATE_OVERRIDES, delta="1e-3"))
+    result, per_step = held_bytes_per_step(spec, 2000)
+    assert len(result.log.outer) == 2001
+    assert per_step <= 192
