@@ -1,13 +1,13 @@
 """Property checks: the one implementation of every identity and step bound.
 
 Each check exercises one contract of the library (duality-map algebra,
-Bregman identities, operator adjointness, Taylor order, noise determinism,
-solver step bounds) on small seeded problems and reports pass/fail with a
-one-line detail string. The ``verify`` CLI subcommand runs them all; the
-test suite asserts the same functions, so every tolerance lives here.
-:func:`step_bound_audit` is the per-record omega/alpha/phi audit that both
-:func:`check_solver_invariants` and the acceptance suite apply to whole
-runs. The suite is cheap (well under two seconds) and safe to run in any
+Bregman identities, operator adjointness, Taylor order, noise determinism
+and its stream, solver step bounds) on small seeded problems and reports
+pass/fail with a one-line detail string. The ``verify`` CLI subcommand
+runs them all; the test suite asserts the same functions, so every
+tolerance lives here. :func:`step_bound_audit` is the per-record
+omega/alpha/phi audit that both :func:`check_solver_invariants` and the
+acceptance suite apply to whole runs. The suite is cheap (well under two seconds) and safe to run in any
 environment.
 """
 
@@ -18,6 +18,7 @@ import warnings
 
 import numpy as np
 
+from ._pcg64 import PCG64
 from .experiments import (
     add_outliers,
     apply_overrides,
@@ -217,8 +218,29 @@ def check_taylor_order(seed: int = 4) -> CheckResult:
     )
 
 
+# the bounds of the integers draws the stream is checked on: the smallest,
+# an odd one, the 1D node count, and one just above 2**31
+STREAM_HIGHS = (2, 3, 401, 2**31 + 5)
+
+
+def stream_matches_numpy(seed: int, high: int) -> bool:
+    """Whether the noise stream draws what ``numpy.random.Generator(PCG64(seed))`` does.
+
+    Compared bit for bit: ``random(401)``, then 64 alternating
+    ``integers(high)`` / ``random()`` draws in :func:`add_outliers`' order,
+    so that an odd count of 32-bit draws leaves a spare half-word behind.
+    """
+    ours, reference = PCG64(seed), np.random.Generator(np.random.PCG64(seed))
+    if ours.random(401).tobytes() != reference.random(401).tobytes():
+        return False
+    return all(
+        ours.integers(high) == int(reference.integers(high)) and ours.random() == reference.random()
+        for _ in range(64)
+    )
+
+
 def check_noise_contract(seed: int = 5) -> CheckResult:
-    """Noise norm exactness (r = 1.1, 2, 10), bit determinism, and outlier count."""
+    """Noise norm exactness (r = 1.1, 2, 10), bit determinism, outlier count, numpy's stream."""
     grid = Grid((101,))
     u = GridFunction.from_callable(grid, lambda t: 1.0 + np.sin(3.0 * t))
     defects = []
@@ -232,9 +254,15 @@ def check_noise_contract(seed: int = 5) -> CheckResult:
     differing = int(np.count_nonzero(spiked.values != u.values))
     if differing != 5:
         defects.append(1.0)
+    same = all(stream_matches_numpy(seed, high) for high in STREAM_HIGHS)
+    if not same:
+        defects.append(1.0)
     worst = _worst(defects)
     return CheckResult(
-        "noise determinism", worst <= 1e-12, f"norm defect {worst:.2e}, {differing} outliers"
+        "noise determinism",
+        worst <= 1e-12,
+        f"norm defect {worst:.2e}, {differing} outliers, "
+        f"stream {'equals' if same else 'differs from'} numpy's PCG64",
     )
 
 

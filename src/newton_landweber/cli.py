@@ -19,7 +19,6 @@ import itertools
 import os
 import sys
 
-from .checks import run_checks
 from .experiments import PRESETS, ExperimentSpec, RunReport, build_spec, run_experiment
 from .reporting import summary_row, write_run, write_summary_rows
 
@@ -161,6 +160,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(_: argparse.Namespace) -> int:
+    # imported here: only verify needs the checks, and they load numpy.random
+    from .checks import run_checks
+
     results = run_checks()
     for res in results:
         print(f"{'PASS' if res.ok else 'FAIL'}  {res.name}: {res.detail}")

@@ -6,21 +6,27 @@ the noise recipe, and the solver settings of one named test case. Specs
 are plain frozen data: the same spec plus the same seed always produces
 the same data, the same iteration trace, and the same report.
 
-Randomness policy: all draws come from numpy's PCG64 generator seeded
-explicitly; Gaussians are produced by a Box-Muller transform of uniform
-draws rather than ``Generator.normal`` so the realization is pinned to the
-documented algorithm, not to numpy's internal ziggurat tables.
+Randomness policy: all draws come from numpy's PCG64 stream seeded
+explicitly, reproduced bit for bit in pure Python by :mod:`._pcg64` (so a
+run never loads ``numpy.random``) and checked against numpy's own
+``Generator(PCG64(seed))`` by ``checks.check_noise_contract``, which the
+``verify`` command runs. Gaussians are produced by a Box-Muller transform
+of uniform draws rather than ``Generator.normal``, so the realization is
+pinned to the documented algorithms (PCG64, ``SeedSequence``, Box-Muller)
+and depends on no numpy ``Generator`` internals such as its ziggurat tables.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
 
+from ._pcg64 import PCG64
 from .forward import EllipticProblem
 from .geometry import SpaceParams, lp_norm
 from .grids import Grid, GridFunction
@@ -99,6 +105,13 @@ class ExperimentSpec:
     x0: Callable | float = 0.0
     solver: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # checked here, where a seed enters, so that a bad one fails with
+        # delta = 0 too, where no noise is drawn
+        seed = self.seed
+        if not (isinstance(seed, numbers.Integral) and seed >= 0):
+            raise ValueError(f"seed must be a non-negative int, got {seed!r}")
+
     def grid(self) -> Grid:
         if self.m is None:
             return Grid((self.n + 1,))
@@ -144,7 +157,7 @@ def generate_noise(u: GridFunction, delta: float, r: float, seed: int) -> GridFu
         raise ValueError(f"delta must be >= 0, got {delta}")
     if delta == 0.0:
         return u
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = PCG64(seed)
     size = u.grid.size
     while True:
         u1 = rng.random(size)
@@ -167,11 +180,11 @@ def add_outliers(
     size = data.grid.size
     if count > size:
         raise ValueError(f"count {count} exceeds node count {size}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = PCG64(seed)
     values = data.values.copy()
     chosen: set[int] = set()
     while len(chosen) < count:
-        idx = int(rng.integers(size))
+        idx = rng.integers(size)
         if idx in chosen:
             continue
         chosen.add(idx)

@@ -133,6 +133,14 @@ def test_invalid_override_value_exit_code(tmp_path, capsys, overrides, named):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides", [[], ["--override", "delta=0"]], ids=["noisy", "noiseless"])
+def test_negative_seed_exit_code(tmp_path, capsys, overrides):
+    args = ["run", "--preset", "example1", "--seed", "-1", "--out", str(tmp_path), *overrides]
+    assert cli.main(args) == 2
+    assert "seed must be a non-negative int" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_missing_preset(tmp_path, capsys):
     assert cli.main(["run", "--out", str(tmp_path)]) == 2
     assert "no preset" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Experiment presets, noise generation, overrides, and report wiring."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,9 +27,10 @@ from newton_landweber import (
     run_experiment,
 )
 from newton_landweber import cli
-from newton_landweber.checks import check_noise_contract
+from newton_landweber.checks import STREAM_HIGHS, check_noise_contract, stream_matches_numpy
 from newton_landweber.experiments import PRESETS, NoiseSpec, make_data
 from newton_landweber.schedules import InnerBudget, choose_vartheta, theta_exponent
+from test_forward import run_fresh
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +111,30 @@ def test_presets_table_is_complete():
 def test_noise_norm_is_exact():
     res = check_noise_contract()
     assert res.ok, res.detail
+
+
+# one- and two-word seeds at the 32-bit edge; 2**64 + 3 takes three words,
+# and 2**130 + 11 five, more than the four-word entropy pool
+STREAM_SEEDS = [*range(64), 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 11]
+
+
+@pytest.mark.parametrize("high", STREAM_HIGHS)
+def test_noise_stream_is_numpys_pcg64(high):
+    mismatched = [seed for seed in STREAM_SEEDS if not stream_matches_numpy(seed, high)]
+    assert mismatched == []
+
+
+def test_no_run_loads_numpy_random():
+    # the test process itself has loaded numpy.random, through checks
+    run_fresh(
+        "import sys\n"
+        "import newton_landweber.cli\n"
+        "from newton_landweber import build_spec, run_experiment\n"
+        "for preset in ('example3', 'example1'):\n"
+        "    run_experiment(build_spec(preset, {'n': '100', 'max_total_inner': '50'}))\n"
+        "for name in ('numpy.random', 'newton_landweber.checks'):\n"
+        "    assert name not in sys.modules, name\n"
+    )
 
 
 def test_noise_is_bitwise_deterministic():
@@ -320,6 +346,21 @@ def test_override_m_needs_a_2d_preset():
         build_spec("example1", {"m": "10"})
     spec = build_spec("example2d", {"m": "10"})
     assert spec.grid().cells == (spec.n + 1, 11)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"delta": "0"}], ids=["noisy", "noiseless"])
+def test_a_negative_seed_fails_where_it_enters(overrides):
+    # a noiseless run draws no noise, so only the spec can see the seed
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative int, got -1$"):
+        build_spec("example1", {**overrides, "seed": "-1"})
+
+
+def test_a_seed_that_is_not_an_int_fails():
+    spec = make_example1()
+    for seed in (1.5, "3", None):
+        with pytest.raises(ValueError, match="^seed must"):
+            replace(spec, seed=seed)
+    assert replace(spec, seed=np.int64(3)).seed == 3
 
 
 def test_build_spec_rejects_unknown_preset():

@@ -219,7 +219,7 @@ def test_sparse_operator_matches_the_literal_sum(cells):
         assert state_values(problem, c).tobytes() == want_u.tobytes()
 
 
-def _run_fresh(script: str) -> None:
+def run_fresh(script: str) -> None:
     # a fresh interpreter, so that the script sees its own import graph
     src = str(Path(newton_landweber.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -236,7 +236,7 @@ def test_import_leaves_scipy_sparse_to_the_first_2d_problem():
     # 1D loads neither scipy.sparse nor scipy.linalg's package (nor the
     # numpy.f2py it pulls in), only the LAPACK extension; the first 2D
     # problem loads scipy.sparse
-    _run_fresh(
+    run_fresh(
         "import sys\n"
         "import numpy as np\n"
         "import newton_landweber as nl\n"
@@ -267,7 +267,7 @@ def test_forward_kernels_are_scipy_linalg_lapack_in_either_import_order(scipy_fi
     first, second = "import newton_landweber.forward", "import scipy.linalg.lapack as lapack"
     if scipy_first:
         first, second = second, first
-    _run_fresh(
+    run_fresh(
         "import sys\n"
         f"{first}\n"
         f"{second}\n"
