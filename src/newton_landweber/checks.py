@@ -7,8 +7,8 @@ pass/fail with a one-line detail string. The ``verify`` CLI subcommand
 runs them all; the test suite asserts the same functions, so every
 tolerance lives here. :func:`step_bound_audit` is the per-record
 omega/alpha/phi audit that both :func:`check_solver_invariants` and the
-acceptance suite apply to whole runs. The suite is cheap (well under two seconds) and safe to run in any
-environment.
+acceptance suite apply to whole runs. The suite is cheap (well under two
+seconds) and safe to run in any environment.
 """
 
 from __future__ import annotations
@@ -271,9 +271,10 @@ def step_bound_audit(log: IterationLog, config: SolverConfig) -> CheckResult:
 
     Checks 0 < omega <= vartheta * omega_bar, 0 < alpha <= 1, the phi-ratio
     cap phi(omega t~) / (omega t^r) <= c_omega_bar + 1e-12 on steps with
-    t, t~ > 0, and that alpha carries over: each outer loop starts at the
-    previous loop's last weight (the first at alpha00) and its first step
-    uses it. A broken inequality counts as an excess of 1.
+    t, t~ > 0, that no outer loop takes more steps than its allowance, and
+    that alpha carries over: each outer loop starts at the previous loop's
+    last weight (the first at alpha00) and its first step uses it. A broken
+    inequality counts as an excess of 1.
     """
     omega, alpha, t, t_tilde = (log.column(name) for name in ("omega", "alpha", "t", "t_tilde"))
     worst = 0.0
@@ -285,9 +286,11 @@ def step_bound_audit(log: IterationLog, config: SolverConfig) -> CheckResult:
             omega, t, t_tilde, config.space, config.c_const, config.rho, config.c_omega_bar
         )
         worst = _worst([worst, excess])
-    steps, alpha_start, alpha_end = (
-        log.outer.column(name) for name in ("steps", "alpha_start", "alpha_end")
+    steps, allowance, alpha_start, alpha_end = (
+        log.outer.column(name) for name in ("steps", "allowance", "alpha_start", "alpha_end")
     )
+    if np.any(steps > allowance):
+        worst = max(worst, 1.0)
     # loop i starts at the weight loop i-1 ended with, at its step sum(steps[:i])
     carried = np.concatenate(([config.alpha00], alpha_end))[:-1]
     first = np.cumsum(steps) - steps

@@ -75,8 +75,9 @@ class NoiseSpec:
         q = self.norm_exponent
         if q is not None and not q >= 1.0:  # inf is the max norm
             raise ValueError(f"norm exponent must be >= 1, got {q}")
-        if not self.outlier_count >= 0:
-            raise ValueError(f"outlier count must be >= 0, got {self.outlier_count}")
+        count = self.outlier_count
+        if not (isinstance(count, numbers.Integral) and count >= 0):
+            raise ValueError(f"outlier count must be an int >= 0, got {count}")
         m = self.outlier_magnitude
         if m is not None and not math.isfinite(m):
             raise ValueError(f"outlier_magnitude must be finite or None, got {m}")
@@ -173,8 +174,8 @@ def add_outliers(
     data: GridFunction, count: int, magnitude: float, seed: int
 ) -> GridFunction:
     """Add +-magnitude at ``count`` distinct nodes chosen from the seeded stream."""
-    if not count >= 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    if not (isinstance(count, numbers.Integral) and count >= 0):
+        raise ValueError(f"count must be an int >= 0, got {count}")
     if count == 0:
         return data
     size = data.grid.size

@@ -11,6 +11,7 @@ floor and a geometrically contracting envelope, capped at 1.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -163,8 +164,9 @@ class InnerBudget:
                     f"power budget needs exponent > 1 for summability, got {self.exponent}"
                 )
         elif self.kind == "constant":
-            if not self.k_bar >= 1:
-                raise ConfigurationError(f"constant budget needs k_bar >= 1, got {self.k_bar}")
+            k_bar = self.k_bar
+            if not (isinstance(k_bar, numbers.Integral) and k_bar >= 1):
+                raise ConfigurationError(f"constant budget needs an int k_bar >= 1, got {k_bar}")
         else:
             raise ConfigurationError(f"unknown inner budget kind {self.kind!r}")
 
@@ -174,7 +176,7 @@ class InnerBudget:
 
     @classmethod
     def constant(cls, k_bar: int) -> "InnerBudget":
-        return cls("constant", k_bar=int(k_bar))
+        return cls("constant", k_bar=k_bar)
 
     def coefficient(self, n: int) -> float:
         """The sequence value a_n (power family only)."""

@@ -25,28 +25,30 @@ non-finite values are scalars: a step tests the norm t of its new
 linearized residual, and the residual check the norm of F(z) - y_delta.
 Every exit of either loop sets its reasons where the loop leaves.
 
-A step computes only what steers the iteration. Its row of the log, with
-the Bregman diagnostic d2 = D_p(truth - x0, z_{n,k} - x0) and gamma =
-d2 alpha^-theta, which steer nothing, is written afterwards: ``run()``
-queues each step's scalars and the shift z_{n,k} - x0 of its iterate and
-computes d2 for blocks of RECORD_BLOCK = 32 steps in one pass, then packs
-the block's rows into one numpy array of STEP_DTYPE, about 90 bytes a
-step. Each outer loop's summary is packed the same way, RECORD_BLOCK rows
-of OUTER_DTYPE to an array, 58 bytes a loop. ``log.records`` and
-``log.outer`` are read-only views that build :class:`IterationRecord` and
+A step computes only what steers the iteration, and its row of the log
+stores only what the loop computed: a value it did not compute is NaN.
+The log's two tables, ``log.records`` of the steps and ``log.outer`` of
+the outer loops, pack RECORD_BLOCK = 32 rows to a numpy array, of
+STEP_DTYPE (74 bytes a step) and OUTER_DTYPE (57 bytes a loop). The
+Bregman diagnostic d2 = D_p(truth - x0, z_{n,k} - x0), which steers
+nothing, is computed when a block of steps is packed, in one pass over the
+shifts z_{n,k} - x0 of its iterates. gamma = d2 alpha^-theta is not
+stored: a step's record derives it as it is read. Both tables are
+read-only sequences that build :class:`IterationRecord` and
 :class:`OuterRecord` tuples one at a time on access. Every way out of the
 loops (the discrepancy principle, a budget, the refinement, a failure) goes
-through one exit that flushes the queue, so every step and every finished
-outer loop is in the log.
+through one exit that packs the rows still waiting, so every step and every
+finished outer loop is in the log.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -117,30 +119,29 @@ INNER_REASONS = (
     "aborted: " + REASON_TOTAL_INNER,
 )
 
-# steps whose rows are written together, with one Bregman pass over the
-# block, into one array of the log; the fastest of 8, 16, 32 and 64 at 401
-# cells, where a flush's temporaries take 100 KB each (200 KB at 64)
+# rows packed together into one array of a log table, a block of steps with
+# one Bregman pass; the fastest of 8, 16, 32 and 64 at 401 cells, where a
+# pass's temporaries take 100 KB each (200 KB at 64)
 RECORD_BLOCK = 32
 
-# one row of the log per step: the fields of IterationRecord, then whether
-# each optional field holds a value. A flag, not NaN, marks a missing value,
-# because d2 and gamma are NaN where the Bregman sum overflows (inf - inf).
-# Packed, 85 bytes; float64 holds every Python float the loop makes exactly.
+# one row of the log per step: the fields of IterationRecord but gamma.
+# f_residual is NaN where no residual check ran (run() fails on a
+# non-finite check before it logs one); d2 is NaN in a run without a truth,
+# which the log knows, and where the Bregman sum overflows (inf - inf).
+# Packed, 74 bytes; float64 holds every Python float the loop makes exactly.
 STEP_DTYPE = np.dtype(
     [("n", np.int64), ("k", np.int64)]
     + [
         (name, np.float64)
-        for name in ("t", "t_tilde", "omega", "alpha", "r_n", "f_residual", "d2", "gamma")
+        for name in ("t", "t_tilde", "omega", "alpha", "r_n", "f_residual", "d2")
     ]
-    + [
-        (name, np.bool_)
-        for name in ("degenerate", "refinement", "has_f_residual", "has_d2", "has_gamma")
-    ]
+    + [("degenerate", np.bool_), ("refinement", np.bool_)]
 )
 
 # one row of the log per outer loop: the fields of OuterRecord, with
-# inner_reason as its index in INNER_REASONS and a flag for f_residual_stop.
-# Packed, 58 bytes.
+# inner_reason as its index in INNER_REASONS and f_residual_stop NaN where
+# the loop did not stop on the residual check (a stop is <= tau delta).
+# Packed, 57 bytes.
 OUTER_DTYPE = np.dtype(
     [
         ("n", np.int64),
@@ -151,7 +152,6 @@ OUTER_DTYPE = np.dtype(
         ("alpha_end", np.float64),
         ("inner_reason", np.int8),
         ("f_residual_stop", np.float64),
-        ("has_f_residual_stop", np.bool_),
     ]
 )
 
@@ -211,11 +211,14 @@ class SolverConfig:
         for name in ("rho", "c_const", "c_alpha"):
             if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
+        # counts are integers: the log's int64 columns would truncate a float
         for name in ("max_outer", "max_inner"):
-            if not getattr(self, name) >= 1:
-                raise ConfigurationError(f"{name} must be >= 1")
-        if self.max_total_inner is not None and not self.max_total_inner >= 1:
-            raise ConfigurationError("max_total_inner must be >= 1 when set")
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ConfigurationError(f"{name} must be an int >= 1, got {value}")
+        cap = self.max_total_inner
+        if cap is not None and not (isinstance(cap, numbers.Integral) and cap >= 1):
+            raise ConfigurationError(f"max_total_inner must be an int >= 1 when set, got {cap}")
 
         theta = self.theta  # validates nu against r
         # s >= p gives s* <= p*, so p* >= theta+1 follows
@@ -260,10 +263,11 @@ class IterationRecord(NamedTuple):
     mapped gradient, ``f_residual`` the nonlinear residual of the current z
     when it was evaluated for the stopping check. ``d2``/``gamma`` are the
     shifted Bregman distance to the supplied truth and its alpha^-theta
-    rescaling (synthetic runs only), computed after the step with those of
-    the steps around it (see ``run``). The log keeps its steps as packed
-    rows and builds a record from its row each time ``log.records`` is read;
-    a named tuple is immutable and built without a setattr per field.
+    rescaling (synthetic runs only). The log keeps its steps as packed rows,
+    without gamma, and builds a record from its row each time
+    ``log.records`` is read: a field the step did not compute reads None,
+    and gamma is derived from d2 and alpha. A named tuple is immutable and
+    built without a setattr per field.
     """
 
     n: int
@@ -297,43 +301,71 @@ class OuterRecord(NamedTuple):
     f_residual_stop: float | None = None
 
 
-def _record(row: tuple) -> IterationRecord:
-    """The record of one STEP_DTYPE row, given as a tuple of Python scalars."""
-    (n, k, t, t_tilde, omega, alpha, r_n, f_residual, d2, gamma,
-     degenerate, refinement, has_f_residual, has_d2, has_gamma) = row
+def _record(theta: float, truth: bool, row: tuple) -> IterationRecord:
+    """The record of one STEP_DTYPE row, given as a tuple of Python scalars.
+
+    d2 and gamma read None in a run without a truth. gamma is derived per
+    record in Python float arithmetic: numpy's array power may differ from
+    C pow in the last bit.
+    """
+    n, k, t, t_tilde, omega, alpha, r_n, f_residual, d2, degenerate, refinement = row
+    if not truth:
+        d2 = gamma = None
+    elif theta == 0.0:
+        gamma = d2
+    else:
+        gamma = d2 * alpha**-theta if alpha > 0 else None
     return IterationRecord(
         n, k, t, t_tilde, omega, alpha, r_n,
-        f_residual if has_f_residual else None,
-        d2 if has_d2 else None,
-        gamma if has_gamma else None,
-        degenerate, refinement,
+        None if f_residual != f_residual else f_residual,  # NaN: no check ran
+        d2, gamma, degenerate, refinement,
     )
 
 
 def _outer_record(row: tuple) -> OuterRecord:
     """The record of one OUTER_DTYPE row, given as a tuple of Python scalars."""
-    n, r_n, alpha_start, allowance, steps, alpha_end, reason, f_stop, has_f_stop = row
+    n, r_n, alpha_start, allowance, steps, alpha_end, reason, f_stop = row
     return OuterRecord(
         n, r_n, alpha_start, allowance, steps, alpha_end,
         INNER_REASONS[reason],
-        f_stop if has_f_stop else None,
+        None if f_stop != f_stop else f_stop,  # NaN: no stop on the check
     )
 
 
-class PackedRows(Sequence):
-    """One table of a log as a read-only sequence of records.
+class LogTable(Sequence):
+    """One table of a log: rows packed in numpy blocks, read as records.
 
-    A view: each record is built from its packed row by ``decode`` when it
-    is read, and none is kept. Every block of the table but the last holds
-    RECORD_BLOCK rows, so an index finds its block by division.
+    The run adds a row as a tuple of Python scalars. Rows wait until
+    RECORD_BLOCK of them are packed into one array of the table's dtype, and
+    the run's end packs the rest, so every block but the last is full and
+    an index finds its block by division. Reading sees the packed rows: each
+    record is built from its row by ``decode`` when it is read, and none is
+    kept. Two tables are equal when their packed rows agree bit for bit.
     """
 
-    __slots__ = ("_blocks", "_dtype", "_decode")
+    __slots__ = ("_dtype", "_decode", "_blocks", "_rows")
 
-    def __init__(self, blocks: list[np.ndarray], dtype: np.dtype, decode):
-        self._blocks = blocks
+    def __init__(self, dtype: np.dtype, decode) -> None:
         self._dtype = dtype
         self._decode = decode
+        self._blocks: list[np.ndarray] = []
+        self._rows: list[tuple] = []
+
+    def _add(self, row: tuple) -> np.ndarray | None:
+        """Add one row; returns the block it completes, if it completes one."""
+        rows = self._rows
+        rows.append(row)
+        return self._pack() if len(rows) == RECORD_BLOCK else None
+
+    def _pack(self) -> np.ndarray | None:
+        """Pack the waiting rows into a new block and return it, None if none wait."""
+        rows = self._rows
+        if not rows:
+            return None
+        block = np.array(rows, dtype=self._dtype)
+        self._blocks.append(block)
+        rows.clear()
+        return block
 
     def __len__(self) -> int:
         blocks = self._blocks
@@ -358,42 +390,38 @@ class PackedRows(Sequence):
                 yield decode(row)
 
     def column(self, name: str) -> np.ndarray:
-        """One field of every row, in order.
-
-        An optional field reads 0.0 where its ``has_`` column is false.
-        """
+        """One field of every row, in order; NaN where the record reads None."""
         if not self._blocks:
             return np.empty(0, self._dtype[name])
         return np.concatenate([block[name] for block in self._blocks])
 
-
-def _same_rows(a: list[np.ndarray], b: list[np.ndarray]) -> bool:
-    return len(a) == len(b) and all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LogTable):
+            return NotImplemented
+        a, b = self._blocks, other._blocks
+        return len(a) == len(b) and all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
 class IterationLog:
     """The steps and outer loops of one run, in execution order.
 
-    Both tables are kept as numpy blocks of RECORD_BLOCK rows: the steps of
-    STEP_DTYPE, which ``records`` reads as :class:`IterationRecord` tuples,
-    and the outer loops of OUTER_DTYPE, which ``outer`` reads as
-    :class:`OuterRecord` tuples. ``column`` gives one step field as an
-    array, ``outer.column`` one outer field. Two logs are equal when the
-    rows of both tables agree bit for bit.
+    Two :class:`LogTable` sequences: ``records``, a STEP_DTYPE row per step
+    read as :class:`IterationRecord` tuples, and ``outer``, an OUTER_DTYPE
+    row per outer loop read as :class:`OuterRecord` tuples. A row holds
+    only what the loop computed, NaN for a value it did not compute, which
+    its record reads as None. gamma is derived from d2 as a step record is
+    read, so the log is told the run's ``theta``, and whether the run was
+    given a ``truth``: without one, d2 and gamma read None. ``column``
+    gives one step field as an array, ``outer.column`` one outer field. Two
+    logs are equal when they were told the same and the rows of both
+    tables agree bit for bit.
     """
 
-    def __init__(self) -> None:
-        # written by the run's _RecordQueue, the last blocks at the run's end
-        self._step_blocks: list[np.ndarray] = []
-        self._outer_blocks: list[np.ndarray] = []
-
-    @property
-    def records(self) -> PackedRows:
-        return PackedRows(self._step_blocks, STEP_DTYPE, _record)
-
-    @property
-    def outer(self) -> PackedRows:
-        return PackedRows(self._outer_blocks, OUTER_DTYPE, _outer_record)
+    def __init__(self, theta: float = 0.0, truth: bool = False) -> None:
+        self.theta = theta
+        self.truth = truth
+        self.records = LogTable(STEP_DTYPE, partial(_record, theta, truth))
+        self.outer = LogTable(OUTER_DTYPE, _outer_record)
 
     @property
     def total_inner(self) -> int:
@@ -406,8 +434,10 @@ class IterationLog:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IterationLog):
             return NotImplemented
-        return _same_rows(self._step_blocks, other._step_blocks) and _same_rows(
-            self._outer_blocks, other._outer_blocks
+        return (
+            (self.theta, self.truth) == (other.theta, other.truth)
+            and self.records == other.records
+            and self.outer == other.outer
         )
 
 
@@ -434,19 +464,15 @@ def refinement_threshold(r_n: float, config: SolverConfig) -> float:
 
 
 class _RecordQueue:
-    """Steps and outer loops of one run waiting for their rows of the log.
+    """Writes a run's rows through the log's tables, with the Bregman pass.
 
-    Each step pushes its scalars and its iterate z_{n,k}, whose shift
-    z_{n,k} - x0 is written into a row of a preallocated (RECORD_BLOCK, n)
-    block. The truth's shift and its |.|^p are tiled to the block's shape
-    once per run, so a flush computes the Bregman diagnostic d2 of every
-    queued iterate in one pass of ``bregman_values`` over same-shape slices
-    of the filled rows, with no broadcasting, and gamma = d2 * alpha^-theta
-    per row in Python float arithmetic, then appends the rows to the log as
-    one STEP_DTYPE block. Outer loops are queued as OUTER_DTYPE rows, their
-    inner reason as its index in INNER_REASONS, and packed the same way.
-    Each table flushes itself when it holds RECORD_BLOCK rows, so every
-    block but the one of the run's last flush is full.
+    Each step's row goes to the step table with d2 NaN, and the shift
+    z_{n,k} - x0 of its iterate into a row of a preallocated
+    (RECORD_BLOCK, n) array. The truth's shift and its |.|^p are tiled to
+    that shape once per run, so when the table packs a block, one pass of
+    ``bregman_values`` over same-shape slices of the filled rows, with no
+    broadcasting, writes the block's d2 column. An outer loop's row goes to
+    the outer table with its inner reason as its index in INNER_REASONS.
     """
 
     def __init__(
@@ -455,90 +481,44 @@ class _RecordQueue:
         x0: np.ndarray,
         truth_shift: tuple[np.ndarray, np.ndarray] | None,
         p: float,
-        theta: float,
         weight: float,
     ):
-        self.step_blocks = log._step_blocks
-        self.outer_blocks = log._outer_blocks
+        self.steps = log.records
+        self.outer = log.outer
         self.x0 = x0
         self.p = p
-        self.theta = theta
         self.weight = weight
-        self.rows: list[tuple] = []
-        self.outer_rows: list[tuple] = []
-        if truth_shift is None:
-            self.shifts = None
-        else:
+        self.shifts = None
+        if truth_shift is not None:
             tiles = (RECORD_BLOCK, 1)
             self.truth_tiles = tuple(np.tile(a, tiles) for a in truth_shift)
             self.shifts = np.empty((RECORD_BLOCK, x0.size))
 
     def push(self, row: tuple, z: np.ndarray) -> None:
-        """Queue (n, k, t, t_tilde, omega, alpha, r_n, f_residual, degenerate, refinement)."""
-        rows = self.rows
+        """Queue a STEP_DTYPE row, its d2 a placeholder, and the step's iterate z."""
         if self.shifts is not None:
-            np.subtract(z, self.x0, out=self.shifts[len(rows)])
-        rows.append(row)
-        if len(rows) == RECORD_BLOCK:
-            self._flush_steps()
+            np.subtract(z, self.x0, out=self.shifts[len(self.steps._rows)])
+        self._bregman(self.steps._add(row))
 
     def push_outer(self, row: tuple) -> None:
         """Queue (n, r_n, alpha_start, allowance, steps, alpha_end, inner_reason, f_residual_stop).
 
         An inner reason outside INNER_REASONS raises ``ValueError``.
         """
-        n, r_n, alpha_start, allowance, steps, alpha_end, inner_reason, f_stop = row
-        rows = self.outer_rows
-        rows.append((
-            n, r_n, alpha_start, allowance, steps, alpha_end,
-            INNER_REASONS.index(inner_reason),
-            0.0 if f_stop is None else f_stop,
-            f_stop is not None,
-        ))
-        if len(rows) == RECORD_BLOCK:
-            self._flush_outer()
+        *head, inner_reason, f_stop = row
+        self.outer._add((*head, INNER_REASONS.index(inner_reason), f_stop))
 
     def flush(self) -> None:
-        self._flush_steps()
-        self._flush_outer()
+        self._bregman(self.steps._pack())
+        self.outer._pack()
 
-    def _flush_outer(self) -> None:
-        if self.outer_rows:
-            self.outer_blocks.append(np.array(self.outer_rows, dtype=OUTER_DTYPE))
-            self.outer_rows.clear()
-
-    def _flush_steps(self) -> None:
-        rows = self.rows
-        m = len(rows)
-        if m == 0:
-            return
-        if self.shifts is None:
-            d2s = [None] * m
-        else:
+    def _bregman(self, block: np.ndarray | None) -> None:
+        if block is not None and self.shifts is not None:
+            m = len(block)
             shift, shift_pow = self.truth_tiles
-            d2s = bregman_values(
+            block["d2"] = bregman_values(
                 shift[:m], shift_pow[:m], self.shifts[:m], self.p, self.weight
-            ).tolist()
-        theta = self.theta
-        packed = []
-        for row, d2 in zip(rows, d2s):
-            n, k, t, t_tilde, omega, alpha, r_n, f_residual, degenerate, refinement = row
-            # per row, not vectorized: numpy's array power may differ from
-            # C pow in the last bit
-            if d2 is None or theta == 0.0:
-                gamma = d2
-            else:
-                gamma = d2 * alpha**-theta if alpha > 0 else None
-            packed.append((
-                n, k, t, t_tilde, omega, alpha, r_n,
-                0.0 if f_residual is None else f_residual,
-                0.0 if d2 is None else d2,
-                0.0 if gamma is None else gamma,
-                degenerate, refinement,
-                f_residual is not None, d2 is not None, gamma is not None,
-            ))
-        self.step_blocks.append(np.array(packed, dtype=STEP_DTYPE))
-        rows.clear()
+            )
 
 
 def run(
@@ -587,8 +567,8 @@ def run(
     if truth is not None:
         shift = truth.values - x0_values
         truth_shift = (shift, np.abs(shift) ** sp.p)
-    log = IterationLog()
-    queue = _RecordQueue(log, x0_values, truth_shift, sp.p, theta, weight)
+    log = IterationLog(theta, truth is not None)
+    queue = _RecordQueue(log, x0_values, truth_shift, sp.p, weight)
     rate_active = config.rate_mode and theta > 0.0
     # rate mode runs every loop to its full allowance; with exact data the
     # residual test can never fire, so skip the extra forward solves too
@@ -621,7 +601,7 @@ def run(
         else:
             allowance = min(config.inner_budget.limit(n, r_n, r), config.max_inner)
         if reason is not None:
-            queue.push_outer((n, r_n, alpha, 0, 0, alpha, reason, None))
+            queue.push_outer((n, r_n, alpha, 0, 0, alpha, reason, math.nan))
             break
 
         x_n = x.values
@@ -636,9 +616,10 @@ def run(
         alpha_start = alpha
         k = 0
         inner_reason = None
-        f_stop = None
-        # the residual check of z_{n,k} is logged with step k
-        f_pending = None
+        # NaN in the log: the loop did not stop on the residual check
+        f_stop = math.nan
+        # the residual check of z_{n,k} is logged with step k, NaN if none ran
+        f_pending = math.nan
         while True:
             if refining and alpha <= threshold:
                 inner_reason = "refinement"
@@ -679,8 +660,9 @@ def run(
             if not math.isfinite(t_next):
                 reason = f"failure: non-finite iterate or residual (iterate n={n}, k={k})"
                 break
-            # the record holds the state of z_{n,k}, before the update
-            row = (n, k, t, t_tilde, omega, alpha, r_n, f_pending, degenerate, refining)
+            # the record holds the state of z_{n,k}, before the update; the
+            # queue writes its d2 in the Bregman pass
+            row = (n, k, t, t_tilde, omega, alpha, r_n, f_pending, math.nan, degenerate, refining)
             queue.push(row, z)
             u_dual, w, z, resid, t = u_next, w_next, z_next, resid_next, t_next
             alpha = next_alpha(
@@ -689,7 +671,7 @@ def run(
             )
             k += 1
             total_inner += 1
-            f_pending = None
+            f_pending = math.nan
             if check_residual and k < allowance:
                 try:
                     f_val = state_values(problem, z)

@@ -340,6 +340,39 @@ def test_non_finite_settings_fail_their_range_checks(build, message):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        *(
+            pytest.param(
+                lambda value, name=name: SolverConfig(**{**NAN_SOLVER, name: value}),
+                rf"^{name} must",
+                id=name,
+            )
+            for name in ("max_outer", "max_inner", "max_total_inner")
+        ),
+        pytest.param(InnerBudget.constant, "^constant budget needs", id="constant"),
+        pytest.param(
+            lambda value: InnerBudget("constant", k_bar=value),
+            "^constant budget needs",
+            id="k_bar",
+        ),
+        pytest.param(
+            lambda value: NoiseSpec(1e-3, outlier_count=value),
+            "^outlier count must",
+            id="outliers",
+        ),
+        pytest.param(lambda value: add_outliers(ONES, value, 1.0, 0), "^count must", id="count"),
+    ],
+)
+def test_counts_must_be_integers(build, message):
+    # a float count was truncated where it was used: max_inner = 2.5 logged
+    # allowance 2 next to 3 steps, and add_outliers(u, 1.5, ...) added 2
+    with pytest.raises(ValueError, match=message):
+        build(2.5)
+    build(np.int64(3))
+
+
 def test_override_m_needs_a_2d_preset():
     # a 1D preset's callables take one coordinate; a 2D one takes its m
     with pytest.raises(ValueError, match="override 'm' needs a 2D preset"):

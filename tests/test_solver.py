@@ -678,9 +678,9 @@ def test_outer_records_keep_the_residual_stop():
 
 def test_an_unknown_inner_reason_raises():
     log = solver.IterationLog()
-    queue = solver._RecordQueue(log, np.zeros(4), None, 2.0, 0.0, 0.25)
+    queue = solver._RecordQueue(log, np.zeros(4), None, 2.0, 0.25)
     with pytest.raises(ValueError):
-        queue.push_outer((0, 1.0, 1.0, 5, 5, 0.5, "bugdet", None))
+        queue.push_outer((0, 1.0, 1.0, 5, 5, 0.5, "bugdet", math.nan))
     queue.flush()
     assert len(log.outer) == 0
 
@@ -693,7 +693,7 @@ def test_log_equality_compares_the_outer_loops_bit_for_bit():
     b = run(problem, data, config, truth=truth).log
     assert a == b
     # one r_n of the second block one ulp up
-    block = b._outer_blocks[1]
+    block = b.outer._blocks[1]
     block["r_n"][3] = np.nextafter(block["r_n"][3], math.inf)
     loop = solver.RECORD_BLOCK + 3
     assert b.outer[loop].r_n == np.nextafter(a.outer[loop].r_n, math.inf)
@@ -708,52 +708,73 @@ def test_step_bound_audit_sees_a_broken_carry_over():
     log = run(problem, data, config).log
     assert step_bound_audit(log, config).ok
     # a loop that does not start at the weight the one before it ended with
-    alpha_start = log._outer_blocks[0]["alpha_start"]
+    alpha_start = log.outer._blocks[0]["alpha_start"]
     alpha_start[2] = np.nextafter(alpha_start[2], 0.0)
     assert not step_bound_audit(log, config).ok
     alpha_start[2] = log.outer[1].alpha_end
     assert step_bound_audit(log, config).ok
     # a first step that does not use the loop's starting weight
-    alpha = log._step_blocks[0]["alpha"]
+    alpha = log.records._blocks[0]["alpha"]
     alpha[10] = np.nextafter(alpha[10], 0.0)
     assert not step_bound_audit(log, config).ok
 
 
+def test_step_bound_audit_sees_more_steps_than_the_allowance():
+    problem, _, exact = small_problem()
+    data = generate_noise(exact, 1e-3, 2.0, 6)
+    config = base_config(delta=1e-3, max_outer=4, inner_budget=InnerBudget.constant(10))
+    log = run(problem, data, config).log
+    assert [(rec.steps, rec.allowance) for rec in log.outer] == [(10, 10)] * 4 + [(0, 0)]
+    # the last loop with steps, so that no later loop's first step moves
+    log.outer._blocks[0]["steps"][3] += 1
+    assert not step_bound_audit(log, config).ok
+
+
 def test_log_keeps_none_and_nan_apart(tmp_path):
-    # |1e200|^2 overflows, so the Bregman sum of each row is inf - inf
+    # a row stores NaN for a value the step did not compute, and its record
+    # reads None there; d2 reads None only in a log without a truth, and NaN
+    # where the Bregman sum overflows: |1e200|^2 is inf, so each row's sum is
+    # inf - inf. gamma = d2 alpha^-theta reads None at alpha = 0
+    nan = math.nan
     rows = [
-        (0, 0, 1.0, 2.0, 3.0, 0.5, 4.0, None, False, False),
-        (0, 1, 1.0, 2.0, 3.0, 0.5, 4.0, math.nan, True, False),
-        (0, 2, 1.0, 2.0, 3.0, 0.5, 4.0, 0.25, False, True),
+        (0, 0, 1.0, 2.0, 3.0, 0.5, 4.0, nan, nan, False, False),
+        (0, 1, 1.0, 2.0, 3.0, 0.5, 4.0, 0.25, nan, True, False),
+        (0, 2, 1.0, 2.0, 3.0, 0.0, 4.0, nan, nan, False, True),
     ]
-    huge = np.full(4, 1e200)
+    huge, ones = np.full(4, 1e200), np.ones(4)
     logs = []
-    for truth_shift in (None, (huge, np.full(4, math.inf))):
-        log = solver.IterationLog()
-        queue = solver._RecordQueue(log, np.zeros(4), truth_shift, 2.0, 1.0, 0.25)
+    # no truth; a truth whose Bregman sums overflow; a truth one away from
+    # every iterate, which is x0, so d2 = 0.25 * 4 * 1^2 / 2
+    cases = ((None, huge), ((huge, np.full(4, math.inf)), huge), ((ones, ones), np.zeros(4)))
+    for truth_shift, z in cases:
+        log = solver.IterationLog(1.0, truth_shift is not None)
+        queue = solver._RecordQueue(log, np.zeros(4), truth_shift, 2.0, 0.25)
         with np.errstate(over="ignore", invalid="ignore"):
             for row in rows:
-                queue.push(row, huge)
+                queue.push(row, z)
             queue.flush()
         logs.append(log)
-    no_truth, overflowed = (list(log.records) for log in logs)
+    no_truth, overflowed, finite = (list(log.records) for log in logs)
     for rec in no_truth:
         assert rec.d2 is None and rec.gamma is None
-    for rec in overflowed:
+    for rec in overflowed[:2]:
         assert math.isnan(rec.d2) and math.isnan(rec.gamma)
-    for recs in (no_truth, overflowed):
-        assert recs[0].f_residual is None
-        assert math.isnan(recs[1].f_residual)
-        assert recs[2].f_residual == 0.25
+    assert [(rec.d2, rec.gamma) for rec in finite] == [(0.5, 1.0), (0.5, 1.0), (0.5, None)]
+    assert math.isnan(overflowed[2].d2) and overflowed[2].gamma is None
+    for recs in (no_truth, overflowed, finite):
+        assert [rec.f_residual for rec in recs] == [None, 0.25, None]
         assert [(rec.degenerate, rec.refinement) for rec in recs] == [
             (False, False), (True, False), (False, True)
         ]
+    for log in logs:
+        assert np.isnan(log.column("f_residual")[[0, 2]]).all()
+    assert np.isnan(logs[0].column("d2")).all()
     path = tmp_path / "iterations.csv"
     write_iterations(str(path), logs[1])
     assert path.read_text().splitlines()[1:] == [
         "0,0,1.0,2.0,3.0,0.5,4.0,,nan,nan",
-        "0,1,1.0,2.0,3.0,0.5,4.0,nan,nan,nan",
-        "0,2,1.0,2.0,3.0,0.5,4.0,0.25,nan,nan",
+        "0,1,1.0,2.0,3.0,0.5,4.0,0.25,nan,nan",
+        "0,2,1.0,2.0,3.0,0.0,4.0,,nan,",
     ]
 
 
@@ -765,11 +786,14 @@ def test_log_equality_compares_the_steps_bit_for_bit():
     b = run(problem, data, config, truth=truth).log
     assert a == b
     # one d2 of the second block one ulp up
-    block = b._step_blocks[1]
+    block = b.records._blocks[1]
     block["d2"][3] = np.nextafter(block["d2"][3], math.inf)
     step = solver.RECORD_BLOCK + 3
     assert b.records[step].d2 == np.nextafter(a.records[step].d2, math.inf)
     assert a != b
+    # the same rows read with another theta, or without a truth, read otherwise
+    assert solver.IterationLog(0.5, True) != solver.IterationLog(0.0, True)
+    assert solver.IterationLog(0.0, True) != solver.IterationLog(0.0, False)
 
 
 def held_bytes_per_step(spec, steps):
@@ -791,18 +815,19 @@ def held_bytes_per_step(spec, steps):
     return result, held / steps
 
 
-def test_log_holds_at_most_128_bytes_per_step():
-    # example1 p = 1.1: about 100 bytes a step with the steps packed, outer
-    # records included, against 313 with one named tuple per step
+def test_log_holds_at_most_88_bytes_per_step():
+    # example1 p = 1.1: about 83 bytes a step with each row holding only what
+    # the loop computed, outer records included, against 94 with gamma and
+    # the presence flags stored and 313 with one named tuple per step
     _, per_step = held_bytes_per_step(make_example1(1.1), 2000)
-    assert per_step <= 128
+    assert per_step <= 88
 
 
-def test_rate_log_holds_at_most_192_bytes_per_step():
+def test_rate_log_holds_at_most_147_bytes_per_step():
     # the rate run takes one step per outer loop before its refinement tail:
-    # about 153 bytes a step with both tables packed, against 287 with one
-    # named tuple per outer loop
+    # about 141 bytes a step, against 153 with gamma and the presence flags
+    # stored and 287 with one named tuple per outer loop
     spec = build_spec("example1", dict(RATE_OVERRIDES, delta="1e-3"))
     result, per_step = held_bytes_per_step(spec, 2000)
     assert len(result.log.outer) == 2001
-    assert per_step <= 192
+    assert per_step <= 147
