@@ -145,9 +145,12 @@ def bregman_values(
 
 
 def lp_norm(f: GridFunction, q: float) -> float:
-    """Weighted discrete L^q norm, (sum_i w_i |f_i|^q)^(1/q)."""
+    """Weighted discrete L^q norm, (sum_i w_i |f_i|^q)^(1/q); max|f| at q = inf."""
     if not q >= 1.0:  # written positively, so that NaN fails it
         raise ValueError(f"norm exponent must be >= 1, got {q}")
+    if q == math.inf:
+        # the limit of the formula, which would read pow(0, 0) = 1 on a zero f
+        return float(np.max(np.abs(f.values)))
     return lp_norm_values(f.values, q, f.grid.cell_volume)
 
 

@@ -27,18 +27,20 @@ Every exit of either loop sets its reasons where the loop leaves.
 
 A step computes only what steers the iteration, and its row of the log
 stores only what the loop computed: a value it did not compute is NaN.
-The log's two tables, ``log.records`` of the steps and ``log.outer`` of
-the outer loops, pack RECORD_BLOCK = 32 rows to a numpy array, of
-STEP_DTYPE (74 bytes a step) and OUTER_DTYPE (57 bytes a loop). The
-Bregman diagnostic d2 = D_p(truth - x0, z_{n,k} - x0), which steers
-nothing, is computed when a block of steps is packed, in one pass over the
-shifts z_{n,k} - x0 of its iterates. gamma = d2 alpha^-theta is not
-stored: a step's record derives it as it is read. Both tables are
-read-only sequences that build :class:`IterationRecord` and
-:class:`OuterRecord` tuples one at a time on access. Every way out of the
-loops (the discrepancy principle, a budget, the refinement, a failure) goes
-through one exit that packs the rows still waiting, so every step and every
-finished outer loop is in the log.
+``run`` hands each row to the :class:`IterationLog`, which is the one
+writer of its two tables, ``log.records`` of the steps and ``log.outer`` of
+the outer loops. It packs RECORD_BLOCK = 32 rows to a numpy array, of
+STEP_DTYPE (74 bytes a step) and OUTER_DTYPE (57 bytes a loop), both built
+from the record fields. The Bregman diagnostic
+d2 = D_p(truth - x0, z_{n,k} - x0), which steers nothing, is computed by
+the log when it packs a block of steps, in one pass over the shifts
+z_{n,k} - x0 of their iterates. gamma = d2 alpha^-theta is not stored: a
+step's record derives it as it is read. Both tables are read-only
+sequences that build :class:`IterationRecord` and :class:`OuterRecord`
+tuples one at a time on access. Every way out of the loops (the
+discrepancy principle, a budget, the refinement, a failure) goes through
+one exit that closes the log, which packs the rows still waiting, so every
+step and every finished outer loop is in the log.
 """
 
 from __future__ import annotations
@@ -124,37 +126,6 @@ INNER_REASONS = (
 # pass's temporaries take 100 KB each (200 KB at 64)
 RECORD_BLOCK = 32
 
-# one row of the log per step: the fields of IterationRecord but gamma.
-# f_residual is NaN where no residual check ran (run() fails on a
-# non-finite check before it logs one); d2 is NaN in a run without a truth,
-# which the log knows, and where the Bregman sum overflows (inf - inf).
-# Packed, 74 bytes; float64 holds every Python float the loop makes exactly.
-STEP_DTYPE = np.dtype(
-    [("n", np.int64), ("k", np.int64)]
-    + [
-        (name, np.float64)
-        for name in ("t", "t_tilde", "omega", "alpha", "r_n", "f_residual", "d2")
-    ]
-    + [("degenerate", np.bool_), ("refinement", np.bool_)]
-)
-
-# one row of the log per outer loop: the fields of OuterRecord, with
-# inner_reason as its index in INNER_REASONS and f_residual_stop NaN where
-# the loop did not stop on the residual check (a stop is <= tau delta).
-# Packed, 57 bytes.
-OUTER_DTYPE = np.dtype(
-    [
-        ("n", np.int64),
-        ("r_n", np.float64),
-        ("alpha_start", np.float64),
-        ("allowance", np.int64),
-        ("steps", np.int64),
-        ("alpha_end", np.float64),
-        ("inner_reason", np.int8),
-        ("f_residual_stop", np.float64),
-    ]
-)
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -190,10 +161,12 @@ class SolverConfig:
     def __post_init__(self) -> None:
         sp = self.space
         # every range check is written positively, so that NaN fails it
-        if not self.delta >= 0:
-            raise ConfigurationError(f"delta must be >= 0, got {self.delta}")
-        if not self.tau > 1.0:
-            raise ConfigurationError(f"tau must exceed 1, got {self.tau}")
+        # and so that an infinite delta or tau, which makes every residual
+        # pass the discrepancy test, fails too
+        if not 0.0 <= self.delta < math.inf:
+            raise ConfigurationError(f"delta must be finite and >= 0, got {self.delta}")
+        if not 1.0 < self.tau < math.inf:
+            raise ConfigurationError(f"tau must be finite and exceed 1, got {self.tau}")
         if not self.tau_tilde > 0:
             raise ConfigurationError(f"tau_tilde must be positive, got {self.tau_tilde}")
         if not 0.0 <= self.eta < 1.0:
@@ -301,6 +274,33 @@ class OuterRecord(NamedTuple):
     f_residual_stop: float | None = None
 
 
+# the column type of each record field that is not a float64, which holds
+# every Python float the loop makes exactly; an inner reason is stored as
+# its index in INNER_REASONS
+_COLUMN_TYPES = {
+    **dict.fromkeys(("n", "k", "allowance", "steps"), np.int64),
+    **dict.fromkeys(("degenerate", "refinement"), np.bool_),
+    "inner_reason": np.int8,
+}
+
+
+def _row_dtype(fields) -> np.dtype:
+    return np.dtype([(name, _COLUMN_TYPES.get(name, np.float64)) for name in fields])
+
+
+# a row of the log per step holds the fields of IterationRecord but gamma,
+# 74 bytes packed. f_residual is NaN where no residual check ran (run()
+# fails on a non-finite check before it logs one); d2 is NaN in a run
+# without a truth, which the log knows, and where the Bregman sum overflows
+# (inf - inf).
+STEP_DTYPE = _row_dtype(name for name in IterationRecord._fields if name != "gamma")
+
+# a row per outer loop holds the fields of OuterRecord, 57 bytes packed;
+# f_residual_stop is NaN where the loop did not stop on the residual check
+# (a stop is <= tau delta)
+OUTER_DTYPE = _row_dtype(OuterRecord._fields)
+
+
 def _record(theta: float, truth: bool, row: tuple) -> IterationRecord:
     """The record of one STEP_DTYPE row, given as a tuple of Python scalars.
 
@@ -335,37 +335,19 @@ def _outer_record(row: tuple) -> OuterRecord:
 class LogTable(Sequence):
     """One table of a log: rows packed in numpy blocks, read as records.
 
-    The run adds a row as a tuple of Python scalars. Rows wait until
-    RECORD_BLOCK of them are packed into one array of the table's dtype, and
-    the run's end packs the rest, so every block but the last is full and
-    an index finds its block by division. Reading sees the packed rows: each
-    record is built from its row by ``decode`` when it is read, and none is
-    kept. Two tables are equal when their packed rows agree bit for bit.
+    Its log packs RECORD_BLOCK rows into each block of the table's dtype and
+    the rest into a last one, so every block but the last is full and an
+    index finds its block by division. Each record is built from its row by
+    ``decode`` when it is read, and none is kept. Two tables are equal when
+    their packed rows agree bit for bit.
     """
 
-    __slots__ = ("_dtype", "_decode", "_blocks", "_rows")
+    __slots__ = ("_dtype", "_decode", "_blocks")
 
     def __init__(self, dtype: np.dtype, decode) -> None:
         self._dtype = dtype
         self._decode = decode
         self._blocks: list[np.ndarray] = []
-        self._rows: list[tuple] = []
-
-    def _add(self, row: tuple) -> np.ndarray | None:
-        """Add one row; returns the block it completes, if it completes one."""
-        rows = self._rows
-        rows.append(row)
-        return self._pack() if len(rows) == RECORD_BLOCK else None
-
-    def _pack(self) -> np.ndarray | None:
-        """Pack the waiting rows into a new block and return it, None if none wait."""
-        rows = self._rows
-        if not rows:
-            return None
-        block = np.array(rows, dtype=self._dtype)
-        self._blocks.append(block)
-        rows.clear()
-        return block
 
     def __len__(self) -> int:
         blocks = self._blocks
@@ -403,25 +385,96 @@ class LogTable(Sequence):
 
 
 class IterationLog:
-    """The steps and outer loops of one run, in execution order.
+    """The steps and outer loops of one run, in execution order; their one writer.
 
     Two :class:`LogTable` sequences: ``records``, a STEP_DTYPE row per step
     read as :class:`IterationRecord` tuples, and ``outer``, an OUTER_DTYPE
     row per outer loop read as :class:`OuterRecord` tuples. A row holds
     only what the loop computed, NaN for a value it did not compute, which
     its record reads as None. gamma is derived from d2 as a step record is
-    read, so the log is told the run's ``theta``, and whether the run was
-    given a ``truth``: without one, d2 and gamma read None. ``column``
-    gives one step field as an array, ``outer.column`` one outer field. Two
-    logs are equal when they were told the same and the rows of both
-    tables agree bit for bit.
+    read, so the log is told the run's ``theta``. ``column`` gives one step
+    field as an array, ``outer.column`` one outer field. Two logs are equal
+    when they were told the same theta, both or neither were given a truth,
+    and the rows of both tables agree bit for bit.
+
+    The run writes its rows with ``add_step`` and ``add_outer``. They wait
+    until RECORD_BLOCK of them are packed into one block of their table,
+    and ``close`` packs the rest. Given the ``truth``'s values with the
+    ``x0`` values, ``p`` and the cell ``weight``, the log tiles the shift
+    truth - x0 and its |.|^p to (RECORD_BLOCK, n) once and keeps each
+    waiting step's shift z - x0 in a row of a buffer of that shape; when it
+    packs a block of steps, one pass of ``bregman_values`` over same-shape
+    slices of the filled rows, with no broadcasting, writes the block's d2
+    column. ``close`` releases these buffers. ``truth`` reads whether a
+    truth was given: without one, d2 and gamma read None.
     """
 
-    def __init__(self, theta: float = 0.0, truth: bool = False) -> None:
+    def __init__(
+        self,
+        theta: float = 0.0,
+        truth: np.ndarray | None = None,
+        x0: np.ndarray | None = None,
+        p: float = 2.0,
+        weight: float = 1.0,
+    ) -> None:
         self.theta = theta
-        self.truth = truth
-        self.records = LogTable(STEP_DTYPE, partial(_record, theta, truth))
+        self.truth = truth is not None
+        self.records = LogTable(STEP_DTYPE, partial(_record, theta, self.truth))
         self.outer = LogTable(OUTER_DTYPE, _outer_record)
+        self._steps: list[tuple] = []
+        self._loops: list[tuple] = []
+        self._shifts = None
+        if truth is not None:
+            shift = truth - x0
+            tiles = (RECORD_BLOCK, 1)
+            self._truth_tiles = tuple(np.tile(a, tiles) for a in (shift, np.abs(shift) ** p))
+            self._shifts = np.empty((RECORD_BLOCK, x0.size))
+            self._x0, self._p, self._weight = x0, p, weight
+
+    def add_step(self, row: tuple, z: np.ndarray) -> None:
+        """Add a STEP_DTYPE row, its d2 a placeholder, of the step at iterate z."""
+        rows = self._steps
+        if self._shifts is not None:
+            np.subtract(z, self._x0, out=self._shifts[len(rows)])
+        rows.append(row)
+        if len(rows) == RECORD_BLOCK:
+            self._pack_steps()
+
+    def add_outer(self, row: tuple) -> None:
+        """Add (n, r_n, alpha_start, allowance, steps, alpha_end, inner_reason, f_residual_stop).
+
+        An inner reason outside INNER_REASONS raises ``ValueError``.
+        """
+        *head, inner_reason, f_stop = row
+        rows = self._loops
+        rows.append((*head, INNER_REASONS.index(inner_reason), f_stop))
+        if len(rows) == RECORD_BLOCK:
+            self._pack(self.outer, rows)
+
+    def close(self) -> None:
+        """Pack the rows still waiting and release the step buffers."""
+        self._pack_steps()
+        self._pack(self.outer, self._loops)
+        self._shifts = self._truth_tiles = self._x0 = None
+
+    def _pack_steps(self) -> None:
+        block = self._pack(self.records, self._steps)
+        if block is not None and self._shifts is not None:
+            m = len(block)
+            shift, shift_pow = self._truth_tiles
+            block["d2"] = bregman_values(
+                shift[:m], shift_pow[:m], self._shifts[:m], self._p, self._weight
+            )
+
+    @staticmethod
+    def _pack(table: LogTable, rows: list[tuple]) -> np.ndarray | None:
+        """Pack the waiting rows into a new block of the table; None if none wait."""
+        if not rows:
+            return None
+        block = np.array(rows, dtype=table._dtype)
+        table._blocks.append(block)
+        rows.clear()
+        return block
 
     @property
     def total_inner(self) -> int:
@@ -463,64 +516,6 @@ def refinement_threshold(r_n: float, config: SolverConfig) -> float:
     return config.c_alpha * _pow(r_n + config.delta, exponent)
 
 
-class _RecordQueue:
-    """Writes a run's rows through the log's tables, with the Bregman pass.
-
-    Each step's row goes to the step table with d2 NaN, and the shift
-    z_{n,k} - x0 of its iterate into a row of a preallocated
-    (RECORD_BLOCK, n) array. The truth's shift and its |.|^p are tiled to
-    that shape once per run, so when the table packs a block, one pass of
-    ``bregman_values`` over same-shape slices of the filled rows, with no
-    broadcasting, writes the block's d2 column. An outer loop's row goes to
-    the outer table with its inner reason as its index in INNER_REASONS.
-    """
-
-    def __init__(
-        self,
-        log: IterationLog,
-        x0: np.ndarray,
-        truth_shift: tuple[np.ndarray, np.ndarray] | None,
-        p: float,
-        weight: float,
-    ):
-        self.steps = log.records
-        self.outer = log.outer
-        self.x0 = x0
-        self.p = p
-        self.weight = weight
-        self.shifts = None
-        if truth_shift is not None:
-            tiles = (RECORD_BLOCK, 1)
-            self.truth_tiles = tuple(np.tile(a, tiles) for a in truth_shift)
-            self.shifts = np.empty((RECORD_BLOCK, x0.size))
-
-    def push(self, row: tuple, z: np.ndarray) -> None:
-        """Queue a STEP_DTYPE row, its d2 a placeholder, and the step's iterate z."""
-        if self.shifts is not None:
-            np.subtract(z, self.x0, out=self.shifts[len(self.steps._rows)])
-        self._bregman(self.steps._add(row))
-
-    def push_outer(self, row: tuple) -> None:
-        """Queue (n, r_n, alpha_start, allowance, steps, alpha_end, inner_reason, f_residual_stop).
-
-        An inner reason outside INNER_REASONS raises ``ValueError``.
-        """
-        *head, inner_reason, f_stop = row
-        self.outer._add((*head, INNER_REASONS.index(inner_reason), f_stop))
-
-    def flush(self) -> None:
-        self._bregman(self.steps._pack())
-        self.outer._pack()
-
-    def _bregman(self, block: np.ndarray | None) -> None:
-        if block is not None and self.shifts is not None:
-            m = len(block)
-            shift, shift_pow = self.truth_tiles
-            block["d2"] = bregman_values(
-                shift[:m], shift_pow[:m], self.shifts[:m], self.p, self.weight
-            )
-
-
 def run(
     problem: EllipticProblem,
     data: GridFunction,
@@ -546,8 +541,8 @@ def run(
     vouches for the new iterate; the nonlinear residual of z is checked
     after every step, and a non-finite norm of it fails the run as a
     non-finite state. Each exit sets the loop's and the run's reason where
-    it happens, and leaves both loops for one exit, which flushes the
-    record queue, so every step and outer loop is in the log.
+    it happens, and leaves both loops for one exit, which closes the log,
+    so every step and outer loop is in it.
     """
     for name, f in (("data", data), ("x0", x0), ("truth", truth)):
         if f is not None and f.grid != problem.grid:
@@ -563,12 +558,7 @@ def run(
     weight = problem.grid.cell_volume
     x0_values, data_values = x0.values, data.values
     vartheta = config.vartheta
-    truth_shift = None
-    if truth is not None:
-        shift = truth.values - x0_values
-        truth_shift = (shift, np.abs(shift) ** sp.p)
-    log = IterationLog(theta, truth is not None)
-    queue = _RecordQueue(log, x0_values, truth_shift, sp.p, weight)
+    log = IterationLog(theta, None if truth is None else truth.values, x0_values, sp.p, weight)
     rate_active = config.rate_mode and theta > 0.0
     # rate mode runs every loop to its full allowance; with exact data the
     # residual test can never fire, so skip the extra forward solves too
@@ -601,7 +591,7 @@ def run(
         else:
             allowance = min(config.inner_budget.limit(n, r_n, r), config.max_inner)
         if reason is not None:
-            queue.push_outer((n, r_n, alpha, 0, 0, alpha, reason, math.nan))
+            log.add_outer((n, r_n, alpha, 0, 0, alpha, reason, math.nan))
             break
 
         x_n = x.values
@@ -661,9 +651,9 @@ def run(
                 reason = f"failure: non-finite iterate or residual (iterate n={n}, k={k})"
                 break
             # the record holds the state of z_{n,k}, before the update; the
-            # queue writes its d2 in the Bregman pass
+            # log writes its d2 when it packs the step's block
             row = (n, k, t, t_tilde, omega, alpha, r_n, f_pending, math.nan, degenerate, refining)
-            queue.push(row, z)
+            log.add_step(row, z)
             u_dual, w, z, resid, t = u_next, w_next, z_next, resid_next, t_next
             alpha = next_alpha(
                 alpha_check(t, r_n, delta, config.eta, config.tau_tilde, r, theta),
@@ -695,10 +685,10 @@ def run(
             x = GridFunction._adopt(problem.grid, z)
         if inner_reason is None:
             break  # a failed step: the loop has no outer record
-        queue.push_outer((n, r_n, alpha_start, allowance, k, alpha, inner_reason, f_stop))
+        log.add_outer((n, r_n, alpha_start, allowance, k, alpha, inner_reason, f_stop))
         if reason is not None:
             break
         n += 1
 
-    queue.flush()
+    log.close()
     return RunResult(x, reason, n, log, alpha, applies)

@@ -108,6 +108,7 @@ def test_unknown_override_key(tmp_path, capsys):
     "overrides, named",
     [
         pytest.param(["tau=nan"], "tau must", id="tau=nan"),
+        pytest.param(["tau=inf"], "tau must", id="tau=inf"),
         pytest.param(["m=10"], "override 'm'", id="m=10"),
         pytest.param(["noise_norm=nan"], "norm exponent must", id="noise_norm=nan"),
         pytest.param(["tau=abc"], "override 'tau': ", id="tau=abc"),
@@ -123,9 +124,10 @@ def test_unknown_override_key(tmp_path, capsys):
     ],
 )
 def test_invalid_override_value_exit_code(tmp_path, capsys, overrides, named):
-    # a value that does not parse, a NaN setting and a 1D preset given m are
-    # configuration errors, not failed runs (a NaN noise norm would redraw
-    # the noise forever), and the message names the setting
+    # a value that does not parse, a NaN or infinite setting and a 1D preset
+    # given m are configuration errors, not failed runs (a NaN noise norm
+    # would redraw the noise forever, and tau = inf would pass every check),
+    # and the message names the setting
     args = ["run", "--preset", "example1", "--out", str(tmp_path)]
     for override in overrides:
         args += ["--override", override]

@@ -28,7 +28,7 @@ from newton_landweber import (
 )
 from newton_landweber import cli
 from newton_landweber.checks import STREAM_HIGHS, check_noise_contract, stream_matches_numpy
-from newton_landweber.experiments import PRESETS, NoiseSpec, make_data
+from newton_landweber.experiments import PRESETS, NoiseSpec, assemble_problem, make_data
 from newton_landweber.schedules import InnerBudget, choose_vartheta, theta_exponent
 from test_forward import run_fresh
 
@@ -153,6 +153,14 @@ def test_noise_zero_delta_is_identity():
     assert generate_noise(exact, 0.0, 2.0, 3) is exact
     with pytest.raises(ValueError):
         generate_noise(exact, -1e-6, 2.0, 3)
+
+
+def test_max_norm_noise_has_the_level_as_its_largest_entry():
+    spec = build_spec("example1", {"noise_norm": "inf"})
+    _, _, exact, _ = assemble_problem(spec)
+    data, _ = make_data(spec, exact)
+    delta = spec.noise.delta
+    assert float(np.max(np.abs(data.values - exact.values))) == pytest.approx(delta, rel=1e-12)
 
 
 def test_outliers_touch_exactly_count_nodes():
@@ -297,6 +305,12 @@ ONES = GridFunction.constant(Grid((8,)), 1.0)
             )
             for name in ("delta", "tau", "tau_tilde", "omega_bar", "rho", "c_const", "c_alpha")
         ),
+        pytest.param(
+            lambda: SolverConfig(**{**NAN_SOLVER, "delta": math.inf}), "^delta must", id="delta_inf"
+        ),
+        pytest.param(
+            lambda: SolverConfig(**{**NAN_SOLVER, "tau": math.inf}), "^tau must", id="tau_inf"
+        ),
         pytest.param(lambda: theta_exponent(NAN, 2.0), "^nu must", id="nu"),
         pytest.param(lambda: InnerBudget.power(NAN, 2.0), "^shift must", id="shift"),
         pytest.param(lambda: InnerBudget.power(50.0, NAN), "needs exponent", id="exponent"),
@@ -334,8 +348,8 @@ ONES = GridFunction.constant(Grid((8,)), 1.0)
     ],
 )
 def test_non_finite_settings_fail_their_range_checks(build, message):
-    # each check is written so that NaN (and, for p, r, the noise level and
-    # the outlier magnitude, inf) fails it, with its own message
+    # each check is written so that NaN (and, for p, r, delta, tau, the noise
+    # level and the outlier magnitude, inf) fails it, with its own message
     with pytest.raises(ValueError, match=message):
         build()
 

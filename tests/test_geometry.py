@@ -1,8 +1,10 @@
 """Norms, duality maps, Bregman distances and the step-size majorant."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from newton_landweber import (
@@ -79,6 +81,8 @@ def test_lp_norm_quadrature_linear_function():
 
 OVERFLOW_WARNING = "ignore:overflow encountered in power:RuntimeWarning"
 SQUARE_OVERFLOW_WARNING = "ignore:overflow encountered in multiply:RuntimeWarning"
+# every term is finite and only their sum overflows
+SUM_OVERFLOW_WARNING = "ignore:overflow encountered in reduce:RuntimeWarning"
 
 
 @pytest.mark.filterwarnings(OVERFLOW_WARNING)
@@ -107,12 +111,14 @@ def test_lp_norm_constant_any_exponent():
 
 @pytest.mark.filterwarnings(OVERFLOW_WARNING)
 @pytest.mark.filterwarnings(SQUARE_OVERFLOW_WARNING)
+@pytest.mark.filterwarnings(SUM_OVERFLOW_WARNING)
 @settings(deadline=None)
 @given(
     q=st.floats(1.0, 200.0, exclude_min=True),
     exponent=st.floats(-150.0, 150.0),
     shape=st.lists(st.floats(0.5, 2.0), min_size=2, max_size=20),
 )
+@example(q=189.75, exponent=1.447265625, shape=[1.5, 1.5])
 def test_lp_norm_is_homogeneous_across_magnitudes(q, exponent, shape):
     grid = Grid((len(shape),))
     f = GridFunction(grid, np.array(shape))
@@ -122,12 +128,14 @@ def test_lp_norm_is_homogeneous_across_magnitudes(q, exponent, shape):
 
 @pytest.mark.filterwarnings(OVERFLOW_WARNING)
 @pytest.mark.filterwarnings(SQUARE_OVERFLOW_WARNING)
+@pytest.mark.filterwarnings(SUM_OVERFLOW_WARNING)
 @settings(deadline=None)
 @given(
     q=st.sampled_from((1.1, 2.0, 10.0, 11.0)),
     exponent=st.floats(-200.0, 200.0),
     shape=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=20),
 )
+@example(q=2.0, exponent=154.0, shape=[1.0, 1.0])
 def test_lp_norm_is_a_float_with_the_bits_of_the_reference(q, exponent, shape):
     # a Python float, never np.float64, whose repr is the CSV cell; small and
     # large magnitudes take the rescale path, the others the direct one
@@ -136,6 +144,21 @@ def test_lp_norm_is_a_float_with_the_bits_of_the_reference(q, exponent, shape):
     got = lp_norm_values(f.values, q, grid.cell_volume)
     assert type(got) is float
     assert same_bits(got, pow_norm(f, q))
+
+
+def test_lp_norm_at_inf_is_the_max_norm():
+    # max|f|, also for a zero f, where the formula would end in pow(0, 0) = 1
+    grid = Grid((4,))
+    assert same_bits(lp_norm(GridFunction.zeros(grid), math.inf), 0.0)
+    for values in (
+        [0.5, -3.0, 2.0, 0.0],
+        [1e-300, -1e-310, 0.0, 5e-324],
+        [1e300, 1e308, -1.0, 2.0],
+    ):
+        f = GridFunction(grid, values)
+        got = lp_norm(f, math.inf)
+        assert type(got) is float
+        assert same_bits(got, np.max(np.abs(f.values)))
 
 
 def test_pairing_and_bregman_reject_other_grids():

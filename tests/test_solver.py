@@ -506,13 +506,13 @@ def test_records_match_public_api_on_example1(monkeypatch):
     # diagnostic in blocks after the steps; on every way out of run(), every
     # logged value equals the public GridFunction formula bit for bit
     iterates = []
-    push = solver._RecordQueue.push
+    add_step = solver.IterationLog.add_step
 
-    def recording_push(self, row, z):
+    def recording_add_step(self, row, z):
         iterates.append(z.copy())
-        return push(self, row, z)
+        return add_step(self, row, z)
 
-    monkeypatch.setattr(solver._RecordQueue, "push", recording_push)
+    monkeypatch.setattr(solver.IterationLog, "add_step", recording_add_step)
 
     def checked_run(problem, data, config, x0, truth):
         iterates.clear()
@@ -678,10 +678,9 @@ def test_outer_records_keep_the_residual_stop():
 
 def test_an_unknown_inner_reason_raises():
     log = solver.IterationLog()
-    queue = solver._RecordQueue(log, np.zeros(4), None, 2.0, 0.25)
     with pytest.raises(ValueError):
-        queue.push_outer((0, 1.0, 1.0, 5, 5, 0.5, "bugdet", math.nan))
-    queue.flush()
+        log.add_outer((0, 1.0, 1.0, 5, 5, 0.5, "bugdet", math.nan))
+    log.close()
     assert len(log.outer) == 0
 
 
@@ -745,14 +744,13 @@ def test_log_keeps_none_and_nan_apart(tmp_path):
     logs = []
     # no truth; a truth whose Bregman sums overflow; a truth one away from
     # every iterate, which is x0, so d2 = 0.25 * 4 * 1^2 / 2
-    cases = ((None, huge), ((huge, np.full(4, math.inf)), huge), ((ones, ones), np.zeros(4)))
-    for truth_shift, z in cases:
-        log = solver.IterationLog(1.0, truth_shift is not None)
-        queue = solver._RecordQueue(log, np.zeros(4), truth_shift, 2.0, 0.25)
+    cases = ((None, huge), (huge, huge), (ones, np.zeros(4)))
+    for truth, z in cases:
         with np.errstate(over="ignore", invalid="ignore"):
+            log = solver.IterationLog(1.0, truth, np.zeros(4), 2.0, 0.25)
             for row in rows:
-                queue.push(row, z)
-            queue.flush()
+                log.add_step(row, z)
+            log.close()
         logs.append(log)
     no_truth, overflowed, finite = (list(log.records) for log in logs)
     for rec in no_truth:
@@ -792,8 +790,9 @@ def test_log_equality_compares_the_steps_bit_for_bit():
     assert b.records[step].d2 == np.nextafter(a.records[step].d2, math.inf)
     assert a != b
     # the same rows read with another theta, or without a truth, read otherwise
-    assert solver.IterationLog(0.5, True) != solver.IterationLog(0.0, True)
-    assert solver.IterationLog(0.0, True) != solver.IterationLog(0.0, False)
+    ones, zeros = np.ones(4), np.zeros(4)
+    assert solver.IterationLog(0.5, ones, zeros) != solver.IterationLog(0.0, ones, zeros)
+    assert solver.IterationLog(0.0, ones, zeros) != solver.IterationLog(0.0)
 
 
 def held_bytes_per_step(spec, steps):
