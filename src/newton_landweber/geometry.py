@@ -94,9 +94,10 @@ def lp_norm_values(v: np.ndarray, q: float, weight: float) -> float:
 
     When the direct sum underflows or overflows (say 1e-4 at q = 101, or
     1e40 at q = 10) while max|v| is finite and nonzero, the norm is
-    recomputed as max|v| * ||v / max|v|||_q; every other result is the
-    direct formula, bit for bit. At q = 2 the powers are ``v * v``, which
-    equals |v|^2 bit for bit. The result is a Python ``float``, never a
+    recomputed as max|v| * ||v / max|v|||_q; a zero v reads 0.0, and every
+    other result is the direct formula, bit for bit. At q = inf the
+    rescaled sum counts the maxima, so the norm is max|v|. At q = 2 the
+    powers are ``v * v``, which equals |v|^2 bit for bit. The result is a Python ``float``, never a
     numpy scalar: the sum is converted first and the root is ``math.pow``,
     which is the C library's pow that numpy's float64 power also calls.
     numpy still warns about an overflow of the direct sum: an ``errstate``
@@ -108,6 +109,8 @@ def lp_norm_values(v: np.ndarray, q: float, weight: float) -> float:
         if 0.0 < scale < math.inf:
             rescaled = weight * float(np.add.reduce((np.abs(v) / scale) ** q))
             return scale * math.pow(rescaled, 1.0 / q)
+        if scale == 0.0:  # pow(+0, 1/q) for a finite q; pow(0, 0) = 1 at q = inf
+            return 0.0
     return math.pow(total, 1.0 / q)
 
 
@@ -148,9 +151,6 @@ def lp_norm(f: GridFunction, q: float) -> float:
     """Weighted discrete L^q norm, (sum_i w_i |f_i|^q)^(1/q); max|f| at q = inf."""
     if not q >= 1.0:  # written positively, so that NaN fails it
         raise ValueError(f"norm exponent must be >= 1, got {q}")
-    if q == math.inf:
-        # the limit of the formula, which would read pow(0, 0) = 1 on a zero f
-        return float(np.max(np.abs(f.values)))
     return lp_norm_values(f.values, q, f.grid.cell_volume)
 
 

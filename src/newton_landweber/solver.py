@@ -336,10 +336,10 @@ class LogTable(Sequence):
     """One table of a log: rows packed in numpy blocks, read as records.
 
     Its log packs RECORD_BLOCK rows into each block of the table's dtype and
-    the rest into a last one, so every block but the last is full and an
-    index finds its block by division. Each record is built from its row by
-    ``decode`` when it is read, and none is kept. Two tables are equal when
-    their packed rows agree bit for bit.
+    the rest into a last one, and hands each to ``_append``, so every block
+    but the last is full and an index finds its block by division. Each
+    record is built from its row by ``decode`` when it is read, and none is
+    kept. Two tables are equal when their packed rows agree bit for bit.
     """
 
     __slots__ = ("_dtype", "_decode", "_blocks")
@@ -377,6 +377,10 @@ class LogTable(Sequence):
             return np.empty(0, self._dtype[name])
         return np.concatenate([block[name] for block in self._blocks])
 
+    def _append(self, block: np.ndarray) -> None:
+        """Add the next packed block; all but the last hold RECORD_BLOCK rows."""
+        self._blocks.append(block)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LogTable):
             return NotImplemented
@@ -399,8 +403,9 @@ class IterationLog:
 
     The run writes its rows with ``add_step`` and ``add_outer``. They wait
     until RECORD_BLOCK of them are packed into one block of their table,
-    and ``close`` packs the rest. Given the ``truth``'s values with the
-    ``x0`` values, ``p`` and the cell ``weight``, the log tiles the shift
+    and ``close`` packs the rest. ``x0``, ``p`` and the cell ``weight``
+    are keyword arguments, always required. Given the ``truth``'s values
+    (None without a truth) and the ``x0`` values, the log tiles the shift
     truth - x0 and its |.|^p to (RECORD_BLOCK, n) once and keeps each
     waiting step's shift z - x0 in a row of a buffer of that shape; when it
     packs a block of steps, one pass of ``bregman_values`` over same-shape
@@ -410,12 +415,7 @@ class IterationLog:
     """
 
     def __init__(
-        self,
-        theta: float = 0.0,
-        truth: np.ndarray | None = None,
-        x0: np.ndarray | None = None,
-        p: float = 2.0,
-        weight: float = 1.0,
+        self, theta: float, truth: np.ndarray | None, *, x0: np.ndarray, p: float, weight: float
     ) -> None:
         self.theta = theta
         self.truth = truth is not None
@@ -449,32 +449,32 @@ class IterationLog:
         rows = self._loops
         rows.append((*head, INNER_REASONS.index(inner_reason), f_stop))
         if len(rows) == RECORD_BLOCK:
-            self._pack(self.outer, rows)
+            self._pack_outer()
 
     def close(self) -> None:
         """Pack the rows still waiting and release the step buffers."""
         self._pack_steps()
-        self._pack(self.outer, self._loops)
+        self._pack_outer()
         self._shifts = self._truth_tiles = self._x0 = None
 
     def _pack_steps(self) -> None:
-        block = self._pack(self.records, self._steps)
-        if block is not None and self._shifts is not None:
-            m = len(block)
-            shift, shift_pow = self._truth_tiles
-            block["d2"] = bregman_values(
-                shift[:m], shift_pow[:m], self._shifts[:m], self._p, self._weight
-            )
+        rows = self._steps
+        if rows:
+            block = np.array(rows, dtype=STEP_DTYPE)
+            if self._shifts is not None:
+                m = len(rows)
+                shift, shift_pow = self._truth_tiles
+                block["d2"] = bregman_values(
+                    shift[:m], shift_pow[:m], self._shifts[:m], self._p, self._weight
+                )
+            self.records._append(block)
+            rows.clear()
 
-    @staticmethod
-    def _pack(table: LogTable, rows: list[tuple]) -> np.ndarray | None:
-        """Pack the waiting rows into a new block of the table; None if none wait."""
-        if not rows:
-            return None
-        block = np.array(rows, dtype=table._dtype)
-        table._blocks.append(block)
-        rows.clear()
-        return block
+    def _pack_outer(self) -> None:
+        rows = self._loops
+        if rows:
+            self.outer._append(np.array(rows, dtype=OUTER_DTYPE))
+            rows.clear()
 
     @property
     def total_inner(self) -> int:
@@ -558,7 +558,9 @@ def run(
     weight = problem.grid.cell_volume
     x0_values, data_values = x0.values, data.values
     vartheta = config.vartheta
-    log = IterationLog(theta, None if truth is None else truth.values, x0_values, sp.p, weight)
+    log = IterationLog(
+        theta, None if truth is None else truth.values, x0=x0_values, p=sp.p, weight=weight
+    )
     rate_active = config.rate_mode and theta > 0.0
     # rate mode runs every loop to its full allowance; with exact data the
     # residual test can never fire, so skip the extra forward solves too

@@ -146,19 +146,24 @@ def test_lp_norm_is_a_float_with_the_bits_of_the_reference(q, exponent, shape):
     assert same_bits(got, pow_norm(f, q))
 
 
+@pytest.mark.filterwarnings(OVERFLOW_WARNING)
 def test_lp_norm_at_inf_is_the_max_norm():
-    # max|f|, also for a zero f, where the formula would end in pow(0, 0) = 1
+    # max|v|, also for a zero v, where the formula would end in pow(0, 0) = 1;
+    # at max|v| > 1 the direct sum |v|^inf overflows, and numpy warns
     grid = Grid((4,))
-    assert same_bits(lp_norm(GridFunction.zeros(grid), math.inf), 0.0)
     for values in (
+        [0.0, -0.0, 0.0, 0.0],
         [0.5, -3.0, 2.0, 0.0],
         [1e-300, -1e-310, 0.0, 5e-324],
         [1e300, 1e308, -1.0, 2.0],
     ):
         f = GridFunction(grid, values)
-        got = lp_norm(f, math.inf)
-        assert type(got) is float
-        assert same_bits(got, np.max(np.abs(f.values)))
+        for got in (lp_norm(f, math.inf), lp_norm_values(f.values, math.inf, 0.25)):
+            assert type(got) is float
+            assert same_bits(got, float(np.max(np.abs(f.values))))
+    # at a finite q a zero v still reads +0.0, as pow(+0, 1/q) did
+    for q in (1.0, 1.1, 2.0, 101.0):
+        assert same_bits(lp_norm_values(np.zeros(4), q, 0.25), 0.0)
 
 
 def test_pairing_and_bregman_reject_other_grids():

@@ -5,6 +5,7 @@ import inspect
 import math
 import tracemalloc
 from collections.abc import Sequence
+from functools import partial
 
 import numpy as np
 import pytest
@@ -677,7 +678,7 @@ def test_outer_records_keep_the_residual_stop():
 
 
 def test_an_unknown_inner_reason_raises():
-    log = solver.IterationLog()
+    log = solver.IterationLog(0.0, None, x0=np.zeros(4), p=2.0, weight=1.0)
     with pytest.raises(ValueError):
         log.add_outer((0, 1.0, 1.0, 5, 5, 0.5, "bugdet", math.nan))
     log.close()
@@ -747,7 +748,7 @@ def test_log_keeps_none_and_nan_apart(tmp_path):
     cases = ((None, huge), (huge, huge), (ones, np.zeros(4)))
     for truth, z in cases:
         with np.errstate(over="ignore", invalid="ignore"):
-            log = solver.IterationLog(1.0, truth, np.zeros(4), 2.0, 0.25)
+            log = solver.IterationLog(1.0, truth, x0=np.zeros(4), p=2.0, weight=0.25)
             for row in rows:
                 log.add_step(row, z)
             log.close()
@@ -790,9 +791,13 @@ def test_log_equality_compares_the_steps_bit_for_bit():
     assert b.records[step].d2 == np.nextafter(a.records[step].d2, math.inf)
     assert a != b
     # the same rows read with another theta, or without a truth, read otherwise
-    ones, zeros = np.ones(4), np.zeros(4)
-    assert solver.IterationLog(0.5, ones, zeros) != solver.IterationLog(0.0, ones, zeros)
-    assert solver.IterationLog(0.0, ones, zeros) != solver.IterationLog(0.0)
+    log = partial(solver.IterationLog, x0=np.zeros(4), p=2.0, weight=1.0)
+    ones = np.ones(4)
+    assert log(0.5, ones) != log(0.0, ones)
+    assert log(0.0, ones) != log(0.0, None)
+    # the shift's x0, p and weight are always asked for by name
+    with pytest.raises(TypeError, match="x0"):
+        solver.IterationLog(0.0, True)
 
 
 def held_bytes_per_step(spec, steps):
