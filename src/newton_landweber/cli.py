@@ -49,13 +49,23 @@ def resolve_outdir(arg: str | None) -> str:
     return os.path.join(os.curdir, "runs")
 
 
+def _float_text(value: float) -> str:
+    """The shortest text that reads back as ``value``, less a trailing ``.0``.
+
+    Two settings that differ in any digit get different texts, so a sweep
+    never writes two runs into one directory.
+    """
+    text = repr(float(value))
+    return text[:-2] if text.endswith(".0") else text
+
+
 # the override keys a run's directory name carries, in order, each with its
 # text there (None leaves it out); a sweep tags every other swept key on
 LABEL_KEYS = {
-    "p": lambda spec: f"{spec.space.p:g}",
-    "r": lambda spec: f"{spec.space.r:g}",
-    "delta": lambda spec: f"{spec.noise.delta:g}",
-    "tau": lambda spec: f"{spec.solver['tau']:g}" if "tau" in spec.solver else None,
+    "p": lambda spec: _float_text(spec.space.p),
+    "r": lambda spec: _float_text(spec.space.r),
+    "delta": lambda spec: _float_text(spec.noise.delta),
+    "tau": lambda spec: _float_text(spec.solver["tau"]) if "tau" in spec.solver else None,
     "seed": lambda spec: str(spec.seed),
 }
 

@@ -19,12 +19,14 @@ applications at that c. Both formulas are written once, as kernels on raw
 values (``derivative_values``/``adjoint_values``); ``derivative_apply`` and
 ``adjoint_apply`` add the grid check and the :class:`GridFunction` wrapping.
 
-``state_values`` is F on raw values and the solver's per-step residual
-check: a pure solve that keeps no factorization and makes no finiteness
-pass, as the solver tests the norm of the residual instead. ``solve_state``
-and ``forward`` scan the state once and reject a non-finite one with
-:class:`SingularOperatorError`; the :class:`GridFunction` they return
-adopts the solve's array without a second scan or a copy.
+``solve_state`` is the one checked path to the state: it factorizes A(c),
+scans the state once, rejects a non-finite one with
+:class:`SingularOperatorError`, and returns a :class:`ForwardEvaluation`
+``(u, solve, neg_u)`` whose ``u`` adopts the solve's array without a second
+scan or a copy. ``forward(problem, c)`` is its ``u``. ``state_values`` is F
+on raw values and the solver's per-step residual check: a pure solve that
+keeps no factorization and makes no finiteness pass, as the solver tests
+the norm of the residual instead.
 
 :class:`EllipticProblem` ``(grid, f, g)`` is the one problem constructor in
 either dimension: the source f is a callable or a :class:`GridFunction`,
@@ -310,24 +312,17 @@ class EllipticProblem:
 
 
 class ForwardEvaluation(NamedTuple):
-    """State u = F(c) together with a reusable factorization of A(c).
+    """The linearization of F at c: ``(u, solve, neg_u)``.
 
+    ``u`` is the finite state F(c), whose grid the wrappers check against.
     ``solve`` is the factorization's own A(c)^{-1} on raw vectors (homogeneous
     boundary data): the ``dgttrs`` closure in dim 1, ``lu.solve`` in dim 2.
     ``neg_u`` is -u(c), held once so that the adjoint is a single multiply.
     """
 
-    problem: EllipticProblem
     u: GridFunction
     solve: Callable[[np.ndarray], np.ndarray]
     neg_u: np.ndarray
-
-
-def _state_function(problem: EllipticProblem, u: np.ndarray) -> GridFunction:
-    """The fresh state u as a grid function, after its one finiteness scan."""
-    if not np.isfinite(u).all():
-        raise SingularOperatorError(NON_FINITE_STATE)
-    return GridFunction._adopt(problem.grid, u)
 
 
 def state_values(problem: EllipticProblem, c: np.ndarray) -> np.ndarray:
@@ -352,15 +347,15 @@ def solve_state(problem: EllipticProblem, c: GridFunction) -> ForwardEvaluation:
     if c.grid != problem.grid:
         raise GridMismatchError("coefficient sampled on a different grid")
     solve = problem._operator.factorize(c.values)
-    u = _state_function(problem, solve(problem._state_rhs))
-    return ForwardEvaluation(problem, u, solve, -u.values)
+    u = solve(problem._state_rhs)
+    if not np.isfinite(u).all():
+        raise SingularOperatorError(NON_FINITE_STATE)
+    return ForwardEvaluation(GridFunction._adopt(problem.grid, u), solve, -u)
 
 
 def forward(problem: EllipticProblem, c: GridFunction) -> GridFunction:
-    """The coefficient-to-state map F(c); a non-finite state raises."""
-    if c.grid != problem.grid:
-        raise GridMismatchError("coefficient sampled on a different grid")
-    return _state_function(problem, state_values(problem, c.values))
+    """The coefficient-to-state map F(c): the state of :func:`solve_state`."""
+    return solve_state(problem, c).u
 
 
 def derivative_values(
@@ -383,13 +378,13 @@ def adjoint_values(ev: ForwardEvaluation, w: np.ndarray) -> np.ndarray:
 
 def derivative_apply(ev: ForwardEvaluation, h: GridFunction) -> GridFunction:
     """Directional derivative F'(c) h = -A(c)^{-1}(h * u(c))."""
-    if h.grid != ev.problem.grid:
+    if h.grid != ev.u.grid:
         raise GridMismatchError("direction sampled on a different grid")
-    return GridFunction(ev.problem.grid, derivative_values(ev, h.values))
+    return GridFunction(ev.u.grid, derivative_values(ev, h.values))
 
 
 def adjoint_apply(ev: ForwardEvaluation, w: GridFunction) -> GridFunction:
     """Adjoint F'(c)* w = -u(c) * A(c)^{-1} w under the uniform-weight pairing."""
-    if w.grid != ev.problem.grid:
+    if w.grid != ev.u.grid:
         raise GridMismatchError("argument sampled on a different grid")
-    return GridFunction(ev.problem.grid, adjoint_values(ev, w.values))
+    return GridFunction(ev.u.grid, adjoint_values(ev, w.values))

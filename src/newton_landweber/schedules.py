@@ -99,14 +99,33 @@ def choose_omega(
 
     A vanishing t_tilde (zero gradient) makes the power terms meaningless;
     the cap vartheta * omega_bar is returned and the step flagged degenerate.
+    A term whose direct product is 0 * inf, a t^a that underflows times a
+    t_tilde^-b that overflows, is evaluated in logarithms instead.
     """
     if t_tilde == 0.0:
         return vartheta * omega_bar, True
     r, s, p = space.r, space.s, space.p
+    a1 = r / (space.s_star - 1.0)
+    a2 = r / (space.p_star - 1.0)
     # tiny t_tilde overflows the negative powers; inf is fine, min() drops it
-    w1 = _pow(t, r / (space.s_star - 1.0)) * _pow(t_tilde, -s)
-    w2 = _pow(t, r / (space.p_star - 1.0)) * _pow(t_tilde, -p)
+    w1 = _pow(t, a1) * _pow(t_tilde, -s)
+    w2 = _pow(t, a2) * _pow(t_tilde, -p)
+    if w1 != w1:
+        w1 = _power_ratio_in_logs(t, a1, t_tilde, s)
+    if w2 != w2:
+        w2 = _power_ratio_in_logs(t, a2, t_tilde, p)
     return vartheta * min(w1, w2, omega_bar), False
+
+
+def _power_ratio_in_logs(t: float, a: float, t_tilde: float, b: float) -> float:
+    """t^a t_tilde^-b as 2^(a log2 t - b log2 t_tilde), overflow inf.
+
+    For a product whose factors underflow to 0 and overflow to inf; t = 0
+    gives 0, as t_tilde^-b is finite for t_tilde > 0.
+    """
+    if t == 0.0:
+        return 0.0
+    return _pow(2.0, a * math.log2(t) - b * math.log2(t_tilde))
 
 
 def _pow(x: float, y: float) -> float:

@@ -160,9 +160,10 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         sp = self.space
-        # every range check is written positively, so that NaN fails it
-        # and so that an infinite delta or tau, which makes every residual
-        # pass the discrepancy test, fails too
+        # every range check is written positively, so that NaN fails it;
+        # delta, tau, rho, c_const and c_alpha must be finite too: an infinite
+        # delta or tau makes every residual pass the discrepancy test, and an
+        # infinite c_alpha skips the refinement tail
         if not 0.0 <= self.delta < math.inf:
             raise ConfigurationError(f"delta must be finite and >= 0, got {self.delta}")
         if not 1.0 < self.tau < math.inf:
@@ -182,8 +183,9 @@ class SolverConfig:
                 f"c_omega_bar must lie in (0, 1), got {self.c_omega_bar}"
             )
         for name in ("rho", "c_const", "c_alpha"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigurationError(f"{name} must be finite and positive, got {value}")
         # counts are integers: the log's int64 columns would truncate a float
         for name in ("max_outer", "max_inner"):
             value = getattr(self, name)

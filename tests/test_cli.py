@@ -104,11 +104,20 @@ def test_unknown_override_key(tmp_path, capsys):
     assert "unknown override" in capsys.readouterr().err
 
 
+# rate mode at p = r = 2 and delta = 1e-2 with a short inner cap: at
+# c_alpha = 0.012 refinement cannot reach the alpha bound inside the cap
+RATE_OVERRIDES = [
+    "n=60", "p=2", "delta=1e-2", "rate_mode=true", "nu=0.5", "tau=1.1",
+    "tau_tilde=0.01", "alpha00=0.1", "q=0.5", "max_inner=60",
+]
+
+
 @pytest.mark.parametrize(
     "overrides, named",
     [
         pytest.param(["tau=nan"], "tau must", id="tau=nan"),
         pytest.param(["tau=inf"], "tau must", id="tau=inf"),
+        pytest.param(RATE_OVERRIDES + ["c_alpha=inf"], "c_alpha must", id="c_alpha=inf"),
         pytest.param(["m=10"], "override 'm'", id="m=10"),
         pytest.param(["noise_norm=nan"], "norm exponent must", id="noise_norm=nan"),
         pytest.param(["tau=abc"], "override 'tau': ", id="tau=abc"),
@@ -126,8 +135,9 @@ def test_unknown_override_key(tmp_path, capsys):
 def test_invalid_override_value_exit_code(tmp_path, capsys, overrides, named):
     # a value that does not parse, a NaN or infinite setting and a 1D preset
     # given m are configuration errors, not failed runs (a NaN noise norm
-    # would redraw the noise forever, and tau = inf would pass every check),
-    # and the message names the setting
+    # would redraw the noise forever, tau = inf would pass every check and
+    # c_alpha = inf would skip the refinement tail), and the message names
+    # the setting
     args = ["run", "--preset", "example1", "--out", str(tmp_path)]
     for override in overrides:
         args += ["--override", override]
@@ -157,16 +167,10 @@ def test_unknown_preset_in_config(tmp_path, capsys):
 
 def test_failed_run_exit_code(tmp_path, capsys):
     # refinement cannot reach the alpha bound inside the inner cap
-    code = cli.main([
-        "run", "--preset", "example1", "--out", str(tmp_path),
-        "--override", "n=60", "--override", "p=2",
-        "--override", "delta=1e-2", "--override", "rate_mode=true",
-        "--override", "nu=0.5", "--override", "tau=1.1",
-        "--override", "tau_tilde=0.01", "--override", "alpha00=0.1",
-        "--override", "q=0.5", "--override", "c_alpha=0.012",
-        "--override", "max_inner=60",
-    ])
-    assert code == 1
+    args = ["run", "--preset", "example1", "--out", str(tmp_path)]
+    for override in RATE_OVERRIDES + ["c_alpha=0.012"]:
+        args += ["--override", override]
+    assert cli.main(args) == 1
     assert "run failed" in capsys.readouterr().err
 
 
@@ -203,6 +207,30 @@ def test_sweep_merges_summaries(tmp_path, capsys):
     assert f"{LABEL}_max_inner40" in dirs
     assert LABEL.replace("seed2", "seed3") + "_max_inner50" in dirs
     assert capsys.readouterr().out.count("example1:") == 4
+
+
+def test_sweep_labels_keep_every_digit(tmp_path):
+    # settings that differ past the 6th significant digit get two directories
+    code = cli.main([
+        "sweep", "--preset", "example1", "--out", str(tmp_path),
+        "--override", "n=60", "--override", "max_total_inner=150",
+        "--vary", "tau=1.000001,1.000002",
+    ])
+    assert code == 0
+    dirs = sorted(d.name for d in tmp_path.iterdir() if d.is_dir())
+    assert dirs == [LABEL.replace("tau1.02", f"tau{tau}") for tau in ("1.000001", "1.000002")]
+
+
+def test_sweep_counts_its_failed_runs(tmp_path, capsys):
+    # one run fails and one passes: the sweep writes both rows and exits 1
+    args = ["sweep", "--preset", "example1", "--out", str(tmp_path)]
+    for override in RATE_OVERRIDES:
+        args += ["--override", override]
+    assert cli.main(args + ["--vary", "c_alpha=0.012,1"]) == 1
+    assert "1 of 2 runs failed" in capsys.readouterr().err
+    merged = read_rows(tmp_path / "sweep_summary.csv")
+    assert merged[0] == SUMMARY_HEADER
+    assert len(merged) == 3
 
 
 def test_sweep_rejects_empty_axis(tmp_path, capsys):

@@ -311,6 +311,14 @@ ONES = GridFunction.constant(Grid((8,)), 1.0)
         pytest.param(
             lambda: SolverConfig(**{**NAN_SOLVER, "tau": math.inf}), "^tau must", id="tau_inf"
         ),
+        *(
+            pytest.param(
+                lambda name=name: SolverConfig(**{**NAN_SOLVER, name: math.inf}),
+                rf"^{name} must",
+                id=f"{name}_inf",
+            )
+            for name in ("rho", "c_const", "c_alpha")
+        ),
         pytest.param(lambda: theta_exponent(NAN, 2.0), "^nu must", id="nu"),
         pytest.param(lambda: InnerBudget.power(NAN, 2.0), "^shift must", id="shift"),
         pytest.param(lambda: InnerBudget.power(50.0, NAN), "needs exponent", id="exponent"),
@@ -348,8 +356,9 @@ ONES = GridFunction.constant(Grid((8,)), 1.0)
     ],
 )
 def test_non_finite_settings_fail_their_range_checks(build, message):
-    # each check is written so that NaN (and, for p, r, delta, tau, the noise
-    # level and the outlier magnitude, inf) fails it, with its own message
+    # each check is written so that NaN (and, for p, r, delta, tau, rho,
+    # c_const, c_alpha, the noise level and the outlier magnitude, inf) fails
+    # it, with its own message
     with pytest.raises(ValueError, match=message):
         build()
 

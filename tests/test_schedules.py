@@ -84,6 +84,20 @@ def test_choose_omega_tiny_gradient_no_overflow():
             assert omega == float64_omega(t, t_tilde, 0.125, 1e8, space)
 
 
+def test_choose_omega_when_one_power_underflows_and_the_other_overflows():
+    # t^a is 0 and t_tilde^-s is inf in float64, so the direct product is NaN;
+    # the true terms are (1e-200)^2 (1e-200)^-2 = 1 and 1e-400 / 1e-380 = 1e-20
+    sp = SpaceParams(2.0, 2.0)
+    omega, degenerate = choose_omega(1e-200, 1e-200, 0.25, 1e8, sp)
+    assert not degenerate
+    assert omega == 0.25
+    omega, _ = choose_omega(1e-200, 1e-190, 0.25, 1e8, sp)
+    assert omega == pytest.approx(0.25e-20, rel=1e-12)
+    # a zero t gives a zero term, not NaN, and a huge ratio meets the cap
+    assert choose_omega(0.0, 1e-300, 0.25, 1e8, sp) == (0.0, False)
+    assert choose_omega(1e-170, 1e-300, 0.25, 1e8, sp) == (0.25e8, False)
+
+
 def test_alpha_check_worked_example():
     # tau_tilde (t + eta r_n + (1+eta) delta)^(r/(1+theta))
     # = 0.1 * (0.06 + 0.1*0.3 + 0)^(2/2) = 0.1 * 0.09
