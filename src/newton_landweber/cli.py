@@ -21,6 +21,7 @@ import sys
 
 from .experiments import PRESETS, ExperimentSpec, RunReport, build_spec, run_experiment
 from .reporting import summary_row, write_run, write_summary_rows
+from .solver import SolverConfig
 
 ENV_OUT = "NEWTON_LANDWEBER_OUT"
 
@@ -106,10 +107,7 @@ def _report_line(report: RunReport) -> str:
     )
 
 
-def _execute(
-    preset: str, overrides: dict[str, str], outdir: str, label_extra: str = ""
-) -> tuple[RunReport, str]:
-    spec = build_spec(preset, overrides)
+def _execute(spec: ExperimentSpec, outdir: str, label_extra: str = "") -> tuple[RunReport, str]:
     report = run_experiment(spec)
     rundir = os.path.join(outdir, run_label(spec) + label_extra)
     write_run(rundir, report)
@@ -119,7 +117,7 @@ def _execute(
 def cmd_run(args: argparse.Namespace) -> int:
     preset, overrides = _gather_overrides(args)
     outdir = resolve_outdir(args.out)
-    report, rundir = _execute(preset, overrides, outdir)
+    report, rundir = _execute(build_spec(preset, overrides), outdir)
     print(_report_line(report))
     print(f"wrote {rundir}")
     if report.result.failed:
@@ -145,18 +143,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     preset, base = _gather_overrides(args)
     axes = _parse_vary(args.vary)
     outdir = resolve_outdir(args.out)
-    # a run's summary row, not its report, so that a sweep holds one run at a time
-    rows = []
-    failed = 0
+    # every combination's spec and solver settings are checked before the
+    # first run, so that a bad value fails the sweep before it writes a file
+    runs = []
     for combo in itertools.product(*(options for _, options in axes)):
         overrides = dict(base)
         overrides.update({key: value for (key, _), value in zip(axes, combo)})
+        spec = build_spec(preset, overrides)
+        SolverConfig(space=spec.space, delta=spec.noise.delta, **spec.solver)
         extra = "".join(
             f"_{key}{value}".replace("+", "")
             for (key, _), value in zip(axes, combo)
             if key not in LABEL_KEYS
         )
-        report, rundir = _execute(preset, overrides, outdir, extra)
+        runs.append((spec, extra))
+    # a run's summary row, not its report, so that a sweep holds one run at a time
+    rows = []
+    failed = 0
+    for spec, extra in runs:
+        report, rundir = _execute(spec, outdir, extra)
         rows.append(summary_row(report))
         print(_report_line(report) + f"  [{rundir}]")
         failed += report.result.failed

@@ -196,23 +196,29 @@ def shifted_bregman(
     return bregman(x_new - x0, x - x0, p)
 
 
+def _pow(x: float, y: float) -> float:
+    """x^y by the C library's pow, as float64 arithmetic gives it: overflow is inf."""
+    try:
+        return math.pow(x, y)
+    except OverflowError:
+        return math.inf
+
+
 def phi(lam, c_const: float, rho: float, space: SpaceParams):
     """Step-size majorant 2^(s*-1) C (p rho^2)^(1-s*/p*) lam^s* + 2^(p*-1) C lam^p*.
 
-    Convex and increasing on lam >= 0; accepts a scalar or an array. As
-    s >= 2, s* <= 2 and only p -> 1 sends an exponent to infinity; the
-    terms are written as C/2 (p rho^2)^(1-s*/p*) (2 lam)^s* and C/2
-    (2 lam)^p*, so that 2^(p*-1) alone cannot overflow.
+    Convex and increasing on lam >= 0; accepts a scalar or an array. The
+    one statement of the majorant: ``choose_vartheta`` reads the step factor
+    off it. As s >= 2, s* <= 2 and only p -> 1 sends an exponent to
+    infinity; the terms are written as C/2 (p rho^2)^(1-s*/p*) (2 lam)^s* and
+    C/2 (2 lam)^p*, so that 2^(p*-1) alone cannot overflow. A power that
+    overflows all the same is inf, without a warning.
     """
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):
         raise ValueError("phi is defined for nonnegative arguments")
     p, p_star, s_star = space.p, space.p_star, space.s_star
-    out = (
-        0.5
-        * c_const
-        * (p * rho**2) ** (1.0 - s_star / p_star)
-        * (2.0 * lam) ** s_star
-        + 0.5 * c_const * (2.0 * lam) ** p_star
-    )
+    lead = 0.5 * c_const * _pow(p * _pow(rho, 2.0), 1.0 - s_star / p_star)
+    with np.errstate(over="ignore"):
+        out = lead * (2.0 * lam) ** s_star + 0.5 * c_const * (2.0 * lam) ** p_star
     return float(out) if out.ndim == 0 else out

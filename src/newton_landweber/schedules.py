@@ -1,11 +1,14 @@
 """Step-size and regularization-weight schedules of the two-loop iteration.
 
 The inner Landweber step size is omega = vartheta * min of two power-law
-terms in (t, t_tilde) and a cap; vartheta is halved until the majorant ratio
-phi(omega * t_tilde) / (omega * t^r) is guaranteed below the configured bound
-for every t, t_tilde > 0, which holds by algebra once the vartheta condition
-is met. The regularization weight alpha is the larger of a residual-driven
-floor and a geometrically contracting envelope, capped at 1.
+terms in (t, t_tilde) and a cap. vartheta is read off the majorant
+``geometry.phi``: the largest 2^-j with phi(vartheta) <= c_omega_bar *
+vartheta, which by algebra keeps the ratio phi(omega * t_tilde) / (omega *
+t^r) below c_omega_bar for every t, t_tilde > 0. The regularization weight
+alpha is the larger of a residual-driven floor and a geometrically
+contracting envelope, capped at 1. Every power of a setting or a residual
+is taken by ``geometry._pow``, so one that overflows is inf, never an
+``OverflowError``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numbers
 import re
 from dataclasses import dataclass
 
-from .geometry import SpaceParams
+from .geometry import SpaceParams, _pow, phi
 
 __all__ = [
     "ConfigurationError",
@@ -56,27 +59,18 @@ def choose_vartheta(
     space: SpaceParams,
     max_halvings: int = 64,
 ) -> float:
-    """Largest vartheta = 2^-j, j >= 0, satisfying the majorant-ratio condition.
+    """Largest vartheta = 2^-j, j >= 0, with phi(vartheta) <= c_omega_bar * vartheta.
 
     The one source of the step factor: ``SolverConfig.vartheta`` is this
-    function of the config's constants, and no setting overrides it.
-
-    The condition is
-        2^(s*-1) C (p rho^2)^(1-s*/p*) vt^(s*-1) + 2^(p*-1) C vt^(p*-1)
-            <= c_omega_bar,
-    which makes phi(omega t_tilde) <= c_omega_bar * omega * t^r automatic for
-    the omega rule below, for all positive scalars t, t_tilde. As s >= 2,
-    s* <= 2 and only p -> 1 sends an exponent to infinity: the terms are
-    computed as C (p rho^2)^(1-s*/p*) (2 vt)^(s*-1) and C (2 vt)^(p*-1), as
-    2^(p*-1) alone overflows when p -> 1.
+    function of the config's constants, and no setting overrides it. The
+    condition is read off the majorant ``geometry.phi`` itself; it makes
+    phi(omega t_tilde) <= c_omega_bar * omega * t^r automatic for the omega
+    rule below, for all positive scalars t, t_tilde. A term of phi that
+    overflows is inf, so a vartheta it meets fails the condition.
     """
-    p, p_star, s_star = space.p, space.p_star, space.s_star
-    lead = c_const * (p * rho**2) ** (1.0 - s_star / p_star)
     for j in range(max_halvings + 1):
         vt = 2.0**-j
-        first = lead * _pow(2.0 * vt, s_star - 1.0)
-        second = c_const * _pow(2.0 * vt, p_star - 1.0)
-        if first + second <= c_omega_bar:
+        if phi(vt, c_const, rho, space) <= c_omega_bar * vt:
             return vt
     raise ConfigurationError(
         f"no vartheta = 2^-j with j <= {max_halvings} satisfies the "
@@ -126,14 +120,6 @@ def _power_ratio_in_logs(t: float, a: float, t_tilde: float, b: float) -> float:
     if t == 0.0:
         return 0.0
     return _pow(2.0, a * math.log2(t) - b * math.log2(t_tilde))
-
-
-def _pow(x: float, y: float) -> float:
-    """x^y by the C library's pow, as float64 arithmetic gives it: overflow is inf."""
-    try:
-        return math.pow(x, y)
-    except OverflowError:
-        return math.inf
 
 
 def alpha_check(
@@ -201,7 +187,7 @@ class InnerBudget:
         """The sequence value a_n (power family only)."""
         if self.kind != "power":
             raise ConfigurationError("a_n is only defined for the power family")
-        return (self.shift + n) ** -self.exponent
+        return _pow(self.shift + n, -self.exponent)
 
     def limit(self, n: int, r_n: float, r: float) -> int:
         """Inner allowance k_n for outer index n and residual r_n > 0."""

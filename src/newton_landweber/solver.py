@@ -75,6 +75,7 @@ from .forward import (  # noqa: F401
 )
 from .geometry import (  # noqa: F401
     SpaceParams,
+    _pow,
     bregman_values,
     duality_map,
     duality_map_values,
@@ -87,7 +88,6 @@ from .grids import GridFunction, GridMismatchError
 from .schedules import (
     ConfigurationError,
     InnerBudget,
-    _pow,
     alpha_check,
     alpha_hat,
     choose_omega,
@@ -161,15 +161,14 @@ class SolverConfig:
     def __post_init__(self) -> None:
         sp = self.space
         # every range check is written positively, so that NaN fails it;
-        # delta, tau, rho, c_const and c_alpha must be finite too: an infinite
-        # delta or tau makes every residual pass the discrepancy test, and an
-        # infinite c_alpha skips the refinement tail
+        # delta, tau, tau_tilde, rho, c_const and c_alpha must be finite too:
+        # an infinite delta or tau makes every residual pass the discrepancy
+        # test, an infinite tau_tilde pins alpha at 1, and an infinite
+        # c_alpha skips the refinement tail
         if not 0.0 <= self.delta < math.inf:
             raise ConfigurationError(f"delta must be finite and >= 0, got {self.delta}")
         if not 1.0 < self.tau < math.inf:
             raise ConfigurationError(f"tau must be finite and exceed 1, got {self.tau}")
-        if not self.tau_tilde > 0:
-            raise ConfigurationError(f"tau_tilde must be positive, got {self.tau_tilde}")
         if not 0.0 <= self.eta < 1.0:
             raise ConfigurationError(f"eta must lie in [0, 1), got {self.eta}")
         if not 0.0 < self.q < 1.0:
@@ -182,7 +181,7 @@ class SolverConfig:
             raise ConfigurationError(
                 f"c_omega_bar must lie in (0, 1), got {self.c_omega_bar}"
             )
-        for name in ("rho", "c_const", "c_alpha"):
+        for name in ("tau_tilde", "rho", "c_const", "c_alpha"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ConfigurationError(f"{name} must be finite and positive, got {value}")

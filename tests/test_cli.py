@@ -118,6 +118,7 @@ RATE_OVERRIDES = [
         pytest.param(["tau=nan"], "tau must", id="tau=nan"),
         pytest.param(["tau=inf"], "tau must", id="tau=inf"),
         pytest.param(RATE_OVERRIDES + ["c_alpha=inf"], "c_alpha must", id="c_alpha=inf"),
+        pytest.param(["tau_tilde=inf"], "tau_tilde must", id="tau_tilde=inf"),
         pytest.param(["m=10"], "override 'm'", id="m=10"),
         pytest.param(["noise_norm=nan"], "norm exponent must", id="noise_norm=nan"),
         pytest.param(["tau=abc"], "override 'tau': ", id="tau=abc"),
@@ -136,8 +137,8 @@ def test_invalid_override_value_exit_code(tmp_path, capsys, overrides, named):
     # a value that does not parse, a NaN or infinite setting and a 1D preset
     # given m are configuration errors, not failed runs (a NaN noise norm
     # would redraw the noise forever, tau = inf would pass every check and
-    # c_alpha = inf would skip the refinement tail), and the message names
-    # the setting
+    # c_alpha = inf would skip the refinement tail and tau_tilde = inf pin
+    # alpha at 1), and the message names the setting
     args = ["run", "--preset", "example1", "--out", str(tmp_path)]
     for override in overrides:
         args += ["--override", override]
@@ -231,6 +232,19 @@ def test_sweep_counts_its_failed_runs(tmp_path, capsys):
     merged = read_rows(tmp_path / "sweep_summary.csv")
     assert merged[0] == SUMMARY_HEADER
     assert len(merged) == 3
+
+
+@pytest.mark.parametrize("value, named", [("0.5", "tau must"), ("abc", "override 'tau': ")])
+def test_sweep_checks_every_combination_before_its_first_run(tmp_path, capsys, value, named):
+    # the second value is bad: the sweep exits 2 naming it and runs nothing
+    args = ["sweep", "--preset", "example1", "--out", str(tmp_path),
+            "--override", "n=60", "--override", "max_total_inner=150",
+            "--vary", f"tau=1.02,{value}"]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
 
 
 def test_sweep_rejects_empty_axis(tmp_path, capsys):

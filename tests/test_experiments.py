@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from newton_landweber import (
+    ConfigurationError,
     Grid,
     GridFunction,
     SolverConfig,
@@ -303,7 +304,10 @@ ONES = GridFunction.constant(Grid((8,)), 1.0)
                 rf"^{name} must",
                 id=name,
             )
-            for name in ("delta", "tau", "tau_tilde", "omega_bar", "rho", "c_const", "c_alpha")
+            for name in (
+                "delta", "tau", "tau_tilde", "eta", "q", "alpha00", "omega_bar", "c_omega_bar",
+                "rho", "c_const", "c_alpha",
+            )
         ),
         pytest.param(
             lambda: SolverConfig(**{**NAN_SOLVER, "delta": math.inf}), "^delta must", id="delta_inf"
@@ -317,7 +321,7 @@ ONES = GridFunction.constant(Grid((8,)), 1.0)
                 rf"^{name} must",
                 id=f"{name}_inf",
             )
-            for name in ("rho", "c_const", "c_alpha")
+            for name in ("tau_tilde", "rho", "c_const", "c_alpha")
         ),
         pytest.param(lambda: theta_exponent(NAN, 2.0), "^nu must", id="nu"),
         pytest.param(lambda: InnerBudget.power(NAN, 2.0), "^shift must", id="shift"),
@@ -356,11 +360,20 @@ ONES = GridFunction.constant(Grid((8,)), 1.0)
     ],
 )
 def test_non_finite_settings_fail_their_range_checks(build, message):
-    # each check is written so that NaN (and, for p, r, delta, tau, rho,
-    # c_const, c_alpha, the noise level and the outlier magnitude, inf) fails
-    # it, with its own message
+    # each check is written so that NaN (and, for p, r, delta, tau,
+    # tau_tilde, rho, c_const, c_alpha, the noise level and the outlier
+    # magnitude, inf) fails it, with its own message
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.filterwarnings("ignore:exponents outside the analyzed regime")
+def test_theta_beyond_s_star_minus_one_is_rejected():
+    # r = 1.1, nu = 0.5: theta = 2 / (1.1 * 2 - 2) = 10, while s = 2 gives
+    # s* - 1 = 1
+    space = SpaceParams(1.5, 1.1)
+    with pytest.raises(ConfigurationError, match="^theta=10 too large"):
+        SolverConfig(space=space, delta=1e-3, tau=1.5, nu=0.5)
 
 
 @pytest.mark.parametrize(

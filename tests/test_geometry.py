@@ -1,6 +1,7 @@
 """Norms, duality maps, Bregman distances and the step-size majorant."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -308,3 +309,16 @@ def test_phi_shape_and_values():
     assert np.all(np.diff(vals) >= 0.0)
     with pytest.raises(ValueError):
         phi(-1.0, 1.0, 0.5, hilbert)
+
+
+def test_phi_overflow_is_inf_without_a_warning():
+    # p = 1.0001: p* = 10001, and 2^10001 overflows float64
+    space = SpaceParams(1.0001, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert phi(1.0, 1.0, 0.5, space) == math.inf
+        assert phi(1e200, 1.0, 0.5, SpaceParams(2.0, 2.0)) == math.inf
+        vals = phi(np.array([0.0, 0.25, 1.0]), 1.0, 0.5, space)
+    assert vals[0] == 0.0
+    assert 0.0 < vals[1] < math.inf
+    assert vals[2] == math.inf

@@ -151,6 +151,8 @@ def test_inner_budget_huge_allowance_capped():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert budget.limit(0, 1e-300, 2.0) == 2**62
+        # a_0 = 0.5^-2000 = 2^2000 overflows to inf, not an OverflowError
+        assert InnerBudget.power(0.5, 2000.0).limit(0, 1.0, 2.0) == 2**62
 
 
 def test_inner_budget_parse_round_trip():

@@ -313,6 +313,49 @@ def test_one_bad_entry_of_a_checked_state_fails_its_step(monkeypatch, make_probl
     assert len(result.log.outer) == 0
 
 
+def test_a_singular_operator_at_a_residual_check_fails_its_step(monkeypatch):
+    # A(z_{n,3}) cannot be factorized for the residual check: the run ends
+    # with a failure that names the iterate instead of raising, and the
+    # three steps taken are in the log
+    problem, _, exact = small_problem()
+    config = base_config(space=SpaceParams(1.5, 2.0), delta=1e-6)
+    kernel = solver.state_values
+    calls = []
+
+    def singular(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise solver.SingularOperatorError(
+                "operator not invertible at c (tridiagonal factorization info=7)"
+            )
+        return kernel(*args)
+
+    monkeypatch.setattr(solver, "state_values", singular)
+    result = run(problem, exact, config)
+    assert result.reason == (
+        "failure: operator not invertible at c (tridiagonal factorization info=7)"
+        " (iterate n=0, k=3)"
+    )
+    assert len(calls) == 3
+    assert [(rec.n, rec.k) for rec in result.log.records] == [(0, 0), (0, 1), (0, 2)]
+    assert len(result.log.outer) == 0
+
+
+def test_an_overflowing_lead_coefficient_of_phi():
+    # rho = 1e200 overflows p rho^2: at p = 1.1 no vartheta meets the
+    # step-size condition, a configuration error; at p = 2 the power is 0,
+    # and the run and its audit go through
+    with pytest.raises(ConfigurationError, match="no vartheta"):
+        base_config(space=SpaceParams(1.1, 2.0), rho=1e200)
+    problem, _, exact = small_problem()
+    data = generate_noise(exact, 1e-3, 2.0, 6)
+    config = base_config(delta=1e-3, rho=1e200)
+    assert config.vartheta == base_config(delta=1e-3).vartheta
+    result = run(problem, data, config)
+    assert len(result.log.records) > 0
+    assert step_bound_audit(result.log, config).ok
+
+
 def test_alpha_floor_overflow_reported_not_raised():
     # at r = 10 a residual near 1e31 overflows the power of the alpha floor:
     # the floor is infinite, alpha is capped at 1, and the run stops cleanly
