@@ -17,7 +17,6 @@ from .geometry import (
     inverse_duality_map,
     lp_norm,
     pairing,
-    phi,
     shifted_bregman,
 )
 from .grids import Grid, GridFunction, GridMismatchError
@@ -29,6 +28,7 @@ from .schedules import (
     choose_omega,
     choose_vartheta,
     next_alpha,
+    phi,
     theta_exponent,
 )
 from .forward import (

@@ -35,10 +35,9 @@ from .geometry import (
     inverse_duality_map,
     lp_norm,
     pairing,
-    phi,
 )
 from .grids import Grid, GridFunction
-from .schedules import choose_omega, choose_vartheta
+from .schedules import choose_omega, choose_vartheta, phi
 from .solver import IterationLog, SolverConfig
 
 EXPONENTS = (1.1, 1.5, 2.0, 3.0)
@@ -121,7 +120,8 @@ def _phi_excess(omega, t, t_tilde, sp: SpaceParams, c_const, rho, c_omega_bar) -
     """Largest phi(omega t~) / (omega t^r) - c_omega_bar over steps with t, t~ > 0, or 0."""
     live = (t > 0.0) & (t_tilde > 0.0)
     omega, t, t_tilde = omega[live], t[live], t_tilde[live]
-    ratio = phi(omega * t_tilde, c_const, rho, sp) / (omega * t**sp.r)
+    majorant = [phi(lam, c_const, rho, sp) for lam in (omega * t_tilde).tolist()]
+    ratio = np.array(majorant, dtype=float) / (omega * t**sp.r)
     return float(np.max(ratio - c_omega_bar, initial=0.0))
 
 
@@ -218,9 +218,10 @@ def check_taylor_order(seed: int = 4) -> CheckResult:
     )
 
 
-# the bounds of the integers draws the stream is checked on: the smallest,
-# an odd one, the 1D node count, and one just above 2**31
-STREAM_HIGHS = (2, 3, 401, 2**31 + 5)
+# the bounds of the integers draws the stream is checked on: the two ends of
+# the range, 1 (no draw) and 2**32 (a full 32-bit word), the smallest that
+# draws, an odd one, the 1D node count, and one just above 2**31
+STREAM_HIGHS = (1, 2, 3, 401, 2**31 + 5, 2**32)
 
 
 def stream_matches_numpy(seed: int, high: int) -> bool:

@@ -378,13 +378,11 @@ def adjoint_values(ev: ForwardEvaluation, w: np.ndarray) -> np.ndarray:
 
 def derivative_apply(ev: ForwardEvaluation, h: GridFunction) -> GridFunction:
     """Directional derivative F'(c) h = -A(c)^{-1}(h * u(c))."""
-    if h.grid != ev.u.grid:
-        raise GridMismatchError("direction sampled on a different grid")
+    ev.u._check(h)
     return GridFunction(ev.u.grid, derivative_values(ev, h.values))
 
 
 def adjoint_apply(ev: ForwardEvaluation, w: GridFunction) -> GridFunction:
     """Adjoint F'(c)* w = -u(c) * A(c)^{-1} w under the uniform-weight pairing."""
-    if w.grid != ev.u.grid:
-        raise GridMismatchError("argument sampled on a different grid")
+    ev.u._check(w)
     return GridFunction(ev.u.grid, adjoint_values(ev, w.values))

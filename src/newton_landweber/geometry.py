@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from ._warn import warn_at_caller
-from .grids import GridFunction, GridMismatchError
+from .grids import GridFunction
 
 _NORMAL_MIN = float(np.finfo(float).tiny)  # smallest normal float64
 
@@ -36,7 +36,6 @@ __all__ = [
     "bregman",
     "bregman_values",
     "shifted_bregman",
-    "phi",
     "conjugate_exponent",
 ]
 
@@ -156,8 +155,7 @@ def lp_norm(f: GridFunction, q: float) -> float:
 
 def pairing(a: GridFunction, b: GridFunction) -> float:
     """Weighted dual pairing sum_i w_i a_i b_i (same weights as the norms)."""
-    if a.grid != b.grid:
-        raise GridMismatchError(f"grids differ: {a.grid.cells} vs {b.grid.cells}")
+    a._check(b)
     return float(a.grid.cell_volume * np.dot(a.values, b.values))
 
 
@@ -183,8 +181,7 @@ def bregman(x_new: GridFunction, x: GridFunction, p: float) -> float:
     """Bregman distance of (1/p)||.||_p^p from x to x_new (see bregman_values)."""
     if not p > 1.0:  # written positively, so that NaN fails it
         raise ValueError(f"bregman needs p > 1, got {p}")
-    if x_new.grid != x.grid:
-        raise GridMismatchError(f"grids differ: {x_new.grid.cells} vs {x.grid.cells}")
+    x_new._check(x)
     a = x_new.values
     return float(bregman_values(a, np.abs(a) ** p, x.values, p, x.grid.cell_volume))
 
@@ -195,30 +192,3 @@ def shifted_bregman(
     """Bregman distance between the shifts x_new - x0 and x - x0."""
     return bregman(x_new - x0, x - x0, p)
 
-
-def _pow(x: float, y: float) -> float:
-    """x^y by the C library's pow, as float64 arithmetic gives it: overflow is inf."""
-    try:
-        return math.pow(x, y)
-    except OverflowError:
-        return math.inf
-
-
-def phi(lam, c_const: float, rho: float, space: SpaceParams):
-    """Step-size majorant 2^(s*-1) C (p rho^2)^(1-s*/p*) lam^s* + 2^(p*-1) C lam^p*.
-
-    Convex and increasing on lam >= 0; accepts a scalar or an array. The
-    one statement of the majorant: ``choose_vartheta`` reads the step factor
-    off it. As s >= 2, s* <= 2 and only p -> 1 sends an exponent to
-    infinity; the terms are written as C/2 (p rho^2)^(1-s*/p*) (2 lam)^s* and
-    C/2 (2 lam)^p*, so that 2^(p*-1) alone cannot overflow. A power that
-    overflows all the same is inf, without a warning.
-    """
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0):
-        raise ValueError("phi is defined for nonnegative arguments")
-    p, p_star, s_star = space.p, space.p_star, space.s_star
-    lead = 0.5 * c_const * _pow(p * _pow(rho, 2.0), 1.0 - s_star / p_star)
-    with np.errstate(over="ignore"):
-        out = lead * (2.0 * lam) ** s_star + 0.5 * c_const * (2.0 * lam) ** p_star
-    return float(out) if out.ndim == 0 else out

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import os
+from operator import attrgetter
 from typing import Iterable
 
 from .experiments import RunReport
@@ -39,19 +40,21 @@ ITERATION_COLUMNS = [
     "d2",
     "gamma",
 ]
-SUMMARY_COLUMNS = [
-    "preset",
-    "p",
-    "r",
-    "delta",
-    "seed",
-    "n_star",
-    "N_p",
-    "err_L2",
-    "err_Lp",
-    "reason",
-    "wall_ms",
-]
+# the summary's columns in order, each with its value for one run
+_SUMMARY = (
+    ("preset", attrgetter("spec.name")),
+    ("p", attrgetter("spec.space.p")),
+    ("r", attrgetter("spec.space.r")),
+    ("delta", attrgetter("effective_delta")),
+    ("seed", attrgetter("spec.seed")),
+    ("n_star", attrgetter("n_star")),
+    ("N_p", attrgetter("n_p")),
+    ("err_L2", attrgetter("err_l2")),
+    ("err_Lp", attrgetter("err_lp")),
+    ("reason", attrgetter("reason")),
+    ("wall_ms", lambda report: f"{report.wall_ms:.3f}"),
+)
+SUMMARY_COLUMNS = [column for column, _ in _SUMMARY]
 
 
 def _write_rows(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
@@ -75,19 +78,7 @@ def write_iterations(path: str, log: IterationLog) -> None:
 
 def summary_row(report: RunReport) -> list:
     """The summary values for one run, in SUMMARY_COLUMNS order."""
-    return [
-        report.spec.name,
-        report.spec.space.p,
-        report.spec.space.r,
-        report.effective_delta,
-        report.spec.seed,
-        report.n_star,
-        report.n_p,
-        report.err_l2,
-        report.err_lp,
-        report.reason,
-        f"{report.wall_ms:.3f}",
-    ]
+    return [value(report) for _, value in _SUMMARY]
 
 
 def write_summary_rows(path: str, rows: Iterable[list]) -> None:

@@ -1,14 +1,22 @@
-"""Step-size and regularization-weight schedules of the two-loop iteration.
+"""The parameter choice of the two-loop iteration: phi, vartheta, omega, alpha, k_n.
 
 The inner Landweber step size is omega = vartheta * min of two power-law
 terms in (t, t_tilde) and a cap. vartheta is read off the majorant
-``geometry.phi``: the largest 2^-j with phi(vartheta) <= c_omega_bar *
+:func:`phi`: the largest 2^-j with phi(vartheta) <= c_omega_bar *
 vartheta, which by algebra keeps the ratio phi(omega * t_tilde) / (omega *
 t^r) below c_omega_bar for every t, t_tilde > 0. The regularization weight
 alpha is the larger of a residual-driven floor and a geometrically
-contracting envelope, capped at 1. Every power of a setting or a residual
-is taken by ``geometry._pow``, so one that overflows is inf, never an
-``OverflowError``.
+contracting envelope, capped at 1; the inner allowance k_n is a power of
+the outer residual or a constant.
+
+Every power here follows one rule, stated once in :func:`_pow` and
+:func:`_pow_product`: a power that overflows is inf, never an
+``OverflowError``, and a product of two powers that would be 0 * inf is
+taken in logarithms, never NaN. Two powers keep a bare ``**``, as
+neither can overflow: the 2^-j of :func:`choose_vartheta`, and the
+envelope of :func:`alpha_hat`, whose base 1 - (1-q) alpha lies in (0, 1]
+for q in (0, 1) and alpha in [0, 1]. The module works on Python floats
+and imports no numpy.
 """
 
 from __future__ import annotations
@@ -18,11 +26,12 @@ import numbers
 import re
 from dataclasses import dataclass
 
-from .geometry import SpaceParams, _pow, phi
+from .geometry import SpaceParams
 
 __all__ = [
     "ConfigurationError",
     "InnerBudget",
+    "phi",
     "theta_exponent",
     "choose_vartheta",
     "choose_omega",
@@ -34,6 +43,50 @@ __all__ = [
 
 class ConfigurationError(ValueError):
     """A solver configuration violates a validity condition."""
+
+
+def _pow(x: float, y: float) -> float:
+    """x^y by the C library's pow, as float64 arithmetic gives it: overflow is inf."""
+    try:
+        return math.pow(x, y)
+    except OverflowError:
+        return math.inf
+
+
+def _pow_product(x: float, a: float, y: float, b: float) -> float:
+    """x^a * y^b for x, y >= 0, with overflow inf and no 0 * inf.
+
+    The direct product of the two C ``pow`` values, bit for bit, wherever it
+    is a number; a factor that overflows is inf. Where one factor underflows
+    to 0 and the other overflows to inf, the product is 0 if a base is 0,
+    and 2^(a log2 x + b log2 y) otherwise.
+    """
+    try:
+        product = math.pow(x, a) * math.pow(y, b)
+    except OverflowError:
+        product = _pow(x, a) * _pow(y, b)
+    if product == product:
+        return product
+    if x == 0.0 or y == 0.0:
+        return 0.0
+    return _pow(2.0, a * math.log2(x) + b * math.log2(y))
+
+
+def phi(lam: float, c_const: float, rho: float, space: SpaceParams) -> float:
+    """Step-size majorant 2^(s*-1) C (p rho^2)^(1-s*/p*) lam^s* + 2^(p*-1) C lam^p*.
+
+    Convex and increasing on lam >= 0. The one statement of the majorant:
+    ``choose_vartheta`` reads the step factor off it. As s >= 2, s* <= 2
+    and only p -> 1 sends an exponent to infinity; the terms are written as
+    C/2 (p rho^2)^(1-s*/p*) (2 lam)^s* and C/2 (2 lam)^p*, so that
+    2^(p*-1) alone cannot overflow. A power that overflows all the same is
+    inf, and phi(0) is 0 even where the lead coefficient is inf.
+    """
+    if lam < 0:
+        raise ValueError("phi is defined for nonnegative arguments")
+    p, p_star, s_star = space.p, space.p_star, space.s_star
+    lead = 0.5 * c_const * _pow(p * _pow(rho, 2.0), 1.0 - s_star / p_star)
+    return _pow_product(lead, 1.0, 2.0 * lam, s_star) + 0.5 * c_const * _pow(2.0 * lam, p_star)
 
 
 def theta_exponent(nu: float, r: float) -> float:
@@ -63,10 +116,11 @@ def choose_vartheta(
 
     The one source of the step factor: ``SolverConfig.vartheta`` is this
     function of the config's constants, and no setting overrides it. The
-    condition is read off the majorant ``geometry.phi`` itself; it makes
+    condition is read off the majorant :func:`phi` itself; it makes
     phi(omega t_tilde) <= c_omega_bar * omega * t^r automatic for the omega
-    rule below, for all positive scalars t, t_tilde. A term of phi that
-    overflows is inf, so a vartheta it meets fails the condition.
+    rule below, for all positive scalars t, t_tilde. phi takes its powers by
+    this module's one rule (:func:`_pow_product`): a term that overflows is
+    inf, so a vartheta it meets fails the condition.
     """
     for j in range(max_halvings + 1):
         vt = 2.0**-j
@@ -93,33 +147,14 @@ def choose_omega(
 
     A vanishing t_tilde (zero gradient) makes the power terms meaningless;
     the cap vartheta * omega_bar is returned and the step flagged degenerate.
-    A term whose direct product is 0 * inf, a t^a that underflows times a
-    t_tilde^-b that overflows, is evaluated in logarithms instead.
+    A tiny t_tilde overflows a term to inf, which min() drops; a term whose
+    direct product is 0 * inf is evaluated in logarithms (:func:`_pow_product`).
     """
     if t_tilde == 0.0:
         return vartheta * omega_bar, True
-    r, s, p = space.r, space.s, space.p
-    a1 = r / (space.s_star - 1.0)
-    a2 = r / (space.p_star - 1.0)
-    # tiny t_tilde overflows the negative powers; inf is fine, min() drops it
-    w1 = _pow(t, a1) * _pow(t_tilde, -s)
-    w2 = _pow(t, a2) * _pow(t_tilde, -p)
-    if w1 != w1:
-        w1 = _power_ratio_in_logs(t, a1, t_tilde, s)
-    if w2 != w2:
-        w2 = _power_ratio_in_logs(t, a2, t_tilde, p)
+    w1 = _pow_product(t, space.r / (space.s_star - 1.0), t_tilde, -space.s)
+    w2 = _pow_product(t, space.r / (space.p_star - 1.0), t_tilde, -space.p)
     return vartheta * min(w1, w2, omega_bar), False
-
-
-def _power_ratio_in_logs(t: float, a: float, t_tilde: float, b: float) -> float:
-    """t^a t_tilde^-b as 2^(a log2 t - b log2 t_tilde), overflow inf.
-
-    For a product whose factors underflow to 0 and overflow to inf; t = 0
-    gives 0, as t_tilde^-b is finite for t_tilde > 0.
-    """
-    if t == 0.0:
-        return 0.0
-    return _pow(2.0, a * math.log2(t) - b * math.log2(t_tilde))
 
 
 def alpha_check(
@@ -183,12 +218,6 @@ class InnerBudget:
     def constant(cls, k_bar: int) -> "InnerBudget":
         return cls("constant", k_bar=k_bar)
 
-    def coefficient(self, n: int) -> float:
-        """The sequence value a_n (power family only)."""
-        if self.kind != "power":
-            raise ConfigurationError("a_n is only defined for the power family")
-        return _pow(self.shift + n, -self.exponent)
-
     def limit(self, n: int, r_n: float, r: float) -> int:
         """Inner allowance k_n for outer index n and residual r_n > 0."""
         if self.kind == "constant":
@@ -197,7 +226,7 @@ class InnerBudget:
             raise ValueError("inner allowance needs a positive residual")
         # a huge allowance is capped by the solver's own budgets; tiny
         # residuals overflow the power to inf
-        raw = self.coefficient(n) * _pow(r_n, -r)
+        raw = _pow_product(self.shift + n, -self.exponent, r_n, -r)
         if raw > 2**62:
             return 2**62
         return max(1, math.floor(raw))

@@ -75,7 +75,6 @@ from .forward import (  # noqa: F401
 )
 from .geometry import (  # noqa: F401
     SpaceParams,
-    _pow,
     bregman_values,
     duality_map,
     duality_map_values,
@@ -88,6 +87,7 @@ from .grids import GridFunction, GridMismatchError
 from .schedules import (
     ConfigurationError,
     InnerBudget,
+    _pow,
     alpha_check,
     alpha_hat,
     choose_omega,

@@ -53,8 +53,8 @@ def test_example1_pins():
     np.testing.assert_allclose(spec.truth(t), [0.5, 1.0, 0.0, 0.0])
     assert spec.exact_state(np.array(0.2)) == pytest.approx(2.0)
     assert (spec.exact_state(0.0), spec.exact_state(1.0)) == (1.0, 6.0)
-    # inner allowance coefficient a_0 = 50^-2
-    assert spec.solver["inner_budget"].coefficient(0) == pytest.approx(4e-4)
+    # inner allowance (50+n)^-2, a_0 = 4e-4
+    assert spec.solver["inner_budget"] == InnerBudget.power(50.0, 2.0)
 
 
 def test_example2_pins():
@@ -63,7 +63,7 @@ def test_example2_pins():
     assert spec.noise.delta == 1e-4
     t = np.array([0.12, 0.35, 0.65, 0.5])
     np.testing.assert_allclose(spec.truth(t), [0.25, 0.5, 1.0, 0.0])
-    assert spec.solver["inner_budget"].coefficient(0) == pytest.approx(1e-4)
+    assert spec.solver["inner_budget"] == InnerBudget.power(100.0, 2.0)
 
 
 def test_example3_pins():
@@ -75,7 +75,7 @@ def test_example3_pins():
     assert spec.solver["tau"] == 1.0015
     assert spec.solver["tau_tilde"] == 5e-3
     assert spec.solver["c_omega_bar"] == 5e-3
-    assert spec.solver["inner_budget"].coefficient(0) == pytest.approx(1.0)
+    assert spec.solver["inner_budget"] == InnerBudget.power(1.0, 1.1)
     # starting guess is the smooth trend of the coefficient
     assert callable(spec.x0)
     assert spec.x0(np.array(0.25)) == pytest.approx(1.75)
@@ -178,6 +178,15 @@ def test_outliers_touch_exactly_count_nodes():
     assert add_outliers(data, 0, 0.75, 7) is data
     with pytest.raises(ValueError):
         add_outliers(data, grid.size + 1, 0.75, 7)
+
+
+def test_outliers_at_every_node_skip_repeated_draws():
+    # eight distinct nodes out of eight take repeated draws of the stream;
+    # a node drawn again is not moved again
+    data = GridFunction.zeros(Grid((8,)))
+    for seed in range(4):
+        out = add_outliers(data, 8, 0.75, seed)
+        np.testing.assert_array_equal(np.abs(out.values), np.full(8, 0.75))
 
 
 def test_example3_control_run_sees_identical_data():

@@ -350,6 +350,12 @@ def test_grid_mismatch_rejected():
         adjoint_apply(ev, other)
 
 
+def test_rhs_on_another_grid_rejected():
+    rhs = GridFunction.constant(Grid((9,)), 1.0)
+    with pytest.raises(GridMismatchError, match="rhs sampled on a different grid"):
+        EllipticProblem(Grid((8,)), rhs, lambda t: 0.0)
+
+
 def test_forward_positive_coefficient_state_bounded():
     # with f = 0 and positive boundary data the state stays between the
     # boundary values (discrete maximum principle for c >= 0)

@@ -1,7 +1,6 @@
-"""Norms, duality maps, Bregman distances and the step-size majorant."""
+"""Norms, duality maps and Bregman distances."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from newton_landweber import (
     duality_map,
     lp_norm,
     pairing,
-    phi,
     shifted_bregman,
 )
 from newton_landweber import solver
@@ -295,30 +293,3 @@ def test_shifted_bregman_reduces_to_plain_at_zero_shift():
         bregman(a - shift, b - shift, 1.5)
     )
 
-
-def test_phi_shape_and_values():
-    # p = s = 2: phi(lam) = 2 C lam^2 / ... both exponents collapse to 2,
-    # and (p rho^2)^(1 - s*/p*) = 1, so phi(lam) = 4 C lam^2 at C = 1
-    hilbert = SpaceParams(2.0, 2.0)
-    assert phi(1.0, 1.0, 0.5, hilbert) == pytest.approx(4.0)
-    assert phi(0.5, 1.0, 0.5, hilbert) == pytest.approx(1.0)
-    assert phi(0.0, 1.0, 0.5, hilbert) == 0.0
-    lams = np.linspace(0.0, 2.0, 41)
-    # p = 1.1: p* = 11, s* = 2
-    vals = phi(lams, 0.25, 0.5, SpaceParams(1.1, 2.0))
-    assert np.all(np.diff(vals) >= 0.0)
-    with pytest.raises(ValueError):
-        phi(-1.0, 1.0, 0.5, hilbert)
-
-
-def test_phi_overflow_is_inf_without_a_warning():
-    # p = 1.0001: p* = 10001, and 2^10001 overflows float64
-    space = SpaceParams(1.0001, 2.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert phi(1.0, 1.0, 0.5, space) == math.inf
-        assert phi(1e200, 1.0, 0.5, SpaceParams(2.0, 2.0)) == math.inf
-        vals = phi(np.array([0.0, 0.25, 1.0]), 1.0, 0.5, space)
-    assert vals[0] == 0.0
-    assert 0.0 < vals[1] < math.inf
-    assert vals[2] == math.inf

@@ -72,6 +72,13 @@ def test_nonfinite_rejected():
         GridFunction(grid, [1.0, np.inf, 0.0, 0.0])
 
 
+def test_values_of_the_wrong_shape_rejected():
+    grid = Grid((4,))
+    for values in (np.zeros(3), np.zeros(5), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="expected 4 values"):
+            GridFunction(grid, values)
+
+
 def test_arithmetic_and_mismatch():
     a = GridFunction.constant(Grid((4,)), 2.0)
     b = GridFunction.constant(Grid((4,)), 3.0)

@@ -1,5 +1,6 @@
-"""Step-size and regularization-weight schedules, budgets, and parsing."""
+"""The parameter choice: the majorant phi, step sizes, weights, budgets and parsing."""
 
+import math
 import warnings
 
 import numpy as np
@@ -14,9 +15,45 @@ from newton_landweber import (
     choose_omega,
     choose_vartheta,
     next_alpha,
+    phi,
     theta_exponent,
 )
 from newton_landweber.checks import check_omega_bounds
+
+
+def test_phi_shape_and_values():
+    # p = s = 2: phi(lam) = 2 C lam^2 / ... both exponents collapse to 2,
+    # and (p rho^2)^(1 - s*/p*) = 1, so phi(lam) = 4 C lam^2 at C = 1
+    hilbert = SpaceParams(2.0, 2.0)
+    assert phi(1.0, 1.0, 0.5, hilbert) == pytest.approx(4.0)
+    assert phi(0.5, 1.0, 0.5, hilbert) == pytest.approx(1.0)
+    assert phi(0.0, 1.0, 0.5, hilbert) == 0.0
+    # p = 1.1: p* = 11, s* = 2
+    vals = [phi(lam, 0.25, 0.5, SpaceParams(1.1, 2.0)) for lam in np.linspace(0.0, 2.0, 41)]
+    assert np.all(np.diff(vals) >= 0.0)
+    with pytest.raises(ValueError):
+        phi(-1.0, 1.0, 0.5, hilbert)
+
+
+def test_phi_overflow_is_inf_without_a_warning():
+    # p = 1.0001: p* = 10001, and 2^10001 overflows float64
+    space = SpaceParams(1.0001, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert phi(1.0, 1.0, 0.5, space) == math.inf
+        assert phi(1e200, 1.0, 0.5, SpaceParams(2.0, 2.0)) == math.inf
+        vals = [phi(lam, 1.0, 0.5, space) for lam in (0.0, 0.25, 1.0)]
+    assert vals[0] == 0.0
+    assert 0.0 < vals[1] < math.inf
+    assert vals[2] == math.inf
+
+
+def test_phi_at_zero_with_an_infinite_lead_coefficient():
+    # (p rho^2)^(1 - s*/p*) overflows at rho = 1e200, p = 1.1; the lead
+    # term inf * 0^s* is 0, so phi(0) = 0 with no invalid-value warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert phi(0.0, 1.0, 1e200, SpaceParams(1.1, 2.0)) == 0.0
 
 
 def test_theta_worked_values():
@@ -120,8 +157,7 @@ def test_next_alpha_combination():
 
 def test_inner_budget_power_family():
     budget = InnerBudget.power(50.0, 2.0)
-    assert budget.coefficient(0) == pytest.approx(4e-4)
-    # worked example: a_0 r^-2 with r = 1e-2 gives floor(4) = 4
+    # worked example: a_0 = 50^-2 = 4e-4, and a_0 r^-2 with r = 1e-2 gives floor(4) = 4
     assert budget.limit(0, 1e-2, 2.0) == 4
     # sub-unit raw allowance clamps to 1
     assert budget.limit(0, 1.0, 2.0) == 1
@@ -142,8 +178,6 @@ def test_inner_budget_constant_family():
     assert budget.limit(100, 1.0, 2.0) == 7
     with pytest.raises(ConfigurationError):
         InnerBudget.constant(0)
-    with pytest.raises(ConfigurationError):
-        budget.coefficient(0)
 
 
 def test_inner_budget_huge_allowance_capped():
@@ -153,6 +187,16 @@ def test_inner_budget_huge_allowance_capped():
         assert budget.limit(0, 1e-300, 2.0) == 2**62
         # a_0 = 0.5^-2000 = 2^2000 overflows to inf, not an OverflowError
         assert InnerBudget.power(0.5, 2000.0).limit(0, 1.0, 2.0) == 2**62
+
+
+def test_inner_budget_when_one_power_underflows_and_the_other_overflows():
+    # the direct product would be 0 * inf; in logs the allowance is
+    # 2^(-2000 - 100 log2 1e-4) = 2^-671, clamped to 1, and
+    # 2^(2000 - 2 log2 1e200) = 2^671, capped at 2^62
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert InnerBudget.power(2.0, 2000.0).limit(0, 1e-4, 100.0) == 1
+        assert InnerBudget.power(0.5, 2000.0).limit(0, 1e200, 2.0) == 2**62
 
 
 def test_inner_budget_parse_round_trip():

@@ -762,6 +762,19 @@ def test_step_bound_audit_sees_a_broken_carry_over():
     assert not step_bound_audit(log, config).ok
 
 
+def test_step_bound_audit_sees_a_step_above_the_cap():
+    problem, _, exact = small_problem()
+    data = generate_noise(exact, 1e-3, 2.0, 6)
+    config = base_config(delta=1e-3, max_outer=4, inner_budget=InnerBudget.constant(10))
+    log = run(problem, data, config).log
+    assert step_bound_audit(log, config).ok
+    # a cap vartheta * omega_bar between the two largest steps
+    second, largest = np.unique(log.column("omega"))[-2:]
+    capped = config.replace(omega_bar=0.5 * (second + largest) / config.vartheta)
+    assert np.count_nonzero(log.column("omega") > capped.vartheta * capped.omega_bar) == 1
+    assert not step_bound_audit(log, capped).ok
+
+
 def test_step_bound_audit_sees_more_steps_than_the_allowance():
     problem, _, exact = small_problem()
     data = generate_noise(exact, 1e-3, 2.0, 6)
