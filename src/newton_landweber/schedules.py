@@ -12,7 +12,8 @@ the outer residual or a constant.
 Every power here follows one rule, stated once in :func:`_pow` and
 :func:`_pow_product`: a power that overflows is inf, never an
 ``OverflowError``, and a product of two powers that would be 0 * inf is
-taken in logarithms, never NaN. Two powers keep a bare ``**``, as
+taken in logarithms, never NaN; so is phi's lead term where its
+coefficient overflows on its own. Two powers keep a bare ``**``, as
 neither can overflow: the 2^-j of :func:`choose_vartheta`, and the
 envelope of :func:`alpha_hat`, whose base 1 - (1-q) alpha lies in (0, 1]
 for q in (0, 1) and alpha in [0, 1]. The module works on Python floats
@@ -79,14 +80,22 @@ def phi(lam: float, c_const: float, rho: float, space: SpaceParams) -> float:
     ``choose_vartheta`` reads the step factor off it. As s >= 2, s* <= 2
     and only p -> 1 sends an exponent to infinity; the terms are written as
     C/2 (p rho^2)^(1-s*/p*) (2 lam)^s* and C/2 (2 lam)^p*, so that
-    2^(p*-1) alone cannot overflow. A power that overflows all the same is
-    inf, and phi(0) is 0 even where the lead coefficient is inf.
+    2^(p*-1) alone cannot overflow. Where the lead coefficient overflows on
+    its own, the whole lead term is taken in logarithms, as the true value
+    may still be small; a term that overflows all the same is inf, and
+    phi(0) is 0 even where the lead coefficient is inf.
     """
     if lam < 0:
         raise ValueError("phi is defined for nonnegative arguments")
     p, p_star, s_star = space.p, space.p_star, space.s_star
-    lead = 0.5 * c_const * _pow(p * _pow(rho, 2.0), 1.0 - s_star / p_star)
-    return _pow_product(lead, 1.0, 2.0 * lam, s_star) + 0.5 * c_const * _pow(2.0 * lam, p_star)
+    e = 1.0 - s_star / p_star
+    lead = 0.5 * c_const * _pow(p * _pow(rho, 2.0), e)
+    if lead == math.inf and lam > 0:
+        log2_head = math.log2(0.5 * c_const) + e * (math.log2(p) + 2.0 * math.log2(rho))
+        head = _pow(2.0, log2_head + s_star * math.log2(2.0 * lam))
+    else:
+        head = _pow_product(lead, 1.0, 2.0 * lam, s_star)
+    return head + 0.5 * c_const * _pow(2.0 * lam, p_star)
 
 
 def theta_exponent(nu: float, r: float) -> float:
@@ -105,14 +114,12 @@ def theta_exponent(nu: float, r: float) -> float:
     return 4.0 * nu / denom
 
 
-def choose_vartheta(
-    c_omega_bar: float,
-    c_const: float,
-    rho: float,
-    space: SpaceParams,
-    max_halvings: int = 64,
-) -> float:
-    """Largest vartheta = 2^-j, j >= 0, with phi(vartheta) <= c_omega_bar * vartheta.
+# the most halvings choose_vartheta tries before it declares no vartheta exists
+MAX_HALVINGS = 64
+
+
+def choose_vartheta(c_omega_bar: float, c_const: float, rho: float, space: SpaceParams) -> float:
+    """Largest vartheta = 2^-j, 0 <= j <= 64, with phi(vartheta) <= c_omega_bar * vartheta.
 
     The one source of the step factor: ``SolverConfig.vartheta`` is this
     function of the config's constants, and no setting overrides it. The
@@ -122,12 +129,12 @@ def choose_vartheta(
     this module's one rule (:func:`_pow_product`): a term that overflows is
     inf, so a vartheta it meets fails the condition.
     """
-    for j in range(max_halvings + 1):
+    for j in range(MAX_HALVINGS + 1):
         vt = 2.0**-j
         if phi(vt, c_const, rho, space) <= c_omega_bar * vt:
             return vt
     raise ConfigurationError(
-        f"no vartheta = 2^-j with j <= {max_halvings} satisfies the "
+        f"no vartheta = 2^-j with j <= {MAX_HALVINGS} satisfies the "
         f"step-size condition (c_omega_bar={c_omega_bar})"
     )
 

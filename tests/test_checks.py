@@ -9,9 +9,14 @@ from newton_landweber import checks, cli
 from newton_landweber._pcg64 import PCG64
 
 
-def _scaled(fn):
-    # the function's GridFunction or float result, 1e-6 too large
-    return lambda *args: fn(*args) * (1.0 + 1e-6)
+def _scaled(fn, error=1e-6):
+    # the function's GridFunction or float result, `error` too large
+    return lambda *args: fn(*args) * (1.0 + error)
+
+
+def _scaled_in_2d(adjoint_apply):
+    # the adjoint 1e-6 too large on 2-d grids only
+    return lambda ev, w: adjoint_apply(ev, w) * (1.0 + (1e-6 if ev.u.grid.dim == 2 else 0.0))
 
 
 def _shifted(forward):
@@ -49,6 +54,14 @@ BREAKS = [
         id="omega-degenerate",
     ),
     pytest.param(checks.check_adjoint_identity, "adjoint_apply", _scaled, id="adjoint"),
+    pytest.param(
+        checks.check_adjoint_identity,
+        "adjoint_apply",
+        lambda fn: _scaled(fn, 1e-9),
+        id="adjoint-1e-9",
+    ),
+    pytest.param(checks.check_adjoint_identity, "adjoint_apply", _scaled_in_2d, id="adjoint-2d"),
+    pytest.param(checks.check_adjoint_identity, "derivative_apply", _scaled, id="derivative"),
     pytest.param(checks.check_taylor_order, "forward", _shifted, id="taylor"),
     pytest.param(
         checks.check_noise_contract, "generate_noise", _reseeded_noise, id="noise-determinism"

@@ -56,6 +56,23 @@ def test_phi_at_zero_with_an_infinite_lead_coefficient():
         assert phi(0.0, 1.0, 1e200, SpaceParams(1.1, 2.0)) == 0.0
 
 
+def test_phi_when_its_lead_coefficient_overflows_on_its_own():
+    # (1.1 * 1e400)^(9/11) / 2 overflows, but times (2e-300)^2 the lead
+    # term is about 4.0516e-273; the lam^p* term underflows to 0
+    log10_lead = math.log10(0.5) + 9.0 / 11.0 * (math.log10(1.1) + 400.0)
+    expected = 10.0 ** (log10_lead + 2.0 * (math.log10(2.0) - 300.0))
+    assert expected == pytest.approx(4.0516e-273, rel=1e-5)
+    assert phi(1e-300, 1.0, 1e200, SpaceParams(1.1, 2.0)) == pytest.approx(expected, rel=1e-9)
+
+
+def test_choose_vartheta_at_a_huge_rho_near_p_2():
+    # at p = 1.9999 the exponent 1 - s*/p* is 5e-5, so (p rho^2)^(1-s*/p*)
+    # is about 1.04 at rho = 1e154 although p rho^2 overflows
+    space = SpaceParams(1.9999, 2.0)
+    assert choose_vartheta(0.1, 1.0, 1e154, space) == 2.0**-6
+    assert choose_vartheta(0.1, 1.0, 1e150, space) == 2.0**-6
+
+
 def test_theta_worked_values():
     assert theta_exponent(0.0, 2.0) == 0.0
     assert theta_exponent(0.25, 2.0) == pytest.approx(0.5)
@@ -72,7 +89,7 @@ def test_choose_vartheta_halving_rule():
     # a loose bound admits vt = 1 (j = 0)
     assert choose_vartheta(4.0, 1.0, 0.5, hilbert) == 1.0
     with pytest.raises(ConfigurationError):
-        choose_vartheta(1e-25, 1.0, 0.5, hilbert, max_halvings=8)
+        choose_vartheta(1e-25, 1.0, 0.5, hilbert)
 
 
 def test_choose_vartheta_guarantees_phi_ratio():
