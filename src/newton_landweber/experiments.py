@@ -233,10 +233,9 @@ def make_data(spec: ExperimentSpec, exact: GridFunction) -> tuple[GridFunction, 
         if magnitude is None:
             magnitude = 0.5 * float(np.max(np.abs(exact.values)))
         data = add_outliers(data, noise.outlier_count, magnitude, spec.seed + 1)
-        return data, lp_norm(data - exact, spec.space.r)
-    if scale_r != spec.space.r:
-        return data, lp_norm(data - exact, spec.space.r)
-    return data, noise.delta
+    elif scale_r == spec.space.r:
+        return data, noise.delta
+    return data, lp_norm(data - exact, spec.space.r)
 
 
 def run_experiment(spec: ExperimentSpec) -> RunReport:

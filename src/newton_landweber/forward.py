@@ -138,6 +138,10 @@ class _TridiagonalOperator:
     """
 
     def __init__(self, grid: Grid) -> None:
+        # scipy's dgttrf wrapper raises ValueError on 2 unknowns, so a run
+        # on 2 cells would fail in its first state solve
+        if grid.size < 3:
+            raise ValueError(f"a 1D problem needs at least 3 cells, got {grid.size}")
         (h,) = grid.spacing
         self.grid = grid
         self.inv_h2 = 1.0 / h**2

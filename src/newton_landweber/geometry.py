@@ -29,6 +29,7 @@ __all__ = [
     "SpaceParams",
     "lp_norm",
     "lp_norm_values",
+    "lp_norm_values_quiet",
     "pairing",
     "duality_map",
     "duality_map_values",
@@ -96,11 +97,17 @@ def lp_norm_values(v: np.ndarray, q: float, weight: float) -> float:
     recomputed as max|v| * ||v / max|v|||_q; a zero v reads 0.0, and every
     other result is the direct formula, bit for bit. At q = inf the
     rescaled sum counts the maxima, so the norm is max|v|. At q = 2 the
-    powers are ``v * v``, which equals |v|^2 bit for bit. The result is a Python ``float``, never a
-    numpy scalar: the sum is converted first and the root is ``math.pow``,
-    which is the C library's pow that numpy's float64 power also calls.
+    powers are ``v * v``, which equals |v|^2 bit for bit. The result is a
+    Python ``float``, never a numpy scalar: the sum is converted first and
+    the root is ``math.pow``, the C library's pow. numpy's float64 scalar
+    power calls it too, but its array power need not: where numpy takes it
+    with AVX-512 kernels, ``x ** 11.0`` differs from ``math.pow`` in the
+    last bit in about 5% of entries. The sum's powers are numpy's array
+    powers, so the pinned traces hold only where numpy takes them with the
+    same kernels (README, "Tests").
     numpy still warns about an overflow of the direct sum: an ``errstate``
-    guard would slow every call by about half.
+    guard would slow every call by about half, so only the calls off the
+    inner step go through ``lp_norm_values_quiet``.
     """
     total = weight * float(np.add.reduce(v * v if q == 2.0 else np.abs(v) ** q))
     if not _NORMAL_MIN <= total < math.inf:
@@ -111,6 +118,12 @@ def lp_norm_values(v: np.ndarray, q: float, weight: float) -> float:
         if scale == 0.0:  # pow(+0, 1/q) for a finite q; pow(0, 0) = 1 at q = inf
             return 0.0
     return math.pow(total, 1.0 / q)
+
+
+# lp_norm_values without the overflow warning, for set-up, reporting and the
+# outer loop's residual r_n, where a sum that overflows rescales to the right
+# norm; errstate as a decorator costs about half of a with block each call
+lp_norm_values_quiet = np.errstate(over="ignore")(lp_norm_values)
 
 
 def duality_map_values(v: np.ndarray, q: float) -> np.ndarray:
@@ -147,10 +160,14 @@ def bregman_values(
 
 
 def lp_norm(f: GridFunction, q: float) -> float:
-    """Weighted discrete L^q norm, (sum_i w_i |f_i|^q)^(1/q); max|f| at q = inf."""
+    """Weighted discrete L^q norm, (sum_i w_i |f_i|^q)^(1/q); max|f| at q = inf.
+
+    The norm of set-up and reporting, off the inner step: a direct sum that
+    overflows is rescaled to the right norm, so it does not warn.
+    """
     if not q >= 1.0:  # written positively, so that NaN fails it
         raise ValueError(f"norm exponent must be >= 1, got {q}")
-    return lp_norm_values(f.values, q, f.grid.cell_volume)
+    return lp_norm_values_quiet(f.values, q, f.grid.cell_volume)
 
 
 def pairing(a: GridFunction, b: GridFunction) -> float:

@@ -16,7 +16,7 @@ from operator import attrgetter
 from typing import Iterable
 
 from .experiments import RunReport
-from .solver import IterationLog
+from .solver import IterationLog, IterationRecord
 
 __all__ = [
     "ITERATION_COLUMNS",
@@ -28,17 +28,10 @@ __all__ = [
     "write_summary_rows",
 ]
 
+# the IterationRecord fields up to gamma, in record order, f_residual as F_residual
 ITERATION_COLUMNS = [
-    "n",
-    "k",
-    "t",
-    "t_tilde",
-    "omega",
-    "alpha",
-    "r_n",
-    "F_residual",
-    "d2",
-    "gamma",
+    "F_residual" if name == "f_residual" else name
+    for name in IterationRecord._fields[: IterationRecord._fields.index("gamma") + 1]
 ]
 # the summary's columns in order, each with its value for one run
 _SUMMARY = (

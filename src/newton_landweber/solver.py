@@ -8,10 +8,10 @@ Landweber steps on the linearization at x_n, driven in the dual space,
     u_{n,k+1} = u_{n,k} - alpha_{n,k} J_p(z_{n,k} - x0) - omega_{n,k} A_n^* j_r(rho_{n,k}),
     z_{n,k+1} = x0 + J_p^{-1}( J_p(x_n - x0) + u_{n,k+1} ),
 
-with rho_{n,k} = A_n (z_{n,k} - x_n) + F(x_n) - y_delta. The loop length is
-the configured allowance k_n, cut short when the nonlinear residual at z_{n,k}
-already passes the discrepancy test. alpha carries across loops: the first
-weight of loop n is the last weight of loop n-1.
+with rho_{n,k} = A_n (z_{n,k} - x_n) + F(x_n) - y_delta. Step k > 0 opens by
+testing its own iterate: the loop stops at the first k with
+||F(z_{n,k}) - y_delta||_r <= tau * delta, else after the allowance k_n.
+alpha carries across loops: the first weight of loop n is the last of n-1.
 
 In rate mode (theta > 0) the inner loop at the stopping index continues until
 alpha falls below c_alpha * (r_n + delta)^(r/(1+theta)); the nonlinear
@@ -81,6 +81,7 @@ from .geometry import (  # noqa: F401
     inverse_duality_map,
     lp_norm,
     lp_norm_values,
+    lp_norm_values_quiet,
     shifted_bregman,
 )
 from .grids import GridFunction, GridMismatchError
@@ -539,11 +540,11 @@ def run(
     since z is constructed as x0 + J_p^{-1}(w), the term J_p(z - x0) of the
     update equals w exactly, so no pow round trip is needed. A step is kept
     only if the norm t of its new linearized residual is finite, which also
-    vouches for the new iterate; the nonlinear residual of z is checked
-    after every step, and a non-finite norm of it fails the run as a
-    non-finite state. Each exit sets the loop's and the run's reason where
-    it happens, and leaves both loops for one exit, which closes the log,
-    so every step and outer loop is in it.
+    vouches for the new iterate. Every step but a loop's first opens with
+    the nonlinear residual check of its z, logged in its row; a non-finite
+    norm of it fails the run as a non-finite state. Each exit sets the
+    loop's and the run's reason where it happens, and leaves both loops for
+    one exit, which closes the log, so every step and outer loop is in it.
     """
     for name, f in (("data", data), ("x0", x0), ("truth", truth)):
         if f is not None and f.grid != problem.grid:
@@ -580,7 +581,8 @@ def run(
             break
         applies += 1
         resid0 = ev.u.values - data_values
-        r_n = lp_norm_values(resid0, r, weight)
+        # once per loop, off the inner step: a sum that overflows rescales
+        r_n = lp_norm_values_quiet(resid0, r, weight)
 
         # in rate mode the loop at the stopping index refines alpha first
         refining = r_n <= stop_level
@@ -611,8 +613,6 @@ def run(
         inner_reason = None
         # NaN in the log: the loop did not stop on the residual check
         f_stop = math.nan
-        # the residual check of z_{n,k} is logged with step k, NaN if none ran
-        f_pending = math.nan
         while True:
             if refining and alpha <= threshold:
                 inner_reason = "refinement"
@@ -628,6 +628,24 @@ def run(
                 else:
                     inner_reason = "budget"
                 break
+            # the residual check of z_{n,k}, logged with step k; NaN if none ran
+            f_residual = math.nan
+            if check_residual and k > 0:
+                try:
+                    f_val = state_values(problem, z)
+                except SingularOperatorError as exc:
+                    reason = f"failure: {exc} (iterate n={n}, k={k})"
+                    break
+                applies += 1
+                f_residual = lp_norm_values(f_val - data_values, r, weight)
+                # as for t_next below: inf or NaN exactly when F(z) - y holds one
+                if not math.isfinite(f_residual):
+                    reason = f"failure: {NON_FINITE_STATE} (iterate n={n}, k={k})"
+                    break
+                if f_residual <= stop_level:
+                    f_stop = f_residual
+                    inner_reason = "inner discrepancy"
+                    break
             if (
                 config.max_total_inner is not None
                 and total_inner >= config.max_total_inner
@@ -655,7 +673,7 @@ def run(
                 break
             # the record holds the state of z_{n,k}, before the update; the
             # log writes its d2 when it packs the step's block
-            row = (n, k, t, t_tilde, omega, alpha, r_n, f_pending, math.nan, degenerate, refining)
+            row = (n, k, t, t_tilde, omega, alpha, r_n, f_residual, math.nan, degenerate, refining)
             log.add_step(row, z)
             u_dual, w, z, resid, t = u_next, w_next, z_next, resid_next, t_next
             alpha = next_alpha(
@@ -664,24 +682,6 @@ def run(
             )
             k += 1
             total_inner += 1
-            f_pending = math.nan
-            if check_residual and k < allowance:
-                try:
-                    f_val = state_values(problem, z)
-                except SingularOperatorError as exc:
-                    reason = f"failure: {exc} (iterate n={n}, k={k})"
-                    break
-                applies += 1
-                f_pending = lp_norm_values(f_val - data_values, r, weight)
-                # the same argument for the state: f_pending is inf or NaN
-                # exactly when an entry of F(z) - y is
-                if not math.isfinite(f_pending):
-                    reason = f"failure: {NON_FINITE_STATE} (iterate n={n}, k={k})"
-                    break
-                if f_pending <= stop_level:
-                    f_stop = f_pending
-                    inner_reason = "inner discrepancy"
-                    break
 
         if k > 0:
             # the guard on t_next has vouched for z, which no one else holds

@@ -189,6 +189,19 @@ def test_outliers_at_every_node_skip_repeated_draws():
         np.testing.assert_array_equal(np.abs(out.values), np.full(8, 0.75))
 
 
+def test_huge_outliers_are_measured_without_a_warning():
+    # 1e200 overflows the direct sum of the r-norm, which rescales to the
+    # right level; the suite's warning policy turns a warning into an error
+    spec = build_spec("example1", {"outlier_count": "2", "outlier_magnitude": "1e200"})
+    _, _, exact, _ = assemble_problem(spec)
+    _, delta = make_data(spec, exact)
+    weight = exact.grid.cell_volume
+    assert delta == pytest.approx(1e200 * math.sqrt(2.0 * weight), rel=1e-12)
+    # so is the run's first residual, which ends it at once
+    report = run_experiment(spec)
+    assert (report.reason, report.n_star, report.n_p) == ("discrepancy", 0, 0)
+
+
 def test_example3_control_run_sees_identical_data():
     # the gaussian part is pinned to the L^1.1 norm, so re-solving with
     # r = 2 must perturb the data identically; only the measured level moves

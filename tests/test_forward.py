@@ -106,6 +106,13 @@ def test_second_order_convergence():
     assert 3.4 < ratio < 4.6
 
 
+def test_a_1d_problem_on_two_cells_is_rejected_when_built():
+    # the tridiagonal kernels cannot take 2 unknowns; 2 x 2 cells in 2D can
+    with pytest.raises(ValueError, match="at least 3 cells"):
+        EllipticProblem(Grid((2,)), lambda t: 1.0, lambda t: t)
+    EllipticProblem(Grid((2, 2)), lambda x, y: 1.0, lambda x, y: x + y)
+
+
 def test_singular_operator_raises_1d():
     # c = -2/h^2 at the end cells makes the all-ones vector a null vector of
     # the discrete operator; all entries are integers so the zero pivot is hit
