@@ -273,25 +273,26 @@ def step_bound_audit(log: IterationLog, config: SolverConfig) -> CheckResult:
 
     Checks the omega range and phi-ratio cap of :func:`_step_size_excess`,
     0 < alpha <= 1, that no outer loop takes more steps than its allowance,
-    and that alpha carries over: each outer loop starts at the previous
-    loop's last weight (the first at alpha00) and its first step uses it. A
-    broken inequality counts as an excess of 1; the worst excess must stay
-    <= 1e-12.
+    and that alpha carries over on the weights the iteration used: the
+    first step of each loop uses the previous loop's ``alpha_end`` (alpha00
+    for the first loop), and a loop of no steps ends at it. A broken
+    inequality counts as an excess of 1; the worst excess must stay <= 1e-12.
     """
     omega, alpha, t, t_tilde = (log.column(name) for name in ("omega", "alpha", "t", "t_tilde"))
     worst = _step_size_excess(omega, t, t_tilde, config)
     if not np.all((alpha > 0.0) & (alpha <= 1.0)):
         worst = max(worst, 1.0)
-    steps, allowance, alpha_start, alpha_end = (
-        log.outer.column(name) for name in ("steps", "allowance", "alpha_start", "alpha_end")
+    steps, allowance, alpha_end = (
+        log.outer.column(name) for name in ("steps", "allowance", "alpha_end")
     )
     if np.any(steps > allowance):
         worst = max(worst, 1.0)
-    # loop i starts at the weight loop i-1 ended with, at its step sum(steps[:i])
+    # loop i starts at the weight loop i-1 ended with: its step sum(steps[:i])
+    # uses it, or, without steps, it ends there
     carried = np.concatenate(([config.alpha00], alpha_end))[:-1]
-    first = np.cumsum(steps) - steps
-    stepped = steps > 0
-    if np.any(alpha_start != carried) or np.any(alpha[first[stepped]] != carried[stepped]):
+    started, stepped = alpha_end.copy(), steps > 0
+    started[stepped] = alpha[(np.cumsum(steps) - steps)[stepped]]
+    if np.any(started != carried):
         worst = max(worst, 1.0)
     return CheckResult(
         "step bounds", worst <= 1e-12, f"{alpha.size} steps audited, worst excess {worst:.2e}"

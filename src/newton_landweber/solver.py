@@ -26,16 +26,18 @@ linearized residual, and the residual check the norm of F(z) - y_delta.
 Every exit of either loop sets its reasons where the loop leaves.
 
 A step computes only what steers the iteration, and its row of the log
-stores only what the loop computed: a value it did not compute is NaN.
+stores only what the loop computed, once: a value it did not compute is NaN.
 ``run`` hands each row to the :class:`IterationLog`, which is the one
 writer of its two tables, ``log.records`` of the steps and ``log.outer`` of
 the outer loops. It packs RECORD_BLOCK = 32 rows to a numpy array, of
-STEP_DTYPE (74 bytes a step) and OUTER_DTYPE (57 bytes a loop), both built
+STEP_DTYPE (73 bytes a step) and OUTER_DTYPE (41 bytes a loop), both built
 from the record fields. The Bregman diagnostic
 d2 = D_p(truth - x0, z_{n,k} - x0), which steers nothing, is computed by
 the log when it packs a block of steps, in one pass over the shifts
-z_{n,k} - x0 of their iterates. gamma = d2 alpha^-theta is not stored: a
-step's record derives it as it is read. Both tables are read-only
+z_{n,k} - x0 of their iterates. gamma = d2 alpha^-theta and
+degenerate = (t_tilde == 0) are not stored: a step's record derives them as
+it is read. Nor is a loop's first weight, the previous loop's alpha_end,
+or the residual it stopped on, the next loop's r_n. Both tables are read-only
 sequences that build :class:`IterationRecord` and :class:`OuterRecord`
 tuples one at a time on access. Every way out of the loops (the
 discrepancy principle, a budget, the refinement, a failure) goes through
@@ -239,10 +241,10 @@ class IterationRecord(NamedTuple):
     when it was evaluated for the stopping check. ``d2``/``gamma`` are the
     shifted Bregman distance to the supplied truth and its alpha^-theta
     rescaling (synthetic runs only). The log keeps its steps as packed rows,
-    without gamma, and builds a record from its row each time
+    without gamma and degenerate, and builds a record from its row each time
     ``log.records`` is read: a field the step did not compute reads None,
-    and gamma is derived from d2 and alpha. A named tuple is immutable and
-    built without a setattr per field.
+    gamma is derived from d2 and alpha, and degenerate is t_tilde == 0. A
+    named tuple is immutable and built without a setattr per field.
     """
 
     n: int
@@ -262,18 +264,19 @@ class IterationRecord(NamedTuple):
 class OuterRecord(NamedTuple):
     """Summary of one outer iterate and its inner loop.
 
-    As with the steps, the log keeps a packed row per loop and builds the
-    record from it each time ``log.outer`` is read.
+    As with the steps, the log keeps a packed row per loop, 41 bytes, and
+    builds the record from it each time ``log.outer`` is read. alpha carries
+    over: loop n starts at the ``alpha_end`` of loop n-1 (loop 0 at alpha00),
+    and a loop of no steps ends there. After an "inner discrepancy" stop,
+    the next loop's ``r_n`` is the residual the check stopped on.
     """
 
     n: int
     r_n: float
-    alpha_start: float
     allowance: int
     steps: int
     alpha_end: float
     inner_reason: str
-    f_residual_stop: float | None = None
 
 
 # the column type of each record field that is not a float64, which holds
@@ -281,7 +284,7 @@ class OuterRecord(NamedTuple):
 # its index in INNER_REASONS
 _COLUMN_TYPES = {
     **dict.fromkeys(("n", "k", "allowance", "steps"), np.int64),
-    **dict.fromkeys(("degenerate", "refinement"), np.bool_),
+    "refinement": np.bool_,
     "inner_reason": np.int8,
 }
 
@@ -290,16 +293,14 @@ def _row_dtype(fields) -> np.dtype:
     return np.dtype([(name, _COLUMN_TYPES.get(name, np.float64)) for name in fields])
 
 
-# a row of the log per step holds the fields of IterationRecord but gamma,
-# 74 bytes packed. f_residual is NaN where no residual check ran (run()
-# fails on a non-finite check before it logs one); d2 is NaN in a run
-# without a truth, which the log knows, and where the Bregman sum overflows
-# (inf - inf).
-STEP_DTYPE = _row_dtype(name for name in IterationRecord._fields if name != "gamma")
+# a row of the log per step holds the fields of IterationRecord but gamma
+# and degenerate, 73 bytes packed. f_residual is NaN where no residual check
+# ran (run() fails on a non-finite check before it logs one); d2 is NaN in a
+# run without a truth, which the log knows, and where the Bregman sum
+# overflows (inf - inf).
+STEP_DTYPE = _row_dtype(f for f in IterationRecord._fields if f not in ("gamma", "degenerate"))
 
-# a row per outer loop holds the fields of OuterRecord, 57 bytes packed;
-# f_residual_stop is NaN where the loop did not stop on the residual check
-# (a stop is <= tau delta)
+# a row per outer loop holds the fields of OuterRecord, 41 bytes packed
 OUTER_DTYPE = _row_dtype(OuterRecord._fields)
 
 
@@ -308,9 +309,9 @@ def _record(theta: float, truth: bool, row: tuple) -> IterationRecord:
 
     d2 and gamma read None in a run without a truth. gamma is derived per
     record in Python float arithmetic: numpy's array power may differ from
-    C pow in the last bit.
+    C pow in the last bit. degenerate is t_tilde == 0, as in ``choose_omega``.
     """
-    n, k, t, t_tilde, omega, alpha, r_n, f_residual, d2, degenerate, refinement = row
+    n, k, t, t_tilde, omega, alpha, r_n, f_residual, d2, refinement = row
     if not truth:
         d2 = gamma = None
     elif theta == 0.0:
@@ -320,18 +321,14 @@ def _record(theta: float, truth: bool, row: tuple) -> IterationRecord:
     return IterationRecord(
         n, k, t, t_tilde, omega, alpha, r_n,
         None if f_residual != f_residual else f_residual,  # NaN: no check ran
-        d2, gamma, degenerate, refinement,
+        d2, gamma, t_tilde == 0.0, refinement,
     )
 
 
 def _outer_record(row: tuple) -> OuterRecord:
     """The record of one OUTER_DTYPE row, given as a tuple of Python scalars."""
-    n, r_n, alpha_start, allowance, steps, alpha_end, reason, f_stop = row
-    return OuterRecord(
-        n, r_n, alpha_start, allowance, steps, alpha_end,
-        INNER_REASONS[reason],
-        None if f_stop != f_stop else f_stop,  # NaN: no stop on the check
-    )
+    *head, reason = row
+    return OuterRecord(*head, INNER_REASONS[reason])
 
 
 class LogTable(Sequence):
@@ -443,13 +440,13 @@ class IterationLog:
             self._pack_steps()
 
     def add_outer(self, row: tuple) -> None:
-        """Add (n, r_n, alpha_start, allowance, steps, alpha_end, inner_reason, f_residual_stop).
+        """Add (n, r_n, allowance, steps, alpha_end, inner_reason).
 
         An inner reason outside INNER_REASONS raises ``ValueError``.
         """
-        *head, inner_reason, f_stop = row
+        *head, inner_reason = row
         rows = self._loops
-        rows.append((*head, INNER_REASONS.index(inner_reason), f_stop))
+        rows.append((*head, INNER_REASONS.index(inner_reason)))
         if len(rows) == RECORD_BLOCK:
             self._pack_outer()
 
@@ -596,7 +593,7 @@ def run(
         else:
             allowance = min(config.inner_budget.limit(n, r_n, r), config.max_inner)
         if reason is not None:
-            log.add_outer((n, r_n, alpha, 0, 0, alpha, reason, math.nan))
+            log.add_outer((n, r_n, 0, 0, alpha, reason))
             break
 
         x_n = x.values
@@ -608,11 +605,8 @@ def run(
         z = x_n
         resid = resid0
         t = r_n
-        alpha_start = alpha
         k = 0
         inner_reason = None
-        # NaN in the log: the loop did not stop on the residual check
-        f_stop = math.nan
         while True:
             if refining and alpha <= threshold:
                 inner_reason = "refinement"
@@ -643,7 +637,6 @@ def run(
                     reason = f"failure: {NON_FINITE_STATE} (iterate n={n}, k={k})"
                     break
                 if f_residual <= stop_level:
-                    f_stop = f_residual
                     inner_reason = "inner discrepancy"
                     break
             if (
@@ -655,7 +648,7 @@ def run(
                 break
             gradient = adjoint_values(ev, duality_map_values(resid, r))
             t_tilde = lp_norm_values(gradient, p_star, weight)
-            omega, degenerate = choose_omega(t, t_tilde, vartheta, config.omega_bar, sp)
+            omega, _ = choose_omega(t, t_tilde, vartheta, config.omega_bar, sp)
             u_next = u_dual - alpha * w - omega * gradient
             w_next = base_dual + u_next
             # J_p^{-1} is J_{p*}
@@ -673,7 +666,7 @@ def run(
                 break
             # the record holds the state of z_{n,k}, before the update; the
             # log writes its d2 when it packs the step's block
-            row = (n, k, t, t_tilde, omega, alpha, r_n, f_residual, math.nan, degenerate, refining)
+            row = (n, k, t, t_tilde, omega, alpha, r_n, f_residual, math.nan, refining)
             log.add_step(row, z)
             u_dual, w, z, resid, t = u_next, w_next, z_next, resid_next, t_next
             alpha = next_alpha(
@@ -688,7 +681,7 @@ def run(
             x = GridFunction._adopt(problem.grid, z)
         if inner_reason is None:
             break  # a failed step: the loop has no outer record
-        log.add_outer((n, r_n, alpha_start, allowance, k, alpha, inner_reason, f_stop))
+        log.add_outer((n, r_n, allowance, k, alpha, inner_reason))
         if reason is not None:
             break
         n += 1

@@ -125,17 +125,25 @@ def test_noise_stream_is_numpys_pcg64(high):
     assert mismatched == []
 
 
-def test_no_run_loads_numpy_random():
-    # the test process itself has loaded numpy.random, through checks
+def test_no_run_loads_numpy_random(tmp_path):
+    # the test process itself has loaded numpy.random, through checks; a 1D
+    # run from the command line, written out, loads none of the modules that
+    # CI's cold-import step looks for
+    argv = ["run", "--preset", "example3", "--out", str(tmp_path)]
+    argv += ["--override", "n=100", "--override", "max_total_inner=50"]
     run_fresh(
         "import sys\n"
         "import newton_landweber.cli\n"
         "from newton_landweber import build_spec, run_experiment\n"
         "for preset in ('example3', 'example1'):\n"
         "    run_experiment(build_spec(preset, {'n': '100', 'max_total_inner': '50'}))\n"
-        "for name in ('numpy.random', 'newton_landweber.checks'):\n"
+        f"assert newton_landweber.cli.main({argv!r}) == 0\n"
+        "unloaded = ('scipy.linalg', 'scipy.sparse', 'numpy.f2py', 'numpy.random',\n"
+        "            'newton_landweber.checks')\n"
+        "for name in unloaded:\n"
         "    assert name not in sys.modules, name\n"
     )
+    assert [path.name for path in tmp_path.glob("*/iterations.csv")] == ["iterations.csv"]
 
 
 def test_noise_is_bitwise_deterministic():

@@ -1,11 +1,13 @@
 """Two-loop solver mechanics: updates, schedules, budgets, rate mode."""
 
 import gc
+import importlib
 import inspect
 import math
 import tracemalloc
 from collections.abc import Sequence
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -156,14 +158,18 @@ def test_alpha_carries_across_outer_loops():
     result = run(problem, data, config)
     outer = result.log.outer
     assert len(outer) >= 3
+    assert outer[-1].steps == 0
     records = result.log.records
-    for prev, cur in zip(outer, outer[1:]):
+    # byte equality: the value is handed over, not recomputed
+    carried = config.alpha00
+    for cur in outer:
         if cur.steps == 0:
-            continue
-        first = next(rec for rec in records if rec.n == cur.n)
-        # byte equality: the value is handed over, not recomputed
-        assert first.alpha == prev.alpha_end
-        assert cur.alpha_start == prev.alpha_end
+            # a loop of no steps ends at the weight it starts at
+            assert cur.alpha_end == carried
+        else:
+            first = next(rec for rec in records if rec.n == cur.n)
+            assert first.alpha == carried
+        carried = cur.alpha_end
     assert result.final_alpha == outer[-1].alpha_end
 
 
@@ -376,14 +382,13 @@ def test_alpha_floor_overflow_reported_not_raised():
 def test_call_counts_per_step(monkeypatch):
     # one vartheta per run, one step size per inner step, one state solve by
     # the solver per outer loop, residual checks that bypass forward() and
-    # solve_state(), and GridFunction constructions per outer loop, not per step
+    # solve_state(), and GridFunction constructions per outer loop, not per
+    # step; in LAPACK, a factorization and a solve per state solve, two
+    # solves per step and one dgtsv per residual check
     problem, _, exact = small_problem()
-    delta = 1e-3
-    data = generate_noise(exact, delta, 2.0, 6)
-    calls = {
-        "choose_vartheta": 0, "choose_omega": 0, "solve_state": 0, "forward": 0,
-        "GridFunction": 0,
-    }
+    solver_names = ("choose_vartheta", "choose_omega", "solve_state", "forward")
+    lapack_names = ("dgttrf", "dgttrs", "dgtsv")
+    calls = dict.fromkeys((*solver_names, "GridFunction", *lapack_names), 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -392,24 +397,42 @@ def test_call_counts_per_step(monkeypatch):
 
         return wrapper
 
-    for name in ("choose_vartheta", "choose_omega", "solve_state", "forward"):
+    for name in solver_names:
         monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
     monkeypatch.setattr(
         GridFunction, "__post_init__", counting("GridFunction", GridFunction.__post_init__)
     )
-    # vartheta is derived on construction and read from the config by run()
-    config = base_config(delta=delta, max_outer=4, inner_budget=InnerBudget.constant(10))
-    result = run(problem, data, config)
-    steps = len(result.log.records)
-    assert steps > 0
-    assert len(result.log.outer) > 1
-    assert calls["choose_vartheta"] == 1
-    assert calls["choose_omega"] == steps
-    assert any(rec.f_residual is not None for rec in result.log.records)
-    assert calls["solve_state"] == len(result.log.outer)
-    assert calls["forward"] == 0
-    # the state of each outer loop, the iterate that ends it, and x0
-    assert calls["GridFunction"] <= 2 * len(result.log.outer) + 1
+    # the package's name forward is the function, not the module
+    module = importlib.import_module("newton_landweber.forward")
+    kernels = {name: counting(name, getattr(module.lapack, name)) for name in lapack_names}
+    monkeypatch.setattr(module, "lapack", SimpleNamespace(**kernels))
+    # four loops cut by their allowance; and a loop that stops on the check
+    for delta, seed, max_outer, allowance, stops in ((1e-3, 6, 4, 10, 0), (5e-3, 7, 20, 200, 1)):
+        data = generate_noise(exact, delta, 2.0, seed)
+        calls.update(dict.fromkeys(calls, 0))
+        # vartheta is derived on construction and read from the config by run()
+        config = base_config(
+            delta=delta, max_outer=max_outer, inner_budget=InnerBudget.constant(allowance)
+        )
+        result = run(problem, data, config)
+        records, outer = result.log.records, result.log.outer
+        steps = len(records)
+        assert steps > 0
+        assert len(outer) > 1
+        assert calls["choose_vartheta"] == 1
+        assert calls["choose_omega"] == steps
+        assert any(rec.f_residual is not None for rec in records)
+        assert calls["solve_state"] == len(outer)
+        assert calls["forward"] == 0
+        # the state of each outer loop, the iterate that ends it, and x0
+        assert calls["GridFunction"] <= 2 * len(outer) + 1
+        # a check is logged with its step, but for one that stops the loop
+        assert sum(rec.inner_reason == "inner discrepancy" for rec in outer) == stops
+        checks = sum(rec.f_residual is not None for rec in records) + stops
+        assert calls["dgttrf"] == calls["solve_state"]
+        assert calls["dgtsv"] == checks
+        assert calls["dgttrs"] == calls["solve_state"] + 2 * steps
+        assert calls["dgttrs"] + calls["dgtsv"] == result.total_applies
 
 
 def test_determinism_of_records():
@@ -622,12 +645,14 @@ def test_records_are_immutable_with_their_fields_and_defaults():
         ("d2", None), ("gamma", None), ("degenerate", False), ("refinement", False),
     ]
     assert fields(solver.OuterRecord) == [
-        ("n", empty), ("r_n", empty), ("alpha_start", empty), ("allowance", empty),
-        ("steps", empty), ("alpha_end", empty), ("inner_reason", empty),
-        ("f_residual_stop", None),
+        ("n", empty), ("r_n", empty), ("allowance", empty), ("steps", empty),
+        ("alpha_end", empty), ("inner_reason", empty),
     ]
+    # a step's row stores neither gamma nor degenerate; an outer row neither
+    # the loop's first weight nor the residual it stopped on
+    assert (solver.STEP_DTYPE.itemsize, solver.OUTER_DTYPE.itemsize) == (73, 41)
     step = solver.IterationRecord(0, 1, 0.5, 0.25, 2.0, 1.0, 0.75)
-    outer = solver.OuterRecord(0, 0.75, 1.0, 10, 3, 0.5, "budget")
+    outer = solver.OuterRecord(0, 0.75, 10, 3, 0.5, "budget")
     for record in (step, outer):
         for name, _ in fields(type(record)):
             with pytest.raises(AttributeError):
@@ -694,9 +719,8 @@ def test_outer_view_is_a_read_only_sequence():
         assert type(rec) is solver.OuterRecord
         for value in (rec.n, rec.allowance, rec.steps):
             assert type(value) is int
-        for value in (rec.r_n, rec.alpha_start, rec.alpha_end):
+        for value in (rec.r_n, rec.alpha_end):
             assert type(value) is float
-        assert rec.f_residual_stop is None or type(rec.f_residual_stop) is float
         assert rec.inner_reason in solver.INNER_REASONS
     assert {rec.inner_reason for rec in listed} == {"budget", "outer budget"}
     assert not hasattr(outer, "append")
@@ -707,23 +731,26 @@ def test_outer_view_is_a_read_only_sequence():
 
 
 def test_outer_records_keep_the_residual_stop():
-    # early loops stop on the nonlinear residual check and log its value
-    problem, _, exact = small_problem()
-    data = generate_noise(exact, 5e-3, 2.0, 7)
+    # a loop that stops on the nonlinear residual check hands its iterate on:
+    # the next loop's r_n is the residual the check stopped on, bit for bit
     config = base_config(delta=5e-3, max_outer=20, inner_budget=InnerBudget.constant(200))
-    outer = run(problem, data, config).log.outer
-    stops = [rec for rec in outer if rec.inner_reason == "inner discrepancy"]
-    assert stops
-    for rec in stops:
-        assert type(rec.f_residual_stop) is float
-        assert rec.f_residual_stop <= config.tau * config.delta
-    assert all(rec.f_residual_stop is None for rec in outer if rec not in stops)
+    for problem, _, exact in (small_problem(), square_test_problem()):
+        data = generate_noise(exact, config.delta, 2.0, 7)
+        result = run(problem, data, config)
+        outer = result.log.outer
+        stops = [i for i, rec in enumerate(outer) if rec.inner_reason == "inner discrepancy"]
+        assert stops
+        for i in stops:
+            after = outer[i + 1]
+            assert after.r_n <= config.tau * config.delta
+            assert after.r_n == lp_norm(forward(problem, result.final) - data, config.space.r)
+        assert result.reason == "discrepancy"
 
 
 def test_an_unknown_inner_reason_raises():
     log = solver.IterationLog(0.0, None, x0=np.zeros(4), p=2.0, weight=1.0)
     with pytest.raises(ValueError):
-        log.add_outer((0, 1.0, 1.0, 5, 5, 0.5, "bugdet", math.nan))
+        log.add_outer((0, 1.0, 5, 5, 0.5, "bugdet"))
     log.close()
     assert len(log.outer) == 0
 
@@ -750,15 +777,16 @@ def test_step_bound_audit_sees_a_broken_carry_over():
     config = base_config(delta=1e-3, max_outer=4, inner_budget=InnerBudget.constant(10))
     log = run(problem, data, config).log
     assert step_bound_audit(log, config).ok
-    # a loop that does not start at the weight the one before it ended with
-    alpha_start = log.outer._blocks[0]["alpha_start"]
-    alpha_start[2] = np.nextafter(alpha_start[2], 0.0)
-    assert not step_bound_audit(log, config).ok
-    alpha_start[2] = log.outer[1].alpha_end
-    assert step_bound_audit(log, config).ok
-    # a first step that does not use the loop's starting weight
+    assert [rec.steps for rec in log.outer] == [10] * 4 + [0]
+    # a first step that does not use the weight the loop before it ended with
     alpha = log.records._blocks[0]["alpha"]
     alpha[10] = np.nextafter(alpha[10], 0.0)
+    assert not step_bound_audit(log, config).ok
+    alpha[10] = log.outer[0].alpha_end
+    assert step_bound_audit(log, config).ok
+    # a loop of no steps that does not end at the weight it starts at
+    alpha_end = log.outer._blocks[0]["alpha_end"]
+    alpha_end[4] = np.nextafter(alpha_end[4], 0.0)
     assert not step_bound_audit(log, config).ok
 
 
@@ -790,12 +818,13 @@ def test_log_keeps_none_and_nan_apart(tmp_path):
     # a row stores NaN for a value the step did not compute, and its record
     # reads None there; d2 reads None only in a log without a truth, and NaN
     # where the Bregman sum overflows: |1e200|^2 is inf, so each row's sum is
-    # inf - inf. gamma = d2 alpha^-theta reads None at alpha = 0
+    # inf - inf. gamma = d2 alpha^-theta reads None at alpha = 0, and a step
+    # is degenerate where t_tilde = 0
     nan = math.nan
     rows = [
-        (0, 0, 1.0, 2.0, 3.0, 0.5, 4.0, nan, nan, False, False),
-        (0, 1, 1.0, 2.0, 3.0, 0.5, 4.0, 0.25, nan, True, False),
-        (0, 2, 1.0, 2.0, 3.0, 0.0, 4.0, nan, nan, False, True),
+        (0, 0, 1.0, 2.0, 3.0, 0.5, 4.0, nan, nan, False),
+        (0, 1, 1.0, 0.0, 3.0, 0.5, 4.0, 0.25, nan, False),
+        (0, 2, 1.0, 2.0, 3.0, 0.0, 4.0, nan, nan, True),
     ]
     huge, ones = np.full(4, 1e200), np.ones(4)
     logs = []
@@ -828,7 +857,7 @@ def test_log_keeps_none_and_nan_apart(tmp_path):
     write_iterations(str(path), logs[1])
     assert path.read_text().splitlines()[1:] == [
         "0,0,1.0,2.0,3.0,0.5,4.0,,nan,nan",
-        "0,1,1.0,2.0,3.0,0.5,4.0,0.25,nan,nan",
+        "0,1,1.0,0.0,3.0,0.5,4.0,0.25,nan,nan",
         "0,2,1.0,2.0,3.0,0.0,4.0,,nan,",
     ]
 
@@ -876,17 +905,20 @@ def held_bytes_per_step(spec, steps):
 
 
 def test_log_holds_at_most_88_bytes_per_step():
-    # example1 p = 1.1: about 83 bytes a step with each row holding only what
-    # the loop computed, outer records included, against 94 with gamma and
-    # the presence flags stored and 313 with one named tuple per step
+    # example1 p = 1.1: about 81 bytes a step with each row holding only what
+    # the loop computed, once, outer records included, against 83 with the
+    # degenerate flag and the outer alpha_start and f_residual_stop stored,
+    # 94 with gamma and the presence flags too and 313 with one named tuple
+    # per step
     _, per_step = held_bytes_per_step(make_example1(1.1), 2000)
     assert per_step <= 88
 
 
 def test_rate_log_holds_at_most_147_bytes_per_step():
     # the rate run takes one step per outer loop before its refinement tail:
-    # about 141 bytes a step, against 153 with gamma and the presence flags
-    # stored and 287 with one named tuple per outer loop
+    # about 124 bytes a step, against 141 with the degenerate flag and the
+    # outer alpha_start and f_residual_stop stored, 153 with gamma and the
+    # presence flags too and 287 with one named tuple per outer loop
     spec = build_spec("example1", dict(RATE_OVERRIDES, delta="1e-3"))
     result, per_step = held_bytes_per_step(spec, 2000)
     assert len(result.log.outer) == 2001
