@@ -144,7 +144,7 @@ def bregman_values(
 
     ``a_pow`` is |a|^p, passed in so that a caller measuring many b against
     one a computes it once. ``b`` may hold one iterate per row, shape
-    (B, n), against a and a_pow of shape (n,) or of b's own shape; the
+    (B, n), against a and a_pow of shape (n,), broadcast to every row; the
     distances are then the row-wise sums, an array of B, each equal bit for
     bit to the distance of that row alone. Accumulated pointwise: each node
     contributes the Bregman gap of the scalar convex map t -> |t|^p / p,

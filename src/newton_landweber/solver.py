@@ -27,22 +27,22 @@ Every exit of either loop sets its reasons where the loop leaves.
 
 A step computes only what steers the iteration, and its row of the log
 stores only what the loop computed, once: a value it did not compute is NaN.
-``run`` hands each row to the :class:`IterationLog`, which is the one
-writer of its two tables, ``log.records`` of the steps and ``log.outer`` of
-the outer loops. It packs RECORD_BLOCK = 32 rows to a numpy array, of
+``run`` hands the :class:`IterationLog` each row as its fields, to one of
+its two tables, ``log.records`` of the steps and ``log.outer`` of the outer
+loops. Each table packs itself, RECORD_BLOCK = 32 rows to a numpy array, of
 STEP_DTYPE (73 bytes a step) and OUTER_DTYPE (41 bytes a loop), both built
 from the record fields. The Bregman diagnostic
-d2 = D_p(truth - x0, z_{n,k} - x0), which steers nothing, is computed by
-the log when it packs a block of steps, in one pass over the shifts
-z_{n,k} - x0 of their iterates. gamma = d2 alpha^-theta and
-degenerate = (t_tilde == 0) are not stored: a step's record derives them as
-it is read. Nor is a loop's first weight, the previous loop's alpha_end,
-or the residual it stopped on, the next loop's r_n. Both tables are read-only
-sequences that build :class:`IterationRecord` and :class:`OuterRecord`
-tuples one at a time on access. Every way out of the loops (the
-discrepancy principle, a budget, the refinement, a failure) goes through
-one exit that closes the log, which packs the rows still waiting, so every
-step and every finished outer loop is in the log.
+d2 = D_p(truth - x0, z_{n,k} - x0), which steers nothing, is the log's:
+``run`` builds its pass once with :func:`bregman_pass`, and the log calls
+it on the iterates of a block of steps as it packs them. gamma =
+d2 alpha^-theta and degenerate = (t_tilde == 0) are not stored: a step's
+record derives them as it is read. Nor is a loop's first weight, the
+previous loop's alpha_end, or the residual it stopped on, the next loop's
+r_n. Both tables are read-only sequences that build :class:`IterationRecord`
+and :class:`OuterRecord` tuples one at a time on access. Every way out of
+the loops (the discrepancy principle, a budget, the refinement, a failure)
+goes through one exit that closes the log, which packs the rows still
+queued, so every step and every finished outer loop is in the log.
 """
 
 from __future__ import annotations
@@ -334,19 +334,39 @@ def _outer_record(row: tuple) -> OuterRecord:
 class LogTable(Sequence):
     """One table of a log: rows packed in numpy blocks, read as records.
 
-    Its log packs RECORD_BLOCK rows into each block of the table's dtype and
-    the rest into a last one, and hands each to ``_append``, so every block
-    but the last is full and an index finds its block by division. Each
-    record is built from its row by ``decode`` when it is read, and none is
-    kept. Two tables are equal when their packed rows agree bit for bit.
+    ``add`` queues a row and packs RECORD_BLOCK of them into a block of the
+    table's dtype, ``pack`` the rest into a last one, so every block but the
+    last is full and an index finds its block by division. ``on_pack``, if
+    given, fills columns of each block as it is packed. Only packed rows
+    are read: each record is built from its row by ``decode`` when it is
+    read, and none is kept. Two tables are equal when their packed rows
+    agree bit for bit.
     """
 
-    __slots__ = ("_dtype", "_decode", "_blocks")
+    __slots__ = ("_dtype", "_decode", "_on_pack", "_rows", "_blocks")
 
-    def __init__(self, dtype: np.dtype, decode) -> None:
+    def __init__(self, dtype: np.dtype, decode, on_pack=None) -> None:
         self._dtype = dtype
         self._decode = decode
+        self._on_pack = on_pack
+        self._rows: list[tuple] = []
         self._blocks: list[np.ndarray] = []
+
+    def add(self, row: tuple) -> None:
+        """Queue one row of the table's fields; a full queue is packed."""
+        self._rows.append(row)
+        if len(self._rows) == RECORD_BLOCK:
+            self.pack()
+
+    def pack(self) -> None:
+        """Pack the queued rows, if any, into the next block."""
+        rows = self._rows
+        if rows:
+            block = np.array(rows, dtype=self._dtype)
+            if self._on_pack is not None:
+                self._on_pack(block)
+            self._blocks.append(block)
+            rows.clear()
 
     def __len__(self) -> int:
         blocks = self._blocks
@@ -372,13 +392,10 @@ class LogTable(Sequence):
 
     def column(self, name: str) -> np.ndarray:
         """One field of every row, in order; NaN where the record reads None."""
+        dtype = self._dtype[name]  # KeyError for an unknown name, packed or not
         if not self._blocks:
-            return np.empty(0, self._dtype[name])
+            return np.empty(0, dtype)
         return np.concatenate([block[name] for block in self._blocks])
-
-    def _append(self, block: np.ndarray) -> None:
-        """Add the next packed block; all but the last hold RECORD_BLOCK rows."""
-        self._blocks.append(block)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LogTable):
@@ -387,8 +404,26 @@ class LogTable(Sequence):
         return len(a) == len(b) and all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
+def bregman_pass(truth: np.ndarray, x0: np.ndarray, p: float, weight: float):
+    """The d2 pass of an :class:`IterationLog`, built once per run.
+
+    A function of a list of iterates z that gives D_p(truth - x0, z - x0),
+    one ``bregman_values`` pass over their stacked shifts against
+    truth - x0 and its |.|^p.
+    """
+    shift = truth - x0
+    shift_pow = np.abs(shift) ** p
+
+    def d2(iterates: list[np.ndarray]) -> np.ndarray:
+        shifts = np.stack(iterates)
+        shifts -= x0
+        return bregman_values(shift, shift_pow, shifts, p, weight)
+
+    return d2
+
+
 class IterationLog:
-    """The steps and outer loops of one run, in execution order; their one writer.
+    """The steps and outer loops of one run, in execution order.
 
     Two :class:`LogTable` sequences: ``records``, a STEP_DTYPE row per step
     read as :class:`IterationRecord` tuples, and ``outer``, an OUTER_DTYPE
@@ -397,83 +432,48 @@ class IterationLog:
     its record reads as None. gamma is derived from d2 as a step record is
     read, so the log is told the run's ``theta``. ``column`` gives one step
     field as an array, ``outer.column`` one outer field. Two logs are equal
-    when they were told the same theta, both or neither were given a truth,
-    and the rows of both tables agree bit for bit.
+    when they were told the same theta, both or neither were given a
+    Bregman pass, and the rows of both tables agree bit for bit.
 
-    The run writes its rows with ``add_step`` and ``add_outer``. They wait
-    until RECORD_BLOCK of them are packed into one block of their table,
-    and ``close`` packs the rest. ``x0``, ``p`` and the cell ``weight``
-    are keyword arguments, always required. Given the ``truth``'s values
-    (None without a truth) and the ``x0`` values, the log tiles the shift
-    truth - x0 and its |.|^p to (RECORD_BLOCK, n) once and keeps each
-    waiting step's shift z - x0 in a row of a buffer of that shape; when it
-    packs a block of steps, one pass of ``bregman_values`` over same-shape
-    slices of the filled rows, with no broadcasting, writes the block's d2
-    column. ``close`` releases these buffers. ``truth`` reads whether a
-    truth was given: without one, d2 and gamma read None.
+    The run adds its rows field by field with ``add_step`` and
+    ``add_outer``; ``close`` packs the rows still queued. ``bregman`` is
+    the run's d2 pass (see :func:`bregman_pass`), None in a run without a
+    truth, where d2 and gamma read None; ``truth`` reads whether one was
+    given. The log keeps each step's iterate, by reference, until the
+    step's block is packed, when one call of the pass over the block's
+    iterates writes its d2 column. The caller must not write an iterate
+    it has logged.
     """
 
-    def __init__(
-        self, theta: float, truth: np.ndarray | None, *, x0: np.ndarray, p: float, weight: float
-    ) -> None:
+    def __init__(self, theta: float, bregman=None) -> None:
         self.theta = theta
-        self.truth = truth is not None
-        self.records = LogTable(STEP_DTYPE, partial(_record, theta, self.truth))
+        self.truth = bregman is not None
+        self._iterates = iterates = [] if self.truth else None
+        fill_d2 = None
+        if self.truth:
+            # a closure, not a bound method, which the table would hold: the
+            # log would be a reference cycle, freed only by the cyclic collector
+            def fill_d2(block: np.ndarray) -> None:
+                block["d2"] = bregman(iterates)
+                iterates.clear()
+
+        self.records = LogTable(STEP_DTYPE, partial(_record, theta, self.truth), fill_d2)
         self.outer = LogTable(OUTER_DTYPE, _outer_record)
-        self._steps: list[tuple] = []
-        self._loops: list[tuple] = []
-        self._shifts = None
-        if truth is not None:
-            shift = truth - x0
-            tiles = (RECORD_BLOCK, 1)
-            self._truth_tiles = tuple(np.tile(a, tiles) for a in (shift, np.abs(shift) ** p))
-            self._shifts = np.empty((RECORD_BLOCK, x0.size))
-            self._x0, self._p, self._weight = x0, p, weight
 
-    def add_step(self, row: tuple, z: np.ndarray) -> None:
-        """Add a STEP_DTYPE row, its d2 a placeholder, of the step at iterate z."""
-        rows = self._steps
-        if self._shifts is not None:
-            np.subtract(z, self._x0, out=self._shifts[len(rows)])
-        rows.append(row)
-        if len(rows) == RECORD_BLOCK:
-            self._pack_steps()
+    def add_step(self, n, k, t, t_tilde, omega, alpha, r_n, f_residual, refinement, z) -> None:
+        """Add the step at iterate z; f_residual is NaN where no check ran."""
+        if self._iterates is not None:
+            self._iterates.append(z)
+        self.records.add((n, k, t, t_tilde, omega, alpha, r_n, f_residual, math.nan, refinement))
 
-    def add_outer(self, row: tuple) -> None:
-        """Add (n, r_n, allowance, steps, alpha_end, inner_reason).
-
-        An inner reason outside INNER_REASONS raises ``ValueError``.
-        """
-        *head, inner_reason = row
-        rows = self._loops
-        rows.append((*head, INNER_REASONS.index(inner_reason)))
-        if len(rows) == RECORD_BLOCK:
-            self._pack_outer()
+    def add_outer(self, n, r_n, allowance, steps, alpha_end, inner_reason: str) -> None:
+        """Add one outer loop; an inner reason outside INNER_REASONS raises ``ValueError``."""
+        self.outer.add((n, r_n, allowance, steps, alpha_end, INNER_REASONS.index(inner_reason)))
 
     def close(self) -> None:
-        """Pack the rows still waiting and release the step buffers."""
-        self._pack_steps()
-        self._pack_outer()
-        self._shifts = self._truth_tiles = self._x0 = None
-
-    def _pack_steps(self) -> None:
-        rows = self._steps
-        if rows:
-            block = np.array(rows, dtype=STEP_DTYPE)
-            if self._shifts is not None:
-                m = len(rows)
-                shift, shift_pow = self._truth_tiles
-                block["d2"] = bregman_values(
-                    shift[:m], shift_pow[:m], self._shifts[:m], self._p, self._weight
-                )
-            self.records._append(block)
-            rows.clear()
-
-    def _pack_outer(self) -> None:
-        rows = self._loops
-        if rows:
-            self.outer._append(np.array(rows, dtype=OUTER_DTYPE))
-            rows.clear()
+        """Pack the rows still queued."""
+        self.records.pack()
+        self.outer.pack()
 
     @property
     def total_inner(self) -> int:
@@ -558,7 +558,7 @@ def run(
     x0_values, data_values = x0.values, data.values
     vartheta = config.vartheta
     log = IterationLog(
-        theta, None if truth is None else truth.values, x0=x0_values, p=sp.p, weight=weight
+        theta, None if truth is None else bregman_pass(truth.values, x0_values, sp.p, weight)
     )
     rate_active = config.rate_mode and theta > 0.0
     # rate mode runs every loop to its full allowance; with exact data the
@@ -593,7 +593,7 @@ def run(
         else:
             allowance = min(config.inner_budget.limit(n, r_n, r), config.max_inner)
         if reason is not None:
-            log.add_outer((n, r_n, 0, 0, alpha, reason))
+            log.add_outer(n, r_n, 0, 0, alpha, reason)
             break
 
         x_n = x.values
@@ -665,9 +665,8 @@ def run(
                 reason = f"failure: non-finite iterate or residual (iterate n={n}, k={k})"
                 break
             # the record holds the state of z_{n,k}, before the update; the
-            # log writes its d2 when it packs the step's block
-            row = (n, k, t, t_tilde, omega, alpha, r_n, f_residual, math.nan, refining)
-            log.add_step(row, z)
+            # log keeps z for its d2 until it packs the step's block
+            log.add_step(n, k, t, t_tilde, omega, alpha, r_n, f_residual, refining, z)
             u_dual, w, z, resid, t = u_next, w_next, z_next, resid_next, t_next
             alpha = next_alpha(
                 alpha_check(t, r_n, delta, config.eta, config.tau_tilde, r, theta),
@@ -681,7 +680,7 @@ def run(
             x = GridFunction._adopt(problem.grid, z)
         if inner_reason is None:
             break  # a failed step: the loop has no outer record
-        log.add_outer((n, r_n, allowance, k, alpha, inner_reason))
+        log.add_outer(n, r_n, allowance, k, alpha, inner_reason)
         if reason is not None:
             break
         n += 1

@@ -236,7 +236,7 @@ def _bregman_formula(a, a_pow, b, p, weight):
 
 @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 11.0])
 def test_bregman_values_keeps_the_bits_of_its_formula(p):
-    # one row, or a block of rows as the solver's record queue passes them,
+    # one row, or a block of rows as the solver's Bregman pass stacks them,
     # against a and |a|^p of one row or tiled to the block. Each row lies
     # within two decades of its own scale, and the scales run from 1e-100
     # to 1e100, so the powers of some rows underflow (and at p = 11 overflow)

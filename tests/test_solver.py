@@ -1,12 +1,14 @@
 """Two-loop solver mechanics: updates, schedules, budgets, rate mode."""
 
 import gc
+import hashlib
 import importlib
 import inspect
 import math
 import tracemalloc
+import weakref
 from collections.abc import Sequence
-from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,12 +29,13 @@ from newton_landweber import (
     lp_norm,
     make_example1,
     run,
+    run_experiment,
     shifted_bregman,
 )
 from newton_landweber import solver
 from newton_landweber.checks import step_bound_audit
 from newton_landweber.experiments import assemble_problem, make_data
-from newton_landweber.reporting import write_iterations
+from newton_landweber.reporting import write_iterations, write_run
 from newton_landweber.solver import refinement_threshold
 from test_acceptance import RATE_OVERRIDES
 
@@ -575,9 +578,9 @@ def test_records_match_public_api_on_example1(monkeypatch):
     iterates = []
     add_step = solver.IterationLog.add_step
 
-    def recording_add_step(self, row, z):
-        iterates.append(z.copy())
-        return add_step(self, row, z)
+    def recording_add_step(self, *fields):
+        iterates.append(fields[-1].copy())
+        return add_step(self, *fields)
 
     monkeypatch.setattr(solver.IterationLog, "add_step", recording_add_step)
 
@@ -748,11 +751,16 @@ def test_outer_records_keep_the_residual_stop():
 
 
 def test_an_unknown_inner_reason_raises():
-    log = solver.IterationLog(0.0, None, x0=np.zeros(4), p=2.0, weight=1.0)
+    log = solver.IterationLog(0.0)
     with pytest.raises(ValueError):
-        log.add_outer((0, 1.0, 5, 5, 0.5, "bugdet"))
+        log.add_outer(0, 1.0, 5, 5, 0.5, "bugdet")
+    # a row of the wrong width fails at the call, before it is queued
+    with pytest.raises(TypeError):
+        log.add_outer((0, 1.0, 1.0, 5, 5, 0.5, "budget"))
+    with pytest.raises(TypeError):
+        log.add_step((0, 0, 1.0, 2.0, 3.0, 0.5, 4.0, math.nan, False), np.zeros(4))
     log.close()
-    assert len(log.outer) == 0
+    assert len(log.outer) == 0 and len(log.records) == 0
 
 
 def test_log_equality_compares_the_outer_loops_bit_for_bit():
@@ -822,9 +830,9 @@ def test_log_keeps_none_and_nan_apart(tmp_path):
     # is degenerate where t_tilde = 0
     nan = math.nan
     rows = [
-        (0, 0, 1.0, 2.0, 3.0, 0.5, 4.0, nan, nan, False),
-        (0, 1, 1.0, 0.0, 3.0, 0.5, 4.0, 0.25, nan, False),
-        (0, 2, 1.0, 2.0, 3.0, 0.0, 4.0, nan, nan, True),
+        (0, 0, 1.0, 2.0, 3.0, 0.5, 4.0, nan, False),
+        (0, 1, 1.0, 0.0, 3.0, 0.5, 4.0, 0.25, False),
+        (0, 2, 1.0, 2.0, 3.0, 0.0, 4.0, nan, True),
     ]
     huge, ones = np.full(4, 1e200), np.ones(4)
     logs = []
@@ -833,9 +841,10 @@ def test_log_keeps_none_and_nan_apart(tmp_path):
     cases = ((None, huge), (huge, huge), (ones, np.zeros(4)))
     for truth, z in cases:
         with np.errstate(over="ignore", invalid="ignore"):
-            log = solver.IterationLog(1.0, truth, x0=np.zeros(4), p=2.0, weight=0.25)
+            d2 = None if truth is None else solver.bregman_pass(truth, np.zeros(4), 2.0, 0.25)
+            log = solver.IterationLog(1.0, d2)
             for row in rows:
-                log.add_step(row, z)
+                log.add_step(*row, z)
             log.close()
         logs.append(log)
     no_truth, overflowed, finite = (list(log.records) for log in logs)
@@ -876,13 +885,81 @@ def test_log_equality_compares_the_steps_bit_for_bit():
     assert b.records[step].d2 == np.nextafter(a.records[step].d2, math.inf)
     assert a != b
     # the same rows read with another theta, or without a truth, read otherwise
-    log = partial(solver.IterationLog, x0=np.zeros(4), p=2.0, weight=1.0)
-    ones = np.ones(4)
-    assert log(0.5, ones) != log(0.0, ones)
-    assert log(0.0, ones) != log(0.0, None)
-    # the shift's x0, p and weight are always asked for by name
-    with pytest.raises(TypeError, match="x0"):
-        solver.IterationLog(0.0, True)
+    d2 = solver.bregman_pass(np.ones(4), np.zeros(4), 2.0, 1.0)
+    assert solver.IterationLog(0.5, d2) != solver.IterationLog(0.0, d2)
+    assert solver.IterationLog(0.0, d2) != solver.IterationLog(0.0)
+
+
+def test_a_log_is_freed_without_the_cyclic_collector():
+    # peak memory: a log that is a reference cycle, as with a bound method
+    # for its block hook, lives with its blocks until the cyclic collector
+    # runs; a log free of cycles goes when its last reference does
+    problem, truth, exact = small_problem()
+    data = generate_noise(exact, 1e-3, 2.0, 7)
+    config = base_config(delta=1e-3, max_outer=3, inner_budget=InnerBudget.constant(25))
+    gc.disable()
+    try:
+        result = run(problem, data, config, truth=truth)
+        assert result.log.total_inner > solver.RECORD_BLOCK
+        freed = weakref.ref(result.log)
+        del result
+        assert freed() is None
+        log = solver.IterationLog(1.0, solver.bregman_pass(np.ones(4), np.zeros(4), 2.0, 0.25))
+        for k in range(solver.RECORD_BLOCK + 1):
+            log.add_step(0, k, 1.0, 2.0, 3.0, 0.5, 4.0, math.nan, False, np.zeros(4))
+        log.close()
+        assert log.total_inner == solver.RECORD_BLOCK + 1
+        freed = weakref.ref(log)
+        del log
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
+def test_an_unknown_column_raises_key_error():
+    # the same error from an empty table and a packed one, for either table
+    empty = solver.IterationLog(0.0)
+    empty.close()
+    problem, truth, exact = small_problem()
+    data = generate_noise(exact, 1e-3, 2.0, 7)
+    packed = run(problem, data, base_config(delta=1e-3, max_outer=2), truth=truth).log
+    assert len(packed.records) > 0 and len(packed.outer) > 0
+    for log in (empty, packed):
+        for table in (log.records, log.outer):
+            with pytest.raises(KeyError, match="gamma"):
+                table.column("gamma")
+        with pytest.raises(KeyError, match="inner_reason"):
+            log.column("inner_reason")
+
+
+@pytest.mark.parametrize(
+    "overrides, iterations_sha256, solution_sha256",
+    [
+        pytest.param(
+            {"p": "2", "max_total_inner": "400"},
+            "853d161d0cf9bf134ca49a24ad760489816d885ce587e2f7ae9175146a7b7fcd",
+            "184d1385be86d70a8eb869dd89a52b8e495c70f5fa67ba584f347aa1de277919",
+            id="example1-p2",
+        ),
+        pytest.param(
+            dict(RATE_OVERRIDES, delta="1e-3", max_total_inner="5200"),
+            "dedb6327d7772911352cd035a2045e6320e3b9fbb30dba63d0362e8063960c6b",
+            "46791c10e3b14b8841af3e8b9eec34bc343039434a5c7d6c2ad34657df0e6fdb",
+            id="example1-rate",
+        ),
+    ],
+)
+def test_csv_bytes_of_hilbert_runs(tmp_path, overrides, iterations_sha256, solution_sha256):
+    # at p = r = 2 the run takes no array power but squares, so its CSV
+    # bytes do not depend on which of numpy's kernels the host has; the
+    # rate run takes 302 refinement steps within its 5,200
+    report = run_experiment(build_spec("example1", overrides))
+    paths = write_run(str(tmp_path), report)
+    digests = [
+        hashlib.sha256(Path(paths[name]).read_bytes()).hexdigest()
+        for name in ("iterations", "solution")
+    ]
+    assert digests == [iterations_sha256, solution_sha256]
 
 
 def held_bytes_per_step(spec, steps):
