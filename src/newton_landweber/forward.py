@@ -245,17 +245,14 @@ class _FivePointOperator:
 
         stencil_ii + c_i goes into the diagonal slots of a copy of the
         pattern's data. The sum of sparse matrices drops an entry that cancels
-        to an exact zero, so when a diagonal entry is zero ``eliminate_zeros``
-        does too, on copies of the index arrays, which it compacts in place.
+        to an exact zero, so ``eliminate_zeros`` does too; it compacts the
+        arrays in place, so the index arrays are copies of the pattern's.
         """
         import scipy.sparse as sp
 
         pattern = self.pattern
-        diagonal = self.stencil_diagonal + c
         data = pattern.data.copy()
-        data[self.diagonal_slots] = diagonal
-        if diagonal.all():
-            return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+        data[self.diagonal_slots] = self.stencil_diagonal + c
         a = sp.csc_matrix(
             (data, pattern.indices.copy(), pattern.indptr.copy()), shape=pattern.shape
         )

@@ -15,6 +15,7 @@ delegate to them.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -138,7 +139,12 @@ def duality_map_values(v: np.ndarray, q: float) -> np.ndarray:
 
 
 def bregman_values(
-    a: np.ndarray, a_pow: np.ndarray, b: np.ndarray, p: float, weight: float
+    a: np.ndarray,
+    a_pow: np.ndarray,
+    b: np.ndarray,
+    p: float,
+    weight: float,
+    work: Sequence[np.ndarray] | None = None,
 ) -> float | np.ndarray:
     """Bregman distance of (1/p)||.||_p^p from raw values b to a.
 
@@ -152,11 +158,28 @@ def bregman_values(
     below a few ulps times its magnitude. |b| is taken once, for |b|^p and
     for J_p(b) = copysign(|b|^(p-1), b), which has the bits of
     ``duality_map_values(b, p)``.
+
+    ``work`` is three float64 arrays shaped like ``b``, which the gaps are
+    computed in, in place, and which are allocated when it is None: the
+    first holds |b| and then the gaps, the second J_p(b), and the third
+    a - b and then J_p(b) (a - b). At p = 2 J_p(b) is b itself, which is
+    not written, so a - b needs the third array of its own.
     """
-    mag = np.abs(b)
-    dual = b if p == 2.0 else np.copysign(mag ** (p - 1.0), b)
-    gaps = (a_pow - mag**p) / p - dual * (a - b)
-    return weight * np.add.reduce(gaps, axis=-1)
+    mag, dual, diff = np.empty((3, *b.shape)) if work is None else work
+    np.abs(b, out=mag)
+    if p == 2.0:
+        dual = b
+    else:
+        np.copyto(dual, mag)
+        dual **= p - 1.0
+        np.copysign(dual, b, out=dual)
+    mag **= p
+    np.subtract(a_pow, mag, out=mag)
+    mag /= p
+    np.subtract(a, b, out=diff)
+    diff *= dual
+    mag -= diff
+    return weight * np.add.reduce(mag, axis=-1)
 
 
 def lp_norm(f: GridFunction, q: float) -> float:

@@ -145,23 +145,23 @@ def choose_omega(
     vartheta: float,
     omega_bar: float,
     space: SpaceParams,
-) -> tuple[float, bool]:
-    """Inner step size omega, plus a flag marking the degenerate case.
+) -> float:
+    """Inner step size omega.
 
     omega = vartheta * min{ t^(r/(s*-1)) t_tilde^-s,
                             t^(r/(p*-1)) t_tilde^-p,
                             omega_bar }.
 
     A vanishing t_tilde (zero gradient) makes the power terms meaningless;
-    the cap vartheta * omega_bar is returned and the step flagged degenerate.
-    A tiny t_tilde overflows a term to inf, which min() drops; a term whose
-    direct product is 0 * inf is evaluated in logarithms (:func:`_pow_product`).
+    the cap vartheta * omega_bar is returned. A tiny t_tilde overflows a
+    term to inf, which min() drops; a term whose direct product is 0 * inf
+    is evaluated in logarithms (:func:`_pow_product`).
     """
     if t_tilde == 0.0:
-        return vartheta * omega_bar, True
+        return vartheta * omega_bar
     w1 = _pow_product(t, space.r / (space.s_star - 1.0), t_tilde, -space.s)
     w2 = _pow_product(t, space.r / (space.p_star - 1.0), t_tilde, -space.p)
-    return vartheta * min(w1, w2, omega_bar), False
+    return vartheta * min(w1, w2, omega_bar)
 
 
 def alpha_check(

@@ -34,7 +34,8 @@ STEP_DTYPE (73 bytes a step) and OUTER_DTYPE (41 bytes a loop), both built
 from the record fields. The Bregman diagnostic
 d2 = D_p(truth - x0, z_{n,k} - x0), which steers nothing, is the log's:
 ``run`` builds its pass once with :func:`bregman_pass`, and the log calls
-it on the iterates of a block of steps as it packs them. gamma =
+it on the iterates of a block of steps as it packs them; the pass computes
+in buffers it owns for the run, which the log frees when it closes. gamma =
 d2 alpha^-theta and degenerate = (t_tilde == 0) are not stored: a step's
 record derives them as it is read. Nor is a loop's first weight, the
 previous loop's alpha_end, or the residual it stopped on, the next loop's
@@ -125,8 +126,8 @@ INNER_REASONS = (
 )
 
 # rows packed together into one array of a log table, a block of steps with
-# one Bregman pass; the fastest of 8, 16, 32 and 64 at 401 cells, where a
-# pass's temporaries take 100 KB each (200 KB at 64)
+# one Bregman pass; the fastest of 8, 16, 32 and 64 at 401 cells, where each
+# of a pass's four planes takes 100 KB (200 KB at 64)
 RECORD_BLOCK = 32
 
 
@@ -335,12 +336,12 @@ class LogTable(Sequence):
     """One table of a log: rows packed in numpy blocks, read as records.
 
     ``add`` queues a row and packs RECORD_BLOCK of them into a block of the
-    table's dtype, ``pack`` the rest into a last one, so every block but the
-    last is full and an index finds its block by division. ``on_pack``, if
-    given, fills columns of each block as it is packed. Only packed rows
-    are read: each record is built from its row by ``decode`` when it is
-    read, and none is kept. Two tables are equal when their packed rows
-    agree bit for bit.
+    table's dtype, ``close`` the rest into a last one, so every block but
+    the last is full and an index finds its block by division. ``on_pack``,
+    if given, fills columns of each block as it is packed, until ``close``
+    drops it. Only packed rows are read: each record is built from its row
+    by ``decode`` when it is read, and none is kept. Two tables are equal
+    when their packed rows agree bit for bit.
     """
 
     __slots__ = ("_dtype", "_decode", "_on_pack", "_rows", "_blocks")
@@ -367,6 +368,11 @@ class LogTable(Sequence):
                 self._on_pack(block)
             self._blocks.append(block)
             rows.clear()
+
+    def close(self) -> None:
+        """Pack the queued rows and drop ``on_pack``, with all it holds."""
+        self.pack()
+        self._on_pack = None
 
     def __len__(self) -> int:
         blocks = self._blocks
@@ -407,17 +413,24 @@ class LogTable(Sequence):
 def bregman_pass(truth: np.ndarray, x0: np.ndarray, p: float, weight: float):
     """The d2 pass of an :class:`IterationLog`, built once per run.
 
-    A function of a list of iterates z that gives D_p(truth - x0, z - x0),
-    one ``bregman_values`` pass over their stacked shifts against
-    truth - x0 and its |.|^p.
+    A function of a list of at most RECORD_BLOCK iterates z that gives
+    D_p(truth - x0, z - x0), one ``bregman_values`` pass over their stacked
+    shifts against truth - x0 and its |.|^p. The pass owns one
+    (4, RECORD_BLOCK, n) array, allocated here: the stacked shifts in its
+    first plane and the ``work`` of ``bregman_values`` in the other three,
+    so a block allocates only its distances. Each block's rows are
+    written before they are read, so a shorter last block reads no stale
+    row. The array lives as long as the pass.
     """
     shift = truth - x0
     shift_pow = np.abs(shift) ** p
+    planes = np.empty((4, RECORD_BLOCK, shift.size))
 
     def d2(iterates: list[np.ndarray]) -> np.ndarray:
-        shifts = np.stack(iterates)
+        shifts, *work = planes[:, : len(iterates)]
+        np.stack(iterates, out=shifts)
         shifts -= x0
-        return bregman_values(shift, shift_pow, shifts, p, weight)
+        return bregman_values(shift, shift_pow, shifts, p, weight, work)
 
     return d2
 
@@ -430,19 +443,18 @@ class IterationLog:
     row per outer loop read as :class:`OuterRecord` tuples. A row holds
     only what the loop computed, NaN for a value it did not compute, which
     its record reads as None. gamma is derived from d2 as a step record is
-    read, so the log is told the run's ``theta``. ``column`` gives one step
-    field as an array, ``outer.column`` one outer field. Two logs are equal
-    when they were told the same theta, both or neither were given a
-    Bregman pass, and the rows of both tables agree bit for bit.
+    read, so the log is told the run's ``theta``. Two logs are equal when
+    they were told the same theta, both or neither were given a Bregman
+    pass, and the rows of both tables agree bit for bit.
 
     The run adds its rows field by field with ``add_step`` and
-    ``add_outer``; ``close`` packs the rows still queued. ``bregman`` is
-    the run's d2 pass (see :func:`bregman_pass`), None in a run without a
-    truth, where d2 and gamma read None; ``truth`` reads whether one was
-    given. The log keeps each step's iterate, by reference, until the
-    step's block is packed, when one call of the pass over the block's
-    iterates writes its d2 column. The caller must not write an iterate
-    it has logged.
+    ``add_outer``; ``close`` packs the rows still queued and drops the d2
+    pass, which frees its buffers. ``bregman`` is the run's d2 pass (see
+    :func:`bregman_pass`), None in a run without a truth, where d2 and
+    gamma read None; ``truth`` reads whether one was given. The log keeps
+    each step's iterate, by reference, until the step's block is packed,
+    when one call of the pass over the block's iterates writes its d2
+    column. The caller must not write an iterate it has logged.
     """
 
     def __init__(self, theta: float, bregman=None) -> None:
@@ -471,17 +483,13 @@ class IterationLog:
         self.outer.add((n, r_n, allowance, steps, alpha_end, INNER_REASONS.index(inner_reason)))
 
     def close(self) -> None:
-        """Pack the rows still queued."""
-        self.records.pack()
-        self.outer.pack()
+        """Pack the rows still queued and free the d2 pass."""
+        self.records.close()
+        self.outer.close()
 
     @property
     def total_inner(self) -> int:
         return len(self.records)
-
-    def column(self, name: str) -> np.ndarray:
-        """One STEP_DTYPE field of every step, in step order."""
-        return self.records.column(name)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IterationLog):
@@ -648,7 +656,7 @@ def run(
                 break
             gradient = adjoint_values(ev, duality_map_values(resid, r))
             t_tilde = lp_norm_values(gradient, p_star, weight)
-            omega, _ = choose_omega(t, t_tilde, vartheta, config.omega_bar, sp)
+            omega = choose_omega(t, t_tilde, vartheta, config.omega_bar, sp)
             u_next = u_dual - alpha * w - omega * gradient
             w_next = base_dual + u_next
             # J_p^{-1} is J_{p*}

@@ -50,8 +50,8 @@ BREAKS = [
     pytest.param(
         checks.check_omega_bounds,
         "choose_omega",
-        lambda _: lambda *args: (1.0, True),
-        id="omega-degenerate",
+        lambda _: lambda *args: 1.0,
+        id="omega-constant",
     ),
     pytest.param(checks.check_adjoint_identity, "adjoint_apply", _scaled, id="adjoint"),
     pytest.param(

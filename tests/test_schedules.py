@@ -101,18 +101,15 @@ def test_choose_vartheta_guarantees_phi_ratio():
 def test_choose_omega_worked_example():
     # p = s = r = 2: omega = vt * min(t^2/tt^2, t^2/tt^2, omega_bar)
     sp = SpaceParams(2.0, 2.0)
-    omega, degenerate = choose_omega(2.0, 4.0, 1.0, 10.0, sp)
-    assert not degenerate
-    assert omega == pytest.approx(0.25)
-    omega, _ = choose_omega(10.0, 0.1, 0.5, 3.0, sp)
-    assert omega == pytest.approx(1.5)  # cap binds: 0.5 * 3.0
+    assert choose_omega(2.0, 4.0, 1.0, 10.0, sp) == pytest.approx(0.25)
+    assert choose_omega(10.0, 0.1, 0.5, 3.0, sp) == pytest.approx(1.5)  # cap binds: 0.5 * 3.0
 
 
 def test_choose_omega_degenerate_gradient():
     sp = SpaceParams(1.1, 2.0)
-    omega, degenerate = choose_omega(0.5, 0.0, 0.25, 1e8, sp)
-    assert degenerate
-    assert omega == pytest.approx(0.25e8)
+    # a zero gradient gives the cap vartheta * omega_bar, a float
+    omega = choose_omega(0.5, 0.0, 0.25, 1e8, sp)
+    assert type(omega) is float and omega == pytest.approx(0.25e8)
 
 
 def float64_omega(t, t_tilde, vartheta, omega_bar, sp):
@@ -125,8 +122,7 @@ def float64_omega(t, t_tilde, vartheta, omega_bar, sp):
 
 def test_choose_omega_tiny_gradient_no_overflow():
     sp = SpaceParams(1.1, 2.0)
-    omega, degenerate = choose_omega(1e-3, 1e-300, 0.125, 1e8, sp)
-    assert not degenerate
+    omega = choose_omega(1e-3, 1e-300, 0.125, 1e8, sp)
     assert omega == pytest.approx(0.125e8)  # power terms overflow to inf, cap wins
     # the scalar pow gives the float64 result, with no warning or OverflowError
     spaces = (SpaceParams(1.1, 2.0), SpaceParams(2.0, 2.0), SpaceParams(1.1, 10.0))
@@ -134,7 +130,7 @@ def test_choose_omega_tiny_gradient_no_overflow():
         for t, t_tilde in ((1e-3, 1e-300), (0.7, 1e-300), (0.0, 0.5), (0.0, 3e5)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                omega, _ = choose_omega(t, t_tilde, 0.125, 1e8, space)
+                omega = choose_omega(t, t_tilde, 0.125, 1e8, space)
             assert omega == float64_omega(t, t_tilde, 0.125, 1e8, space)
 
 
@@ -142,14 +138,12 @@ def test_choose_omega_when_one_power_underflows_and_the_other_overflows():
     # t^a is 0 and t_tilde^-s is inf in float64, so the direct product is NaN;
     # the true terms are (1e-200)^2 (1e-200)^-2 = 1 and 1e-400 / 1e-380 = 1e-20
     sp = SpaceParams(2.0, 2.0)
-    omega, degenerate = choose_omega(1e-200, 1e-200, 0.25, 1e8, sp)
-    assert not degenerate
-    assert omega == 0.25
-    omega, _ = choose_omega(1e-200, 1e-190, 0.25, 1e8, sp)
+    assert choose_omega(1e-200, 1e-200, 0.25, 1e8, sp) == 0.25
+    omega = choose_omega(1e-200, 1e-190, 0.25, 1e8, sp)
     assert omega == pytest.approx(0.25e-20, rel=1e-12)
     # a zero t gives a zero term, not NaN, and a huge ratio meets the cap
-    assert choose_omega(0.0, 1e-300, 0.25, 1e8, sp) == (0.0, False)
-    assert choose_omega(1e-170, 1e-300, 0.25, 1e8, sp) == (0.25e8, False)
+    assert choose_omega(0.0, 1e-300, 0.25, 1e8, sp) == 0.0
+    assert choose_omega(1e-170, 1e-300, 0.25, 1e8, sp) == 0.25e8
 
 
 def test_alpha_check_worked_example():

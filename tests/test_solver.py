@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import inspect
 import math
+import sys
 import tracemalloc
 import weakref
 from collections.abc import Sequence
@@ -38,6 +39,7 @@ from newton_landweber.experiments import assemble_problem, make_data
 from newton_landweber.reporting import write_iterations, write_run
 from newton_landweber.solver import refinement_threshold
 from test_acceptance import RATE_OVERRIDES
+from test_forward import run_fresh
 
 
 def small_problem(n=50, g0=1.0, g1=2.0):
@@ -775,7 +777,7 @@ def test_log_equality_compares_the_outer_loops_bit_for_bit():
     block["r_n"][3] = np.nextafter(block["r_n"][3], math.inf)
     loop = solver.RECORD_BLOCK + 3
     assert b.outer[loop].r_n == np.nextafter(a.outer[loop].r_n, math.inf)
-    assert a.column("r_n").tobytes() == b.column("r_n").tobytes()
+    assert a.records.column("r_n").tobytes() == b.records.column("r_n").tobytes()
     assert a != b
 
 
@@ -805,9 +807,10 @@ def test_step_bound_audit_sees_a_step_above_the_cap():
     log = run(problem, data, config).log
     assert step_bound_audit(log, config).ok
     # a cap vartheta * omega_bar between the two largest steps
-    second, largest = np.unique(log.column("omega"))[-2:]
+    omega = log.records.column("omega")
+    second, largest = np.unique(omega)[-2:]
     capped = config.replace(omega_bar=0.5 * (second + largest) / config.vartheta)
-    assert np.count_nonzero(log.column("omega") > capped.vartheta * capped.omega_bar) == 1
+    assert np.count_nonzero(omega > capped.vartheta * capped.omega_bar) == 1
     assert not step_bound_audit(log, capped).ok
 
 
@@ -860,8 +863,8 @@ def test_log_keeps_none_and_nan_apart(tmp_path):
             (False, False), (True, False), (False, True)
         ]
     for log in logs:
-        assert np.isnan(log.column("f_residual")[[0, 2]]).all()
-    assert np.isnan(logs[0].column("d2")).all()
+        assert np.isnan(log.records.column("f_residual")[[0, 2]]).all()
+    assert np.isnan(logs[0].records.column("d2")).all()
     path = tmp_path / "iterations.csv"
     write_iterations(str(path), logs[1])
     assert path.read_text().splitlines()[1:] == [
@@ -916,6 +919,55 @@ def test_a_log_is_freed_without_the_cyclic_collector():
         gc.enable()
 
 
+@pytest.mark.parametrize("p", [1.0001, 1.1, 1.5, 2.0, 3.0, 10.0])
+def test_the_bregman_pass_gives_each_row_its_own_distance_across_blocks(p):
+    # the pass reuses its buffers for every block: blocks of 32, 32 and 7
+    # iterates must read each row's distance alone, with the bits of the
+    # formula, so no row of an earlier block is read again and, at p = 2,
+    # where J_p(b) is b, a - b is not written over b
+    rng = np.random.default_rng(int(10 * p))
+    n, steps = 37, 2 * solver.RECORD_BLOCK + 7
+
+    def values(*shape):
+        v = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3.0, 1.0, shape)
+        v[..., :2] = (0.0, -0.0)
+        return v
+
+    truth, x0, iterates = values(n), values(n), values(steps, n)
+    log = solver.IterationLog(0.0, solver.bregman_pass(truth, x0, p, 0.25))
+    for k, z in enumerate(iterates):
+        log.add_step(0, k, 1.0, 2.0, 3.0, 0.5, 4.0, math.nan, False, z)
+    log.close()
+    a = truth - x0
+    a_pow = np.abs(a) ** p
+    for z, d2 in zip(iterates, log.records.column("d2")):
+        b = z - x0
+        dual = b if p == 2.0 else np.copysign(np.abs(b) ** (p - 1.0), b)
+        gaps = (a_pow - np.abs(b) ** p) / p - dual * (a - b)
+        assert d2.tobytes() == (0.25 * np.add.reduce(gaps)).tobytes()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts Linux's minor page faults")
+def test_a_fresh_run_with_a_truth_takes_almost_no_page_faults():
+    # the d2 pass computes in buffers it owns for the run; with temporaries
+    # per block, which glibc gives back to the kernel past its trim
+    # threshold, a fresh example1 p = 1.1 run took about 2.4 faults a step
+    run_fresh(
+        "import resource\n"
+        "from newton_landweber import SolverConfig, make_example1, run\n"
+        "from newton_landweber.experiments import assemble_problem, make_data\n"
+        "spec = make_example1(1.1)\n"
+        "problem, truth, exact, x0 = assemble_problem(spec)\n"
+        "data, delta = make_data(spec, exact)\n"
+        "config = SolverConfig(space=spec.space, delta=delta, **spec.solver)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "result = run(problem, data, config, x0=x0, truth=truth)\n"
+        "faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+        "steps = result.log.total_inner\n"
+        "assert steps > 1000 and faults < 0.05 * steps, (faults, steps)\n"
+    )
+
+
 def test_an_unknown_column_raises_key_error():
     # the same error from an empty table and a packed one, for either table
     empty = solver.IterationLog(0.0)
@@ -929,7 +981,7 @@ def test_an_unknown_column_raises_key_error():
             with pytest.raises(KeyError, match="gamma"):
                 table.column("gamma")
         with pytest.raises(KeyError, match="inner_reason"):
-            log.column("inner_reason")
+            log.records.column("inner_reason")
 
 
 @pytest.mark.parametrize(
