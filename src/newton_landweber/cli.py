@@ -53,8 +53,10 @@ def resolve_outdir(arg: str | None) -> str:
 def _float_text(value: float) -> str:
     """The shortest text that reads back as ``value``, less a trailing ``.0``.
 
-    Two settings that differ in any digit get different texts, so a sweep
-    never writes two runs into one directory.
+    Two settings that differ in any digit get different texts, and two
+    spellings of one value (2 and 2.0, 1.02 and 1.020) the same text, so a
+    directory name tells runs apart by what they ran. A sweep whose runs
+    would share a name exits before its first run.
     """
     text = repr(float(value))
     return text[:-2] if text.endswith(".0") else text
@@ -71,14 +73,15 @@ LABEL_KEYS = {
 }
 
 
-def run_label(spec: ExperimentSpec) -> str:
-    """Directory name carrying the identifying knobs of a run."""
+def run_label(spec: ExperimentSpec, tags: dict[str, str] | None = None) -> str:
+    """Directory name carrying the identifying knobs of a run, then ``tags``."""
     parts = [spec.name]
     for key, text in LABEL_KEYS.items():
         value = text(spec)
         if value is not None:
             parts.append(key + value)
-    return "_".join(part.replace("+", "") for part in parts)
+    parts += (key + value for key, value in (tags or {}).items())
+    return "_".join(parts).replace("+", "")
 
 
 def _gather_overrides(args: argparse.Namespace) -> tuple[str, dict[str, str]]:
@@ -107,17 +110,17 @@ def _report_line(report: RunReport) -> str:
     )
 
 
-def _execute(spec: ExperimentSpec, outdir: str, label_extra: str = "") -> tuple[RunReport, str]:
+def _execute(spec: ExperimentSpec, rundir: str) -> RunReport:
     report = run_experiment(spec)
-    rundir = os.path.join(outdir, run_label(spec) + label_extra)
     write_run(rundir, report)
-    return report, rundir
+    return report
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     preset, overrides = _gather_overrides(args)
-    outdir = resolve_outdir(args.out)
-    report, rundir = _execute(build_spec(preset, overrides), outdir)
+    spec = build_spec(preset, overrides)
+    rundir = os.path.join(resolve_outdir(args.out), run_label(spec))
+    report = _execute(spec, rundir)
     print(_report_line(report))
     print(f"wrote {rundir}")
     if report.result.failed:
@@ -132,10 +135,14 @@ def _parse_vary(pairs: list[str]) -> list[tuple[str, list[str]]]:
         if "=" not in pair:
             raise ValueError(f"--vary needs key=v1,v2,..., got {pair!r}")
         key, values = pair.split("=", 1)
+        key = key.strip()
         options = [v.strip() for v in values.split(",") if v.strip()]
         if not options:
             raise ValueError(f"--vary {key!r} lists no values")
-        axes.append((key.strip(), options))
+        # a second axis of one key would override the first in every run
+        if any(key == seen for seen, _ in axes):
+            raise ValueError(f"--vary {key!r} given twice")
+        axes.append((key, options))
     return axes
 
 
@@ -143,25 +150,28 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     preset, base = _gather_overrides(args)
     axes = _parse_vary(args.vary)
     outdir = resolve_outdir(args.out)
-    # every combination's spec and solver settings are checked before the
-    # first run, so that a bad value fails the sweep before it writes a file
-    runs = []
+    # every combination's spec, solver settings and directory are checked
+    # before the first run, so that a bad value, or two runs that would
+    # share a directory, fail the sweep before it writes a file
+    runs: dict[str, tuple[str, ExperimentSpec]] = {}
     for combo in itertools.product(*(options for _, options in axes)):
-        overrides = dict(base)
-        overrides.update({key: value for (key, _), value in zip(axes, combo)})
-        spec = build_spec(preset, overrides)
+        swept = {key: value for (key, _), value in zip(axes, combo)}
+        spec = build_spec(preset, {**base, **swept})
         SolverConfig(space=spec.space, delta=spec.noise.delta, **spec.solver)
-        extra = "".join(
-            f"_{key}{value}".replace("+", "")
-            for (key, _), value in zip(axes, combo)
-            if key not in LABEL_KEYS
-        )
-        runs.append((spec, extra))
+        name = run_label(spec, {k: v for k, v in swept.items() if k not in LABEL_KEYS})
+        settings = ", ".join(f"{key}={value}" for key, value in swept.items())
+        if name in runs:
+            raise ValueError(
+                f"--vary combinations {runs[name][0]} and {settings} "
+                f"both name the directory {name}"
+            )
+        runs[name] = settings, spec
     # a run's summary row, not its report, so that a sweep holds one run at a time
     rows = []
     failed = 0
-    for spec, extra in runs:
-        report, rundir = _execute(spec, outdir, extra)
+    for name, (_, spec) in runs.items():
+        rundir = os.path.join(outdir, name)
+        report = _execute(spec, rundir)
         rows.append(summary_row(report))
         print(_report_line(report) + f"  [{rundir}]")
         failed += report.result.failed

@@ -33,9 +33,9 @@ loops. Each table packs itself, RECORD_BLOCK = 32 rows to a numpy array, of
 STEP_DTYPE (73 bytes a step) and OUTER_DTYPE (41 bytes a loop), both built
 from the record fields. The Bregman diagnostic
 d2 = D_p(truth - x0, z_{n,k} - x0), which steers nothing, is the log's:
-``run`` builds its pass once with :func:`bregman_pass`, and the log calls
-it on the iterates of a block of steps as it packs them; the pass computes
-in buffers it owns for the run, which the log frees when it closes. gamma =
+``run`` builds one :class:`BregmanPass`, the log copies each iterate into
+it and calls it on each block of steps it packs; the pass computes in
+buffers it owns for the run, which the log frees when it closes. gamma =
 d2 alpha^-theta and degenerate = (t_tilde == 0) are not stored: a step's
 record derives them as it is read. Nor is a loop's first weight, the
 previous loop's alpha_end, or the residual it stopped on, the next loop's
@@ -336,43 +336,36 @@ class LogTable(Sequence):
     """One table of a log: rows packed in numpy blocks, read as records.
 
     ``add`` queues a row and packs RECORD_BLOCK of them into a block of the
-    table's dtype, ``close`` the rest into a last one, so every block but
-    the last is full and an index finds its block by division. ``on_pack``,
-    if given, fills columns of each block as it is packed, until ``close``
-    drops it. Only packed rows are read: each record is built from its row
-    by ``decode`` when it is read, and none is kept. Two tables are equal
-    when their packed rows agree bit for bit.
+    table's dtype, ``pack`` the rest into a last one, so every block but
+    the last is full and an index finds its block by division. Both return
+    the block they packed, or None, so the caller can fill columns of it.
+    Only packed rows are read: each record is built from its row by
+    ``decode`` when it is read, and none is kept. Two tables are equal when
+    their packed rows agree bit for bit.
     """
 
-    __slots__ = ("_dtype", "_decode", "_on_pack", "_rows", "_blocks")
+    __slots__ = ("_dtype", "_decode", "_rows", "_blocks")
 
-    def __init__(self, dtype: np.dtype, decode, on_pack=None) -> None:
+    def __init__(self, dtype: np.dtype, decode) -> None:
         self._dtype = dtype
         self._decode = decode
-        self._on_pack = on_pack
         self._rows: list[tuple] = []
         self._blocks: list[np.ndarray] = []
 
-    def add(self, row: tuple) -> None:
+    def add(self, row: tuple) -> np.ndarray | None:
         """Queue one row of the table's fields; a full queue is packed."""
         self._rows.append(row)
-        if len(self._rows) == RECORD_BLOCK:
-            self.pack()
+        return self.pack() if len(self._rows) == RECORD_BLOCK else None
 
-    def pack(self) -> None:
-        """Pack the queued rows, if any, into the next block."""
+    def pack(self) -> np.ndarray | None:
+        """Pack the queued rows, if any, into the next block, and return it."""
         rows = self._rows
-        if rows:
-            block = np.array(rows, dtype=self._dtype)
-            if self._on_pack is not None:
-                self._on_pack(block)
-            self._blocks.append(block)
-            rows.clear()
-
-    def close(self) -> None:
-        """Pack the queued rows and drop ``on_pack``, with all it holds."""
-        self.pack()
-        self._on_pack = None
+        if not rows:
+            return None
+        block = np.array(rows, dtype=self._dtype)
+        self._blocks.append(block)
+        rows.clear()
+        return block
 
     def __len__(self) -> int:
         blocks = self._blocks
@@ -410,29 +403,37 @@ class LogTable(Sequence):
         return len(a) == len(b) and all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
-def bregman_pass(truth: np.ndarray, x0: np.ndarray, p: float, weight: float):
+class BregmanPass:
     """The d2 pass of an :class:`IterationLog`, built once per run.
 
-    A function of a list of at most RECORD_BLOCK iterates z that gives
-    D_p(truth - x0, z - x0), one ``bregman_values`` pass over their stacked
-    shifts against truth - x0 and its |.|^p. The pass owns one
-    (4, RECORD_BLOCK, n) array, allocated here: the stacked shifts in its
+    ``keep(z)`` copies an iterate z into the next of RECORD_BLOCK rows, and
+    calling the pass gives D_p(truth - x0, z - x0) for each row kept since
+    the last call, one ``bregman_values`` pass over their shifts against
+    truth - x0 and its |.|^p, and starts over. The pass owns one
+    (4, RECORD_BLOCK, n) array, allocated here: the kept iterates in its
     first plane and the ``work`` of ``bregman_values`` in the other three,
-    so a block allocates only its distances. Each block's rows are
-    written before they are read, so a shorter last block reads no stale
-    row. The array lives as long as the pass.
+    so a block allocates only its distances. A call reads only the rows
+    kept since the last, so a shorter last block reads no stale row, and
+    no kept row changes when its iterate is written.
     """
-    shift = truth - x0
-    shift_pow = np.abs(shift) ** p
-    planes = np.empty((4, RECORD_BLOCK, shift.size))
 
-    def d2(iterates: list[np.ndarray]) -> np.ndarray:
-        shifts, *work = planes[:, : len(iterates)]
-        np.stack(iterates, out=shifts)
-        shifts -= x0
-        return bregman_values(shift, shift_pow, shifts, p, weight, work)
+    def __init__(self, truth: np.ndarray, x0: np.ndarray, p: float, weight: float) -> None:
+        self._shift = shift = truth - x0
+        self._shift_pow = np.abs(shift) ** p
+        self._x0, self._p, self._weight = x0, p, weight
+        self._planes = np.empty((4, RECORD_BLOCK, shift.size))
+        self._kept = 0
 
-    return d2
+    def keep(self, z: np.ndarray) -> None:
+        """Copy z into the next row; more than RECORD_BLOCK raise ``IndexError``."""
+        self._planes[0, self._kept] = z
+        self._kept += 1
+
+    def __call__(self) -> np.ndarray:
+        shifts, *work = self._planes[:, : self._kept]
+        self._kept = 0
+        shifts -= self._x0
+        return bregman_values(self._shift, self._shift_pow, shifts, self._p, self._weight, work)
 
 
 class IterationLog:
@@ -449,43 +450,41 @@ class IterationLog:
 
     The run adds its rows field by field with ``add_step`` and
     ``add_outer``; ``close`` packs the rows still queued and drops the d2
-    pass, which frees its buffers. ``bregman`` is the run's d2 pass (see
-    :func:`bregman_pass`), None in a run without a truth, where d2 and
-    gamma read None; ``truth`` reads whether one was given. The log keeps
-    each step's iterate, by reference, until the step's block is packed,
-    when one call of the pass over the block's iterates writes its d2
-    column. The caller must not write an iterate it has logged.
+    pass, which frees its buffers. ``bregman`` is the run's
+    :class:`BregmanPass`, None in a run without a truth, where d2 and gamma
+    read None; ``truth`` reads whether one was given. ``add_step`` copies
+    the step's iterate into the pass, and each block of steps that
+    ``records`` packs gets its d2 column from one call of the pass, so the
+    log holds no iterate and the caller may write z once it is logged.
     """
 
-    def __init__(self, theta: float, bregman=None) -> None:
+    def __init__(self, theta: float, bregman: BregmanPass | None = None) -> None:
         self.theta = theta
         self.truth = bregman is not None
-        self._iterates = iterates = [] if self.truth else None
-        fill_d2 = None
-        if self.truth:
-            # a closure, not a bound method, which the table would hold: the
-            # log would be a reference cycle, freed only by the cyclic collector
-            def fill_d2(block: np.ndarray) -> None:
-                block["d2"] = bregman(iterates)
-                iterates.clear()
-
-        self.records = LogTable(STEP_DTYPE, partial(_record, theta, self.truth), fill_d2)
+        self._bregman = bregman
+        self.records = LogTable(STEP_DTYPE, partial(_record, theta, self.truth))
         self.outer = LogTable(OUTER_DTYPE, _outer_record)
 
     def add_step(self, n, k, t, t_tilde, omega, alpha, r_n, f_residual, refinement, z) -> None:
         """Add the step at iterate z; f_residual is NaN where no check ran."""
-        if self._iterates is not None:
-            self._iterates.append(z)
-        self.records.add((n, k, t, t_tilde, omega, alpha, r_n, f_residual, math.nan, refinement))
+        if self._bregman is not None:
+            self._bregman.keep(z)
+        row = (n, k, t, t_tilde, omega, alpha, r_n, f_residual, math.nan, refinement)
+        self._fill_d2(self.records.add(row))
 
     def add_outer(self, n, r_n, allowance, steps, alpha_end, inner_reason: str) -> None:
         """Add one outer loop; an inner reason outside INNER_REASONS raises ``ValueError``."""
         self.outer.add((n, r_n, allowance, steps, alpha_end, INNER_REASONS.index(inner_reason)))
 
+    def _fill_d2(self, block: np.ndarray | None) -> None:
+        if block is not None and self._bregman is not None:
+            block["d2"] = self._bregman()
+
     def close(self) -> None:
         """Pack the rows still queued and free the d2 pass."""
-        self.records.close()
-        self.outer.close()
+        self._fill_d2(self.records.pack())
+        self.outer.pack()
+        self._bregman = None
 
     @property
     def total_inner(self) -> int:
@@ -566,7 +565,7 @@ def run(
     x0_values, data_values = x0.values, data.values
     vartheta = config.vartheta
     log = IterationLog(
-        theta, None if truth is None else bregman_pass(truth.values, x0_values, sp.p, weight)
+        theta, None if truth is None else BregmanPass(truth.values, x0_values, sp.p, weight)
     )
     rate_active = config.rate_mode and theta > 0.0
     # rate mode runs every loop to its full allowance; with exact data the
@@ -672,8 +671,7 @@ def run(
             if not math.isfinite(t_next):
                 reason = f"failure: non-finite iterate or residual (iterate n={n}, k={k})"
                 break
-            # the record holds the state of z_{n,k}, before the update; the
-            # log keeps z for its d2 until it packs the step's block
+            # the record holds the state of z_{n,k}, before the update
             log.add_step(n, k, t, t_tilde, omega, alpha, r_n, f_residual, refining, z)
             u_dual, w, z, resid, t = u_next, w_next, z_next, resid_next, t_next
             alpha = next_alpha(

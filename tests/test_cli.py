@@ -234,12 +234,46 @@ def test_sweep_counts_its_failed_runs(tmp_path, capsys):
     assert len(merged) == 3
 
 
-@pytest.mark.parametrize("value, named", [("0.5", "tau must"), ("abc", "override 'tau': ")])
+@pytest.mark.parametrize(
+    "value, named",
+    [
+        ("0.5", "tau must"),
+        ("abc", "override 'tau': "),
+        pytest.param(
+            "1.020", "combinations tau=1.02 and tau=1.020 both name the directory",
+            id="1.020-same-directory",
+        ),
+    ],
+)
 def test_sweep_checks_every_combination_before_its_first_run(tmp_path, capsys, value, named):
-    # the second value is bad: the sweep exits 2 naming it and runs nothing
+    # the second value is bad, or spells the first, whose directory it would
+    # write over: the sweep exits 2 naming it and runs nothing
     args = ["sweep", "--preset", "example1", "--out", str(tmp_path),
             "--override", "n=60", "--override", "max_total_inner=150",
             "--vary", f"tau=1.02,{value}"]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "vary, named",
+    [
+        # one value in two spellings on a labelled key, and on the seed
+        (["p=2,2.0", "tau=1.02,1.05"], "p=2, tau=1.02 and p=2.0, tau=1.02 both name"),
+        (["seed=2,02"], "seed=2 and seed=02 both name"),
+        # the second axis would override the first in every run, under both tags
+        (["eta=0.1,0.2", "eta=0.3"], "--vary 'eta' given twice"),
+    ],
+    ids=["p-spellings", "seed-spellings", "eta-twice"],
+)
+def test_sweep_gives_each_run_a_directory_of_its_own(tmp_path, capsys, vary, named):
+    args = ["sweep", "--preset", "example1", "--out", str(tmp_path),
+            "--override", "n=40", "--override", "max_total_inner=30"]
+    for axis in vary:
+        args += ["--vary", axis]
     assert cli.main(args) == 2
     captured = capsys.readouterr()
     assert named in captured.err

@@ -844,7 +844,7 @@ def test_log_keeps_none_and_nan_apart(tmp_path):
     cases = ((None, huge), (huge, huge), (ones, np.zeros(4)))
     for truth, z in cases:
         with np.errstate(over="ignore", invalid="ignore"):
-            d2 = None if truth is None else solver.bregman_pass(truth, np.zeros(4), 2.0, 0.25)
+            d2 = None if truth is None else solver.BregmanPass(truth, np.zeros(4), 2.0, 0.25)
             log = solver.IterationLog(1.0, d2)
             for row in rows:
                 log.add_step(*row, z)
@@ -888,7 +888,7 @@ def test_log_equality_compares_the_steps_bit_for_bit():
     assert b.records[step].d2 == np.nextafter(a.records[step].d2, math.inf)
     assert a != b
     # the same rows read with another theta, or without a truth, read otherwise
-    d2 = solver.bregman_pass(np.ones(4), np.zeros(4), 2.0, 1.0)
+    d2 = solver.BregmanPass(np.ones(4), np.zeros(4), 2.0, 1.0)
     assert solver.IterationLog(0.5, d2) != solver.IterationLog(0.0, d2)
     assert solver.IterationLog(0.0, d2) != solver.IterationLog(0.0)
 
@@ -907,7 +907,7 @@ def test_a_log_is_freed_without_the_cyclic_collector():
         freed = weakref.ref(result.log)
         del result
         assert freed() is None
-        log = solver.IterationLog(1.0, solver.bregman_pass(np.ones(4), np.zeros(4), 2.0, 0.25))
+        log = solver.IterationLog(1.0, solver.BregmanPass(np.ones(4), np.zeros(4), 2.0, 0.25))
         for k in range(solver.RECORD_BLOCK + 1):
             log.add_step(0, k, 1.0, 2.0, 3.0, 0.5, 4.0, math.nan, False, np.zeros(4))
         log.close()
@@ -924,7 +924,9 @@ def test_the_bregman_pass_gives_each_row_its_own_distance_across_blocks(p):
     # the pass reuses its buffers for every block: blocks of 32, 32 and 7
     # iterates must read each row's distance alone, with the bits of the
     # formula, so no row of an earlier block is read again and, at p = 2,
-    # where J_p(b) is b, a - b is not written over b
+    # where J_p(b) is b, a - b is not written over b; the log copies what it
+    # keeps, so iterates passed in one buffer that is written over before
+    # every step read the same bits as fresh arrays
     rng = np.random.default_rng(int(10 * p))
     n, steps = 37, 2 * solver.RECORD_BLOCK + 7
 
@@ -934,38 +936,48 @@ def test_the_bregman_pass_gives_each_row_its_own_distance_across_blocks(p):
         return v
 
     truth, x0, iterates = values(n), values(n), values(steps, n)
-    log = solver.IterationLog(0.0, solver.bregman_pass(truth, x0, p, 0.25))
-    for k, z in enumerate(iterates):
-        log.add_step(0, k, 1.0, 2.0, 3.0, 0.5, 4.0, math.nan, False, z)
-    log.close()
+    buffer = np.empty(n)
+
+    def reused(z):
+        buffer[:] = z
+        return buffer
+
     a = truth - x0
     a_pow = np.abs(a) ** p
-    for z, d2 in zip(iterates, log.records.column("d2")):
-        b = z - x0
-        dual = b if p == 2.0 else np.copysign(np.abs(b) ** (p - 1.0), b)
-        gaps = (a_pow - np.abs(b) ** p) / p - dual * (a - b)
-        assert d2.tobytes() == (0.25 * np.add.reduce(gaps)).tobytes()
+    for passed in (np.copy, reused):
+        log = solver.IterationLog(0.0, solver.BregmanPass(truth, x0, p, 0.25))
+        for k, z in enumerate(iterates):
+            log.add_step(0, k, 1.0, 2.0, 3.0, 0.5, 4.0, math.nan, False, passed(z))
+        log.close()
+        for z, d2 in zip(iterates, log.records.column("d2")):
+            b = z - x0
+            dual = b if p == 2.0 else np.copysign(np.abs(b) ** (p - 1.0), b)
+            gaps = (a_pow - np.abs(b) ** p) / p - dual * (a - b)
+            assert d2.tobytes() == (0.25 * np.add.reduce(gaps)).tobytes()
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="counts Linux's minor page faults")
 def test_a_fresh_run_with_a_truth_takes_almost_no_page_faults():
     # the d2 pass computes in buffers it owns for the run; with temporaries
     # per block, which glibc gives back to the kernel past its trim
-    # threshold, a fresh example1 p = 1.1 run took about 2.4 faults a step
-    run_fresh(
-        "import resource\n"
-        "from newton_landweber import SolverConfig, make_example1, run\n"
-        "from newton_landweber.experiments import assemble_problem, make_data\n"
-        "spec = make_example1(1.1)\n"
-        "problem, truth, exact, x0 = assemble_problem(spec)\n"
-        "data, delta = make_data(spec, exact)\n"
-        "config = SolverConfig(space=spec.space, delta=delta, **spec.solver)\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-        "result = run(problem, data, config, x0=x0, truth=truth)\n"
-        "faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
-        "steps = result.log.total_inner\n"
-        "assert steps > 1000 and faults < 0.05 * steps, (faults, steps)\n"
-    )
+    # threshold, a fresh example1 p = 1.1 run took about 2.4 faults a step.
+    # The criterion-9 rate run also packs an outer row per loop
+    rate = dict(RATE_OVERRIDES, delta="1e-3")
+    for spec in ("make_example1(1.1)", f"build_spec('example1', {rate!r})"):
+        run_fresh(
+            "import resource\n"
+            "from newton_landweber import SolverConfig, build_spec, make_example1, run\n"
+            "from newton_landweber.experiments import assemble_problem, make_data\n"
+            f"spec = {spec}\n"
+            "problem, truth, exact, x0 = assemble_problem(spec)\n"
+            "data, delta = make_data(spec, exact)\n"
+            "config = SolverConfig(space=spec.space, delta=delta, **spec.solver)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "result = run(problem, data, config, x0=x0, truth=truth)\n"
+            "faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+            "steps = result.log.total_inner\n"
+            "assert steps > 1000 and faults < 0.05 * steps, (faults, steps)\n"
+        )
 
 
 def test_an_unknown_column_raises_key_error():
