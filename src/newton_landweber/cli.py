@@ -7,9 +7,10 @@ noise, and solver fields (``apply_overrides`` derives the keys from the
 ``SolverConfig`` and ``NoiseSpec`` fields).
 
 Output directory precedence: ``--out``, then ``$NEWTON_LANDWEBER_OUT``,
-then ``./runs``. Each run writes ``iterations.csv``, ``summary.csv`` and
-``solution.csv`` into its own subdirectory; ``sweep`` additionally merges
-the per-run summary rows into ``sweep_summary.csv``.
+then ``./runs``. ``run`` is a sweep of one combination: each run writes
+``iterations.csv``, ``summary.csv`` and ``solution.csv`` into a
+subdirectory named by ``run_label``; ``sweep`` additionally merges the
+per-run summary rows into ``sweep_summary.csv``.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import argparse
 import itertools
 import os
 import sys
+from collections.abc import Iterable
 
-from .experiments import PRESETS, ExperimentSpec, RunReport, build_spec, run_experiment
+from .experiments import PRESETS, ExperimentSpec, RunReport, build_spec, read_override, run_experiment
 from .reporting import summary_row, write_run, write_summary_rows
 from .solver import SolverConfig
 
@@ -50,37 +52,26 @@ def resolve_outdir(arg: str | None) -> str:
     return os.path.join(os.curdir, "runs")
 
 
-def _float_text(value: float) -> str:
-    """The shortest text that reads back as ``value``, less a trailing ``.0``.
-
-    Two settings that differ in any digit get different texts, and two
-    spellings of one value (2 and 2.0, 1.02 and 1.020) the same text, so a
-    directory name tells runs apart by what they ran. A sweep whose runs
-    would share a name exits before its first run.
-    """
-    text = repr(float(value))
-    return text[:-2] if text.endswith(".0") else text
+def _setting_text(value: object) -> str:
+    """Text that the setting's parser reads back as ``value``: one for two
+    spellings of a value (2 and 2.0), two for two values. A float takes its
+    shortest round-trip text less a trailing ``.0``, a bool true or false."""
+    if isinstance(value, float):
+        text = repr(float(value))
+        return text[:-2] if text.endswith(".0") else text
+    return "auto" if value is None else str(value).lower()
 
 
-# the override keys a run's directory name carries, in order, each with its
-# text there (None leaves it out); a sweep tags every other swept key on
-LABEL_KEYS = {
-    "p": lambda spec: _float_text(spec.space.p),
-    "r": lambda spec: _float_text(spec.space.r),
-    "delta": lambda spec: _float_text(spec.noise.delta),
-    "tau": lambda spec: _float_text(spec.solver["tau"]) if "tau" in spec.solver else None,
-    "seed": lambda spec: str(spec.seed),
-}
+# the override keys every run's directory name carries, in order
+LABEL_KEYS = ("p", "r", "delta", "tau", "seed")
 
 
-def run_label(spec: ExperimentSpec, tags: dict[str, str] | None = None) -> str:
-    """Directory name carrying the identifying knobs of a run, then ``tags``."""
-    parts = [spec.name]
-    for key, text in LABEL_KEYS.items():
-        value = text(spec)
-        if value is not None:
-            parts.append(key + value)
-    parts += (key + value for key, value in (tags or {}).items())
+def run_label(spec: ExperimentSpec, swept: Iterable[str] = ()) -> str:
+    """Directory name of a run: the preset, then each labelled key and each
+    other swept key with the value the run uses, so runs that differ in
+    one of these keys get different directories."""
+    keys = [*LABEL_KEYS, *(key for key in swept if key not in LABEL_KEYS)]
+    parts = [spec.name, *(key + _setting_text(read_override(spec, key)) for key in keys)]
     return "_".join(parts).replace("+", "")
 
 
@@ -110,23 +101,45 @@ def _report_line(report: RunReport) -> str:
     )
 
 
-def _execute(spec: ExperimentSpec, rundir: str) -> RunReport:
-    report = run_experiment(spec)
-    write_run(rundir, report)
-    return report
+def _run_combinations(args: argparse.Namespace, axes: list) -> tuple[list[dict], int]:
+    """Run and write each combination of the ``axes`` (none: one run) on the
+    settings of ``args``; return the runs' summary rows and how many failed."""
+    preset, base = _gather_overrides(args)
+    outdir = resolve_outdir(args.out)
+    # every combination's spec, solver settings and directory are checked
+    # before the first run, so that a bad value, or two runs that would
+    # share a directory, fail before a file is written
+    runs: dict[str, tuple[str, ExperimentSpec]] = {}
+    for combo in itertools.product(*(options for _, options in axes)):
+        swept = {key: value for (key, _), value in zip(axes, combo)}
+        spec = build_spec(preset, {**base, **swept})
+        SolverConfig(space=spec.space, delta=spec.noise.delta, **spec.solver)
+        name = run_label(spec, swept)
+        settings = ", ".join(f"{key}={value}" for key, value in swept.items())
+        if name in runs:
+            raise ValueError(
+                f"--vary combinations {runs[name][0]} and {settings} "
+                f"both name the directory {name}"
+            )
+        runs[name] = settings, spec
+    # a run's summary row, not its report, so that a sweep holds one run at a time
+    rows, failed = [], 0
+    for name, (_, spec) in runs.items():
+        rundir = os.path.join(outdir, name)
+        report = run_experiment(spec)
+        write_run(rundir, report)
+        rows.append(summary_row(report))
+        print(_report_line(report))
+        print(f"wrote {rundir}")
+        if report.result.failed:
+            failed += 1
+            print(f"run failed: {report.reason}", file=sys.stderr)
+    return rows, failed
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    preset, overrides = _gather_overrides(args)
-    spec = build_spec(preset, overrides)
-    rundir = os.path.join(resolve_outdir(args.out), run_label(spec))
-    report = _execute(spec, rundir)
-    print(_report_line(report))
-    print(f"wrote {rundir}")
-    if report.result.failed:
-        print(f"run failed: {report.reason}", file=sys.stderr)
-        return 1
-    return 0
+    _, failed = _run_combinations(args, [])
+    return 1 if failed else 0
 
 
 def _parse_vary(pairs: list[str]) -> list[tuple[str, list[str]]]:
@@ -147,35 +160,8 @@ def _parse_vary(pairs: list[str]) -> list[tuple[str, list[str]]]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    preset, base = _gather_overrides(args)
-    axes = _parse_vary(args.vary)
-    outdir = resolve_outdir(args.out)
-    # every combination's spec, solver settings and directory are checked
-    # before the first run, so that a bad value, or two runs that would
-    # share a directory, fail the sweep before it writes a file
-    runs: dict[str, tuple[str, ExperimentSpec]] = {}
-    for combo in itertools.product(*(options for _, options in axes)):
-        swept = {key: value for (key, _), value in zip(axes, combo)}
-        spec = build_spec(preset, {**base, **swept})
-        SolverConfig(space=spec.space, delta=spec.noise.delta, **spec.solver)
-        name = run_label(spec, {k: v for k, v in swept.items() if k not in LABEL_KEYS})
-        settings = ", ".join(f"{key}={value}" for key, value in swept.items())
-        if name in runs:
-            raise ValueError(
-                f"--vary combinations {runs[name][0]} and {settings} "
-                f"both name the directory {name}"
-            )
-        runs[name] = settings, spec
-    # a run's summary row, not its report, so that a sweep holds one run at a time
-    rows = []
-    failed = 0
-    for name, (_, spec) in runs.items():
-        rundir = os.path.join(outdir, name)
-        report = _execute(spec, rundir)
-        rows.append(summary_row(report))
-        print(_report_line(report) + f"  [{rundir}]")
-        failed += report.result.failed
-    merged = os.path.join(outdir, "sweep_summary.csv")
+    rows, failed = _run_combinations(args, _parse_vary(args.vary))
+    merged = os.path.join(resolve_outdir(args.out), "sweep_summary.csv")
     write_summary_rows(merged, rows)
     print(f"wrote {merged}")
     if failed:

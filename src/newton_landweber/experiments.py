@@ -397,7 +397,6 @@ _PARSERS = {
     "float": float,
     "int": int,
     "bool": _parse_bool,
-    "str": str,
     "InnerBudget": InnerBudget.parse,
 }
 
@@ -426,6 +425,15 @@ _OVERRIDES = {
         if f.name not in ("space", "delta")
     },
 }
+
+
+def read_override(spec: ExperimentSpec, key: str) -> object:
+    """The value of override ``key`` in ``spec``, read where ``apply_overrides``
+    writes it; a solver field the spec leaves unset reads as its default."""
+    part, name, _ = _OVERRIDES[key]
+    if part == "solver":
+        return spec.solver.get(name, getattr(SolverConfig, name, None))
+    return getattr(spec if part == "spec" else getattr(spec, part), name)
 
 
 def apply_overrides(spec: ExperimentSpec, overrides: dict[str, str]) -> ExperimentSpec:

@@ -253,6 +253,12 @@ class InnerBudget:
             )
         return cls.power(float(m.group(1)), float(m.group(2) or m.group(3)))
 
+    def __str__(self) -> str:
+        """The ``parse`` syntax of this budget, one text for each budget."""
+        if self.kind == "constant":
+            return f"const:{self.k_bar}"
+        return f"({float(self.shift)!r}+n)^-{float(self.exponent)!r}"
+
 
 # the exponent is -B or (-B); a parenthesis must be balanced
 _POWER_RE = re.compile(r"^\((\d+(?:\.\d+)?)\+n\)\^(?:-(\d+(?:\.\d+)?)|\(-(\d+(?:\.\d+)?)\))$")

@@ -6,6 +6,7 @@ import pytest
 
 from newton_landweber import cli
 from newton_landweber.checks import ALL_CHECKS
+from newton_landweber.experiments import _OVERRIDES, build_spec, read_override
 
 # the CSV headers, written out as the README shows them
 ITERATION_HEADER = ["n", "k", "t", "t_tilde", "omega", "alpha", "r_n", "F_residual", "d2", "gamma"]
@@ -266,8 +267,19 @@ def test_sweep_checks_every_combination_before_its_first_run(tmp_path, capsys, v
         (["seed=2,02"], "seed=2 and seed=02 both name"),
         # the second axis would override the first in every run, under both tags
         (["eta=0.1,0.2", "eta=0.3"], "--vary 'eta' given twice"),
+        # one value in two spellings on a swept key outside the label
+        (["eta=0.1,0.10"], "eta=0.1 and eta=0.10 both name"),
+        (["max_inner=40,040"], "max_inner=40 and max_inner=040 both name"),
+        (["max_total_inner=30,030"], "max_total_inner=30 and max_total_inner=030 both name"),
+        (
+            ["inner_budget=(50+n)^-2,(50.0+n)^-2"],
+            "inner_budget=(50+n)^-2 and inner_budget=(50.0+n)^-2 both name",
+        ),
     ],
-    ids=["p-spellings", "seed-spellings", "eta-twice"],
+    ids=[
+        "p-spellings", "seed-spellings", "eta-twice", "eta-spellings", "max_inner-spellings",
+        "max_total_inner-spellings", "inner_budget-spellings",
+    ],
 )
 def test_sweep_gives_each_run_a_directory_of_its_own(tmp_path, capsys, vary, named):
     args = ["sweep", "--preset", "example1", "--out", str(tmp_path),
@@ -279,6 +291,44 @@ def test_sweep_gives_each_run_a_directory_of_its_own(tmp_path, capsys, vary, nam
     assert named in captured.err
     assert captured.out == ""
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("eta", "0.10"),
+        ("omega_bar", "1e+30"),
+        ("max_inner", "040"),
+        ("seed", "02"),
+        ("rate_mode", "on"),
+        ("max_total_inner", "auto"),
+        ("noise_norm", "AUTO"),
+        ("inner_budget", "(50+n)^(-2)"),
+        ("inner_budget", "const:40"),
+    ],
+)
+def test_a_run_is_named_by_texts_that_read_back_as_its_values(key, value):
+    # the text of each value parses back through the key's own parser as the
+    # value the run uses, so a directory name has one text for each value
+    spec = build_spec("example1", {key: value})
+    held = read_override(spec, key)
+    text = cli._setting_text(held)
+    assert _OVERRIDES[key][2](text) == held
+    # the name carries the text, less the "+" no directory name holds
+    assert f"_{key}{text}".replace("+", "") in cli.run_label(spec, [key])
+
+
+def test_run_and_a_sweep_of_one_value_write_the_same_run(tmp_path, capsys):
+    assert cli.main(["run", "--preset", "example1", "--out", str(tmp_path / "run")] + SMALL) == 0
+    assert cli.main(["sweep", "--preset", "example1", "--out", str(tmp_path / "sweep")]
+                    + SMALL + ["--vary", "seed=2"]) == 0
+    out = capsys.readouterr().out
+    for sub in ("run", "sweep"):
+        assert [d.name for d in (tmp_path / sub).iterdir() if d.is_dir()] == [LABEL]
+        assert f"wrote {tmp_path / sub / LABEL}\n" in out
+    for name in ("iterations.csv", "solution.csv"):
+        run_bytes = (tmp_path / "run" / LABEL / name).read_bytes()
+        assert run_bytes == (tmp_path / "sweep" / LABEL / name).read_bytes()
 
 
 def test_sweep_rejects_empty_axis(tmp_path, capsys):

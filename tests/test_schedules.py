@@ -220,6 +220,14 @@ def test_inner_budget_parse_round_trip():
     ):
         parsed = InnerBudget.parse(text)
         assert parsed == expected
+    # a budget's text is its parse syntax
+    for budget in (
+        InnerBudget.power(50.0, 2.0),
+        InnerBudget.power(1, 1.1),
+        InnerBudget.power(0.25, 3.5),
+        InnerBudget.constant(40),
+    ):
+        assert InnerBudget.parse(str(budget)) == budget
     for bad in ("n^-2", "(50+n)^(-2", "(50+n)^-2)"):
         with pytest.raises(ConfigurationError):
             InnerBudget.parse(bad)
