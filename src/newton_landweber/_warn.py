@@ -19,10 +19,13 @@ def warn_at_caller(message: str) -> None:
     """
     frame = sys._getframe(1)
     level = 2  # stacklevel 2 is the frame that called this function
-    while (
-        frame.f_back is not None
-        and frame.f_globals.get("__name__", "").partition(".")[0] in _INTERNAL
-    ):
+    while frame.f_back is not None and _package(frame.f_globals) in _INTERNAL:
         frame = frame.f_back
         level += 1
     warnings.warn(message, stacklevel=level)
+
+
+def _package(namespace: dict) -> str:
+    # python -m names the module it runs __main__; its spec keeps the name
+    spec = namespace.get("__spec__")
+    return (namespace.get("__name__", "") if spec is None else spec.name).partition(".")[0]

@@ -30,7 +30,6 @@ __all__ = [
     "SpaceParams",
     "lp_norm",
     "lp_norm_values",
-    "lp_norm_values_quiet",
     "pairing",
     "duality_map",
     "duality_map_values",
@@ -106,9 +105,8 @@ def lp_norm_values(v: np.ndarray, q: float, weight: float) -> float:
     last bit in about 5% of entries. The sum's powers are numpy's array
     powers, so the pinned traces hold only where numpy takes them with the
     same kernels (README, "Tests").
-    numpy still warns about an overflow of the direct sum: an ``errstate``
-    guard would slow every call by about half, so only the calls off the
-    inner step go through ``lp_norm_values_quiet``.
+    numpy warns about an overflow of the direct sum unless the caller has
+    turned that warning off, as ``run`` and ``lp_norm`` do.
     """
     total = weight * float(np.add.reduce(v * v if q == 2.0 else np.abs(v) ** q))
     if not _NORMAL_MIN <= total < math.inf:
@@ -119,12 +117,6 @@ def lp_norm_values(v: np.ndarray, q: float, weight: float) -> float:
         if scale == 0.0:  # pow(+0, 1/q) for a finite q; pow(0, 0) = 1 at q = inf
             return 0.0
     return math.pow(total, 1.0 / q)
-
-
-# lp_norm_values without the overflow warning, for set-up, reporting and the
-# outer loop's residual r_n, where a sum that overflows rescales to the right
-# norm; errstate as a decorator costs about half of a with block each call
-lp_norm_values_quiet = np.errstate(over="ignore")(lp_norm_values)
 
 
 def duality_map_values(v: np.ndarray, q: float) -> np.ndarray:
@@ -185,12 +177,13 @@ def bregman_values(
 def lp_norm(f: GridFunction, q: float) -> float:
     """Weighted discrete L^q norm, (sum_i w_i |f_i|^q)^(1/q); max|f| at q = inf.
 
-    The norm of set-up and reporting, off the inner step: a direct sum that
+    The norm of set-up, reporting and the checks: a direct sum that
     overflows is rescaled to the right norm, so it does not warn.
     """
     if not q >= 1.0:  # written positively, so that NaN fails it
         raise ValueError(f"norm exponent must be >= 1, got {q}")
-    return lp_norm_values_quiet(f.values, q, f.grid.cell_volume)
+    with np.errstate(over="ignore"):
+        return lp_norm_values(f.values, q, f.grid.cell_volume)
 
 
 def pairing(a: GridFunction, b: GridFunction) -> float:

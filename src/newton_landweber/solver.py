@@ -84,7 +84,6 @@ from .geometry import (  # noqa: F401
     inverse_duality_map,
     lp_norm,
     lp_norm_values,
-    lp_norm_values_quiet,
     shifted_bregman,
 )
 from .grids import GridFunction, GridMismatchError
@@ -522,6 +521,7 @@ def refinement_threshold(r_n: float, config: SolverConfig) -> float:
     return config.c_alpha * _pow(r_n + config.delta, exponent)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run(
     problem: EllipticProblem,
     data: GridFunction,
@@ -539,6 +539,10 @@ def run(
     budget exhaustion likewise. Inputs on a grid other than
     ``problem.grid`` raise :class:`GridMismatchError`. ``truth`` switches
     on the Bregman diagnostics in the log.
+
+    numpy's overflow and invalid-value warnings are off for the whole
+    call, whatever the caller's filter: each value they would flag reaches
+    a scalar guard, which reports it in the reason.
 
     The inner loop carries the dual iterate of z as w = base_dual + u_dual:
     since z is constructed as x0 + J_p^{-1}(w), the term J_p(z - x0) of the
@@ -585,8 +589,7 @@ def run(
             break
         applies += 1
         resid0 = ev.u.values - data_values
-        # once per loop, off the inner step: a sum that overflows rescales
-        r_n = lp_norm_values_quiet(resid0, r, weight)
+        r_n = lp_norm_values(resid0, r, weight)
 
         # in rate mode the loop at the stopping index refines alpha first
         refining = r_n <= stop_level

@@ -7,6 +7,7 @@ import pytest
 from newton_landweber import cli
 from newton_landweber.checks import ALL_CHECKS
 from newton_landweber.experiments import _OVERRIDES, build_spec, read_override
+from test_forward import run_fresh
 
 # the CSV headers, written out as the README shows them
 ITERATION_HEADER = ["n", "k", "t", "t_tilde", "omega", "alpha", "r_n", "F_residual", "d2", "gamma"]
@@ -329,6 +330,20 @@ def test_run_and_a_sweep_of_one_value_write_the_same_run(tmp_path, capsys):
     for name in ("iterations.csv", "solution.csv"):
         run_bytes = (tmp_path / "run" / LABEL / name).read_bytes()
         assert run_bytes == (tmp_path / "sweep" / LABEL / name).read_bytes()
+
+
+def test_a_module_run_prints_each_configuration_warning_once(tmp_path):
+    # python -m names the CLI module __main__, but its frames are still the
+    # package's, so the check before the run and the run itself warn at one
+    # line outside the package, which the default filter prints once
+    done = run_fresh(
+        "-m", "newton_landweber.cli", "run", "--preset", "example1",
+        "--override", "n=40", "--override", "max_total_inner=30",
+        "--override", "rate_mode=true", "--out", str(tmp_path),
+        PYTHONWARNINGS="default",
+    )
+    warned = [line for line in done.stderr.splitlines() if "UserWarning" in line]
+    assert len(warned) == 1, done.stderr
 
 
 def test_sweep_rejects_empty_axis(tmp_path, capsys):

@@ -132,6 +132,7 @@ def test_no_run_loads_numpy_random(tmp_path):
     argv = ["run", "--preset", "example3", "--out", str(tmp_path)]
     argv += ["--override", "n=100", "--override", "max_total_inner=50"]
     run_fresh(
+        "-c",
         "import sys\n"
         "import newton_landweber.cli\n"
         "from newton_landweber import build_spec, run_experiment\n"

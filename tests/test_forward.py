@@ -226,17 +226,18 @@ def test_sparse_operator_matches_the_literal_sum(cells):
         assert state_values(problem, c).tobytes() == want_u.tobytes()
 
 
-def run_fresh(script: str) -> None:
-    # a fresh interpreter, so that the script sees its own import graph
+def run_fresh(*args: str, **env: str) -> subprocess.CompletedProcess:
+    # a fresh interpreter, so that what it runs sees its own import graph
     src = str(Path(newton_landweber.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     done = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, *args],
+        env={**os.environ, **env, "PYTHONPATH": path},
         capture_output=True,
         text=True,
     )
     assert done.returncode == 0, done.stderr
+    return done
 
 
 def test_import_leaves_scipy_sparse_to_the_first_2d_problem():
@@ -244,6 +245,7 @@ def test_import_leaves_scipy_sparse_to_the_first_2d_problem():
     # numpy.f2py it pulls in), only the LAPACK extension; the first 2D
     # problem loads scipy.sparse
     run_fresh(
+        "-c",
         "import sys\n"
         "import numpy as np\n"
         "import newton_landweber as nl\n"
@@ -275,6 +277,7 @@ def test_forward_kernels_are_scipy_linalg_lapack_in_either_import_order(scipy_fi
     if scipy_first:
         first, second = second, first
     run_fresh(
+        "-c",
         "import sys\n"
         f"{first}\n"
         f"{second}\n"

@@ -3,18 +3,17 @@
 A combination of overrides is rejected with ``ValueError`` (a
 ``ConfigurationError`` is one) while its spec, data and config are built,
 or its run returns a known reason: a run never raises, and nothing warns
-but the two configuration warnings the package emits on purpose. The run
-is made under ``np.errstate(over="ignore", invalid="ignore")``, as in the
-solver tests: at extreme exponents the array kernels overflow, and keep
-numpy's warning for speed, while the run reports what went non-finite in
-its reason. The value strategy of each key is chosen by which sample
-strings the key's own parser in the override table accepts, so a new key
-is drawn without an edit here.
+but the two configuration warnings the package emits on purpose. At
+extreme exponents the array kernels overflow: ``run`` turns numpy's
+overflow and invalid-value warnings off itself and reports what went
+non-finite in its reason, so the test sets no policy of its own. The value
+strategy of each key is chosen by which sample strings the key's own
+parser in the override table accepts, so a new key is drawn without an
+edit here.
 """
 
 import warnings
 
-import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -100,8 +99,7 @@ def test_settings_are_rejected_or_run_to_a_known_reason(preset, overrides):
         except ValueError:
             result = None
         else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                result = run(problem, data, config, x0=x0, truth=truth)
+            result = run(problem, data, config, x0=x0, truth=truth)
     unexpected = [
         f"{w.category.__name__}: {w.message} ({w.filename}:{w.lineno})"
         for w in caught

@@ -7,6 +7,7 @@ import inspect
 import math
 import sys
 import tracemalloc
+import warnings
 import weakref
 from collections.abc import Sequence
 from pathlib import Path
@@ -246,13 +247,17 @@ def test_inputs_on_another_grid_rejected():
 
 def test_non_finite_iterate_reported_not_raised():
     # at r = 10 the data-side duality map of a 1e40 residual overflows, so
-    # the first step's iterate is not finite
+    # the first step's iterate is not finite; run() sets its own numpy
+    # policy, so an error filter cannot turn that into a raise, and the
+    # caller's settings hold again once it returns
     problem, _, exact = small_problem()
     config = base_config(space=SpaceParams(2.0, 10.0), delta=1e-3)
-    with np.errstate(over="ignore", invalid="ignore"):
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         result = run(problem, exact * 1e40, config)
-    assert result.reason.startswith("failure: non-finite")
-    assert "iterate n=0, k=0" in result.reason
+    assert result.reason == "failure: non-finite iterate or residual (iterate n=0, k=0)"
+    assert np.geterr() == before
     assert len(result.log.records) == 0
     np.testing.assert_array_equal(result.final.values, np.zeros(problem.grid.size))
 
@@ -300,8 +305,7 @@ def test_one_bad_entry_of_an_iterate_fails_its_step(monkeypatch, make_problem, b
     poison_nth_output(
         monkeypatch, "duality_map_values", 4, bad, counted=lambda v, q: q == p_star
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = run(problem, exact, config)
+    result = run(problem, exact, config)
     assert result.reason.startswith("failure: non-finite iterate or residual")
     assert "k=3" in result.reason
     assert len(result.log.records) == 3
@@ -315,8 +319,7 @@ def test_one_bad_entry_of_a_checked_state_fails_its_step(monkeypatch, make_probl
     problem, _, exact = make_problem()
     config = base_config(space=SpaceParams(1.5, 2.0), delta=1e-6)
     poison_nth_output(monkeypatch, "state_values", 3, bad)
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = run(problem, exact, config)
+    result = run(problem, exact, config)
     assert result.reason == (
         "failure: operator not invertible at c (non-finite state) (iterate n=0, k=3)"
     )
@@ -378,8 +381,7 @@ def test_alpha_floor_overflow_reported_not_raised():
         inner_budget=InnerBudget.constant(100), max_outer=5,
     )
     x0 = GridFunction.constant(grid, 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = run(problem, data, config, x0=x0)
+    result = run(problem, data, config, x0=x0)
     assert result.failed or result.reason in ("discrepancy", "outer budget")
     assert result.final_alpha == 1.0
 
@@ -632,8 +634,7 @@ def test_records_match_public_api_on_example1(monkeypatch):
 
     # a first step whose iterate is not finite
     config = base_config(space=SpaceParams(2.0, 10.0), delta=1e-3)
-    with np.errstate(over="ignore", invalid="ignore"):
-        result, _ = checked_run(problem, exact * 1e40, config, x0, truth)
+    result, _ = checked_run(problem, exact * 1e40, config, x0, truth)
     assert result.reason.startswith("failure: non-finite")
     assert len(result.log.records) == 0
 
@@ -965,6 +966,7 @@ def test_a_fresh_run_with_a_truth_takes_almost_no_page_faults():
     rate = dict(RATE_OVERRIDES, delta="1e-3")
     for spec in ("make_example1(1.1)", f"build_spec('example1', {rate!r})"):
         run_fresh(
+            "-c",
             "import resource\n"
             "from newton_landweber import SolverConfig, build_spec, make_example1, run\n"
             "from newton_landweber.experiments import assemble_problem, make_data\n"
