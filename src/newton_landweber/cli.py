@@ -9,8 +9,8 @@ noise, and solver fields (``apply_overrides`` derives the keys from the
 Output directory precedence: ``--out``, then ``$NEWTON_LANDWEBER_OUT``,
 then ``./runs``. ``run`` is a sweep of one combination: each run writes
 ``iterations.csv``, ``summary.csv`` and ``solution.csv`` into a
-subdirectory named by ``run_label``; ``sweep`` additionally merges the
-per-run summary rows into ``sweep_summary.csv``.
+subdirectory named by ``experiments.run_label``; ``sweep`` additionally
+merges the per-run summary rows into ``sweep_summary.csv``.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ import argparse
 import itertools
 import os
 import sys
-from collections.abc import Iterable
 
-from .experiments import PRESETS, ExperimentSpec, RunReport, build_spec, read_override, run_experiment
+from .experiments import (
+    PRESETS, ExperimentSpec, RunReport, build_spec, prepare_run, run_experiment, run_label,
+)
 from .reporting import summary_row, write_run, write_summary_rows
-from .solver import SolverConfig
 
 ENV_OUT = "NEWTON_LANDWEBER_OUT"
 
@@ -50,29 +50,6 @@ def resolve_outdir(arg: str | None) -> str:
     if env:
         return env
     return os.path.join(os.curdir, "runs")
-
-
-def _setting_text(value: object) -> str:
-    """Text that the setting's parser reads back as ``value``: one for two
-    spellings of a value (2 and 2.0), two for two values. A float takes its
-    shortest round-trip text less a trailing ``.0``, a bool true or false."""
-    if isinstance(value, float):
-        text = repr(float(value))
-        return text[:-2] if text.endswith(".0") else text
-    return "auto" if value is None else str(value).lower()
-
-
-# the override keys every run's directory name carries, in order
-LABEL_KEYS = ("p", "r", "delta", "tau", "seed")
-
-
-def run_label(spec: ExperimentSpec, swept: Iterable[str] = ()) -> str:
-    """Directory name of a run: the preset, then each labelled key and each
-    other swept key with the value the run uses, so runs that differ in
-    one of these keys get different directories."""
-    keys = [*LABEL_KEYS, *(key for key in swept if key not in LABEL_KEYS)]
-    parts = [spec.name, *(key + _setting_text(read_override(spec, key)) for key in keys)]
-    return "_".join(parts).replace("+", "")
 
 
 def _gather_overrides(args: argparse.Namespace) -> tuple[str, dict[str, str]]:
@@ -106,15 +83,15 @@ def _run_combinations(args: argparse.Namespace, axes: list) -> tuple[list[dict],
     settings of ``args``; return the runs' summary rows and how many failed."""
     preset, base = _gather_overrides(args)
     outdir = resolve_outdir(args.out)
-    # every combination's spec, solver settings and directory are checked
-    # before the first run, so that a bad value, or two runs that would
-    # share a directory, fail before a file is written
+    # every combination is set up and named before the first run, so that
+    # a bad value, or two runs that would share a directory, fail before a
+    # file is written
     runs: dict[str, tuple[str, ExperimentSpec]] = {}
     for combo in itertools.product(*(options for _, options in axes)):
         swept = {key: value for (key, _), value in zip(axes, combo)}
         spec = build_spec(preset, {**base, **swept})
-        SolverConfig(space=spec.space, delta=spec.noise.delta, **spec.solver)
-        name = run_label(spec, swept)
+        prepare_run(spec)
+        name = run_label(spec)
         settings = ", ".join(f"{key}={value}" for key, value in swept.items())
         if name in runs:
             raise ValueError(

@@ -5,6 +5,8 @@ Each preset builds an :class:`ExperimentSpec` holding the problem definition
 the noise recipe, and the solver settings of one named test case. Specs
 are plain frozen data: the same spec plus the same seed always produces
 the same data, the same iteration trace, and the same report.
+``run_label`` names a run by its preset and each setting that differs from
+it, so two runs share a name exactly when they share every setting.
 
 Randomness policy: all draws come from numpy's PCG64 stream seeded
 explicitly, reproduced bit for bit in pure Python by :mod:`._pcg64` (so a
@@ -46,6 +48,7 @@ __all__ = [
     "add_outliers",
     "compute_error",
     "run_experiment",
+    "prepare_run",
     "assemble_problem",
     "make_data",
     "apply_overrides",
@@ -238,11 +241,20 @@ def make_data(spec: ExperimentSpec, exact: GridFunction) -> tuple[GridFunction, 
     return data, lp_norm(data - exact, spec.space.r)
 
 
-def run_experiment(spec: ExperimentSpec) -> RunReport:
-    """Wire spec -> problem -> noise -> solver -> report."""
+def prepare_run(
+    spec: ExperimentSpec,
+) -> tuple[EllipticProblem, GridFunction, GridFunction, GridFunction, SolverConfig]:
+    """(problem, truth, perturbed data, initial guess, solver settings) of a
+    run; raises on any setting a run of ``spec`` cannot start from."""
     problem, truth, exact, x0 = assemble_problem(spec)
     data, effective_delta = make_data(spec, exact)
     config = SolverConfig(space=spec.space, delta=effective_delta, **spec.solver)
+    return problem, truth, data, x0, config
+
+
+def run_experiment(spec: ExperimentSpec) -> RunReport:
+    """Wire spec -> problem -> noise -> solver -> report."""
+    problem, truth, data, x0, config = prepare_run(spec)
     start = time.perf_counter()
     result = run(problem, data, config, x0=x0, truth=truth)
     wall_ms = 1000.0 * (time.perf_counter() - start)
@@ -253,7 +265,7 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
         result=result,
         truth=truth,
         data=data,
-        effective_delta=effective_delta,
+        effective_delta=config.delta,
         err_l2=err_l2,
         err_lp=err_lp,
         wall_ms=wall_ms,
@@ -434,6 +446,25 @@ def read_override(spec: ExperimentSpec, key: str) -> object:
     if part == "solver":
         return spec.solver.get(name, getattr(SolverConfig, name, None))
     return getattr(spec if part == "spec" else getattr(spec, part), name)
+
+
+def _setting_text(value: object) -> str:
+    """Text that the setting's parser reads back as ``value``: one for two
+    spellings of a value (2 and 2.0), two for two values. A float takes its
+    shortest round-trip text less a trailing ``.0``, a bool true or false."""
+    if isinstance(value, float):
+        text = repr(float(value))
+        return text[:-2] if text.endswith(".0") else text
+    return "auto" if value is None else str(value).lower()
+
+
+def run_label(spec: ExperimentSpec) -> str:
+    """Directory name of a run: its preset, then key + text for each override
+    key whose value differs from the preset's, less any ``+``."""
+    preset = build_spec(spec.name)
+    changed = (key for key in _OVERRIDES if read_override(spec, key) != read_override(preset, key))
+    parts = [spec.name, *(key + _setting_text(read_override(spec, key)) for key in changed)]
+    return "_".join(parts).replace("+", "")
 
 
 def apply_overrides(spec: ExperimentSpec, overrides: dict[str, str]) -> ExperimentSpec:

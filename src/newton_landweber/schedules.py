@@ -260,5 +260,7 @@ class InnerBudget:
         return f"({float(self.shift)!r}+n)^-{float(self.exponent)!r}"
 
 
-# the exponent is -B or (-B); a parenthesis must be balanced
-_POWER_RE = re.compile(r"^\((\d+(?:\.\d+)?)\+n\)\^(?:-(\d+(?:\.\d+)?)|\(-(\d+(?:\.\d+)?)\))$")
+# a number as repr writes one (50.0, 1e-05, 1e+20); the exponent is -B or
+# (-B), and a parenthesis must be balanced
+_NUMBER = r"(\d+(?:\.\d+)?(?:e[+-]?\d+)?)"
+_POWER_RE = re.compile(rf"^\({_NUMBER}\+n\)\^(?:-{_NUMBER}|\(-{_NUMBER}\))$")

@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from newton_landweber import cli
+from newton_landweber import cli, experiments
 from newton_landweber.checks import ALL_CHECKS
 from newton_landweber.experiments import _OVERRIDES, build_spec, read_override
 from test_forward import run_fresh
@@ -16,7 +16,8 @@ SUMMARY_HEADER = [
 ]
 
 SMALL = ["--override", "n=60", "--override", "max_total_inner=150"]
-LABEL = "example1_p1.1_r2_delta0.0001_tau1.02_seed2"
+# the preset, then each setting that differs from it
+LABEL = "example1_n60_max_total_inner150"
 
 
 def read_rows(path):
@@ -84,11 +85,11 @@ def test_cli_flags_beat_config(tmp_path):
     cfg.write_text("preset = example1\nseed = 3\nn = 60\nmax_total_inner = 150\n")
     assert cli.main(["run", "--config", str(cfg), "--seed", "5",
                      "--out", str(tmp_path)]) == 0
-    assert (tmp_path / LABEL.replace("seed2", "seed5")).is_dir()
+    assert (tmp_path / "example1_n60_seed5_max_total_inner150").is_dir()
     # --override outranks both the config and the --seed flag
     assert cli.main(["run", "--config", str(cfg), "--seed", "5",
                      "--override", "seed=7", "--out", str(tmp_path)]) == 0
-    assert (tmp_path / LABEL.replace("seed2", "seed7")).is_dir()
+    assert (tmp_path / "example1_n60_seed7_max_total_inner150").is_dir()
 
 
 def test_malformed_config_line(tmp_path, capsys):
@@ -205,10 +206,10 @@ def test_sweep_merges_summaries(tmp_path, capsys):
     merged = read_rows(tmp_path / "sweep_summary.csv")
     assert merged[0] == SUMMARY_HEADER
     assert len(merged) == 5  # header + 2x2 combinations
-    # unlabeled swept keys are tagged onto the directory name
+    # a swept value enters the directory name where it differs from the preset's
     dirs = sorted(d.name for d in tmp_path.iterdir() if d.is_dir())
-    assert f"{LABEL}_max_inner40" in dirs
-    assert LABEL.replace("seed2", "seed3") + "_max_inner50" in dirs
+    assert "example1_n60_max_inner40_max_total_inner120" in dirs
+    assert "example1_n60_seed3_max_inner50_max_total_inner120" in dirs
     assert capsys.readouterr().out.count("example1:") == 4
 
 
@@ -221,7 +222,7 @@ def test_sweep_labels_keep_every_digit(tmp_path):
     ])
     assert code == 0
     dirs = sorted(d.name for d in tmp_path.iterdir() if d.is_dir())
-    assert dirs == [LABEL.replace("tau1.02", f"tau{tau}") for tau in ("1.000001", "1.000002")]
+    assert dirs == [f"example1_n60_tau{tau}_max_total_inner150" for tau in ("1.000001", "1.000002")]
 
 
 def test_sweep_counts_its_failed_runs(tmp_path, capsys):
@@ -263,12 +264,12 @@ def test_sweep_checks_every_combination_before_its_first_run(tmp_path, capsys, v
 @pytest.mark.parametrize(
     "vary, named",
     [
-        # one value in two spellings on a labelled key, and on the seed
+        # one value in two spellings, on p and on the seed
         (["p=2,2.0", "tau=1.02,1.05"], "p=2, tau=1.02 and p=2.0, tau=1.02 both name"),
         (["seed=2,02"], "seed=2 and seed=02 both name"),
         # the second axis would override the first in every run, under both tags
         (["eta=0.1,0.2", "eta=0.3"], "--vary 'eta' given twice"),
-        # one value in two spellings on a swept key outside the label
+        # one value in two spellings on a solver setting
         (["eta=0.1,0.10"], "eta=0.1 and eta=0.10 both name"),
         (["max_inner=40,040"], "max_inner=40 and max_inner=040 both name"),
         (["max_total_inner=30,030"], "max_total_inner=30 and max_total_inner=030 both name"),
@@ -294,29 +295,95 @@ def test_sweep_gives_each_run_a_directory_of_its_own(tmp_path, capsys, vary, nam
     assert not any(tmp_path.iterdir())
 
 
+# each value, and whether it differs from the preset's
 @pytest.mark.parametrize(
-    "key, value",
+    "key, value, tagged",
     [
-        ("eta", "0.10"),
-        ("omega_bar", "1e+30"),
-        ("max_inner", "040"),
-        ("seed", "02"),
-        ("rate_mode", "on"),
-        ("max_total_inner", "auto"),
-        ("noise_norm", "AUTO"),
-        ("inner_budget", "(50+n)^(-2)"),
-        ("inner_budget", "const:40"),
+        pytest.param(key, value, tagged, id=f"{key}-{value}")
+        for key, value, tagged in (
+            ("eta", "0.10", False),
+            ("eta", "0.20", True),
+            ("omega_bar", "1e+30", True),
+            ("max_inner", "040", True),
+            ("seed", "02", False),
+            ("seed", "07", True),
+            ("rate_mode", "on", True),
+            ("max_total_inner", "auto", False),
+            ("max_total_inner", "030", True),
+            ("noise_norm", "AUTO", False),
+            ("noise_norm", "1.5", True),
+            ("inner_budget", "(50+n)^(-2)", False),
+            ("inner_budget", "(0.00001+n)^-2", True),
+            ("inner_budget", "const:40", True),
+        )
     ],
 )
-def test_a_run_is_named_by_texts_that_read_back_as_its_values(key, value):
+def test_a_run_is_named_by_texts_that_read_back_as_its_values(key, value, tagged):
     # the text of each value parses back through the key's own parser as the
-    # value the run uses, so a directory name has one text for each value
+    # value the run uses, so a directory name has one text for each value;
+    # a value that is the preset's own adds nothing to the name
     spec = build_spec("example1", {key: value})
     held = read_override(spec, key)
-    text = cli._setting_text(held)
+    text = experiments._setting_text(held)
     assert _OVERRIDES[key][2](text) == held
     # the name carries the text, less the "+" no directory name holds
-    assert f"_{key}{text}".replace("+", "") in cli.run_label(spec, [key])
+    tag = f"_{key}{text}".replace("+", "") if tagged else ""
+    assert experiments.run_label(spec) == f"example1{tag}"
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [([], ["eta=0.2"]), (["n=61"], ["n=60"])],
+    ids=["eta", "n"],
+)
+def test_runs_that_differ_in_one_setting_write_two_directories(tmp_path, capsys, first, second):
+    for extra in (first, second):
+        args = ["run", "--preset", "example1", "--out", str(tmp_path)] + SMALL
+        for override in extra:
+            args += ["--override", override]
+        assert cli.main(args) == 0
+    capsys.readouterr()
+    assert len([d for d in tmp_path.iterdir() if d.is_dir()]) == 2
+
+
+@pytest.mark.parametrize(
+    "overrides, name",
+    [
+        (["eta=0.1"], LABEL),
+        (["eta=0.2", "q=0.5"], "example1_n60_eta0.2_q0.5_max_total_inner150"),
+        (["q=0.5", "eta=0.2"], "example1_n60_eta0.2_q0.5_max_total_inner150"),
+    ],
+    ids=["preset-eta", "eta-then-q", "q-then-eta"],
+)
+def test_a_run_is_named_by_its_settings_alone(tmp_path, capsys, overrides, name):
+    # a setting at the preset's own value, and the order of the overrides,
+    # leave the name as it is
+    args = ["run", "--preset", "example1", "--out", str(tmp_path)] + SMALL
+    for override in overrides:
+        args += ["--override", override]
+    assert cli.main(args) == 0
+    capsys.readouterr()
+    assert [d.name for d in tmp_path.iterdir() if d.is_dir()] == [name]
+
+
+@pytest.mark.parametrize(
+    "preset, vary, named",
+    [
+        ("example1", "n=40,1", "a 1D problem needs at least 3 cells, got 2"),
+        ("example3", "outlier_count=5,1000", "count 1000 exceeds node count 41"),
+    ],
+    ids=["too-few-cells", "too-many-outliers"],
+)
+def test_sweep_sets_up_every_run_before_its_first(tmp_path, capsys, preset, vary, named):
+    # the second run cannot set up its problem or its data: the sweep exits
+    # 2 naming why and writes nothing
+    args = ["sweep", "--preset", preset, "--out", str(tmp_path),
+            "--override", "n=40", "--override", "max_total_inner=20", "--vary", vary]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
 
 
 def test_run_and_a_sweep_of_one_value_write_the_same_run(tmp_path, capsys):

@@ -225,6 +225,8 @@ def test_inner_budget_parse_round_trip():
         InnerBudget.power(50.0, 2.0),
         InnerBudget.power(1, 1.1),
         InnerBudget.power(0.25, 3.5),
+        InnerBudget.power(1e-05, 2.0),
+        InnerBudget.power(1e20, 2.0),
         InnerBudget.constant(40),
     ):
         assert InnerBudget.parse(str(budget)) == budget
