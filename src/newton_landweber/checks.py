@@ -4,8 +4,12 @@ Each check exercises one contract of the library (duality-map algebra,
 Bregman identities, the adjoint as the dense transpose of the derivative,
 Taylor order, noise determinism and its stream, solver step bounds) on
 small seeded problems and reports pass/fail with a one-line detail
-string. The ``verify`` CLI subcommand runs them all; the test suite
-asserts the same functions, so every tolerance lives here. The omega
+string. The identities are checked on the array kernels that ``run``
+calls (``duality_map_values``, ``lp_norm_values``, ``bregman_values``,
+``solve_state``, ``state_values``, ``derivative_values`` and
+``adjoint_values``), not on the GridFunction wrappers beside them. The
+``verify`` CLI subcommand runs them all; the test suite asserts the same
+functions, so every tolerance lives here. The omega
 range and phi-ratio cap are stated once, in :func:`_step_size_excess`,
 which both :func:`check_omega_bounds` and :func:`step_bound_audit` (the
 per-record omega/alpha/phi audit that :func:`check_solver_invariants` and
@@ -22,21 +26,11 @@ import numpy as np
 
 from ._pcg64 import PCG64
 from .experiments import (
-    add_outliers,
-    apply_overrides,
-    generate_noise,
-    make_example1,
-    run_experiment,
+    add_outliers, apply_overrides, generate_noise, make_example1, run_experiment,
 )
-from .forward import EllipticProblem, adjoint_apply, derivative_apply, forward, solve_state
+from .forward import EllipticProblem, adjoint_values, derivative_values, solve_state, state_values
 from .geometry import (
-    SpaceParams,
-    bregman,
-    conjugate_exponent,
-    duality_map,
-    inverse_duality_map,
-    lp_norm,
-    pairing,
+    SpaceParams, bregman_values, conjugate_exponent, duality_map_values, lp_norm, lp_norm_values,
 )
 from .grids import Grid, GridFunction
 from .schedules import choose_omega, phi
@@ -52,10 +46,6 @@ class CheckResult:
     detail: str
 
 
-def _random_function(grid: Grid, rng: np.random.Generator) -> GridFunction:
-    return GridFunction(grid, rng.standard_normal(grid.size))
-
-
 def _worst(defects: list[float]) -> float:
     """Largest defect; a NaN defect propagates (the builtin max would drop it)."""
     return float(np.max(defects))
@@ -64,21 +54,22 @@ def _worst(defects: list[float]) -> float:
 def check_duality_round_trip(seed: int = 0) -> CheckResult:
     """J_{q*} inverts J_q, <J_q f, f> = ||f||_q^q and ||J_q f||_{q*} = ||f||_q^(q-1).
 
-    The round trip is held to 1e-10 per entry (absolute), the two norm
-    identities to 1e-10 relative.
+    The pairing is the weighted dot product. The round trip is held to 1e-10
+    per entry (absolute), the two norm identities to 1e-10 relative.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    grid = Grid((64,))
+    n, weight = 64, 1.0 / 64
     defects = []
     for q in EXPONENTS:
+        q_star = conjugate_exponent(q)
         for _ in range(100):
-            f = _random_function(grid, rng)
-            jf = duality_map(f, q)
-            norm_q = lp_norm(f, q)
+            f = rng.standard_normal(n)
+            jf = duality_map_values(f, q)
+            norm_q = lp_norm_values(f, q, weight)
             defects += [
-                float(np.max(np.abs(inverse_duality_map(jf, q).values - f.values))),
-                abs(pairing(jf, f) - norm_q**q) / norm_q**q,
-                abs(lp_norm(jf, conjugate_exponent(q)) - norm_q ** (q - 1.0)) / norm_q ** (q - 1.0),
+                float(np.max(np.abs(duality_map_values(jf, q_star) - f))),
+                abs(weight * np.dot(jf, f) - norm_q**q) / norm_q**q,
+                abs(lp_norm_values(jf, q_star, weight) - norm_q ** (q - 1.0)) / norm_q ** (q - 1.0),
             ]
     worst = _worst(defects)
     return CheckResult("duality round trip", worst <= 1e-10, f"worst defect {worst:.2e}")
@@ -89,22 +80,26 @@ def check_bregman_identities(seed: int = 1) -> CheckResult:
 
     D(a,c) = D(a,b) + D(b,c) + <J_p b - J_p c, a - b> to 1e-10 max(1, |D(a,c)|);
     D(a,b) = ||a||_p^p/p + ||J_p b||_{p*}^{p*}/p* - <J_p b, a> to
-    1e-10 max(1, |D(a,b)|); every distance >= -1e-12.
+    1e-10 max(1, |D(a,b)|); every distance >= -1e-12. As in the log's d2
+    pass, distances are rows against one point, with ``work`` buffers.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    grid = Grid((48,))
+    n, weight = 48, 1.0 / 48
+    work = np.empty((3, 2, n))
     defects = []
     least = np.inf
     for p in EXPONENTS:
         p_star = conjugate_exponent(p)
         for _ in range(100):
-            a, b, c = (_random_function(grid, rng) for _ in range(3))
-            dab, dbc, dac = bregman(a, b, p), bregman(b, c, p), bregman(a, c, p)
-            jb = duality_map(b, p)
-            cross = pairing(jb - duality_map(c, p), a - b)
-            dual_form = (
-                lp_norm(a, p) ** p / p + lp_norm(jb, p_star) ** p_star / p_star - pairing(jb, a)
+            a, b, c = points = rng.standard_normal((3, n))
+            (dab, dac), (dbc,) = (
+                bregman_values(x, np.abs(x) ** p, rows, p, weight, work[:, : len(rows)])
+                for x, rows in ((a, points[1:]), (b, points[2:]))
             )
+            jb = duality_map_values(b, p)
+            cross = weight * np.dot(jb - duality_map_values(c, p), a - b)
+            norm_a, norm_jb = lp_norm_values(a, p, weight), lp_norm_values(jb, p_star, weight)
+            dual_form = norm_a**p / p + norm_jb**p_star / p_star - weight * np.dot(jb, a)
             defects += [
                 abs(dac - (dab + dbc + cross)) / max(1.0, abs(dac)),
                 abs(dab - dual_form) / max(1.0, abs(dab)),
@@ -183,9 +178,9 @@ def check_adjoint_identity(seed: int = 3) -> CheckResult:
     for problem in problems:
         grid = problem.grid
         ev = solve_state(problem, GridFunction(grid, 0.5 + rng.random(grid.size)))
-        basis = [GridFunction(grid, e) for e in np.eye(grid.size)]
-        deriv = np.column_stack([derivative_apply(ev, e).values for e in basis])
-        adj = np.column_stack([adjoint_apply(ev, e).values for e in basis])
+        basis = np.eye(grid.size)
+        deriv = np.column_stack([derivative_values(ev, e) for e in basis])
+        adj = np.column_stack([adjoint_values(ev, e) for e in basis])
         defects.append(float(np.max(np.abs(deriv.T - adj)) / np.max(np.abs(deriv))))
     return CheckResult(
         "adjoint identity",
@@ -195,20 +190,24 @@ def check_adjoint_identity(seed: int = 3) -> CheckResult:
 
 
 def check_taylor_order(seed: int = 4) -> CheckResult:
-    """Remainder ||F(c+th) - F(c) - t F'(c)h|| decays with fitted order >= 1.9."""
+    """Remainder ||F(c+th) - F(c) - t F'(c)h|| decays with fitted order >= 1.9.
+
+    F(c+th) is ``state_values``, the solve of the solver's residual check.
+    """
     rng = np.random.Generator(np.random.PCG64(seed))
     problem = EllipticProblem(Grid((51,)), lambda t: 1.0 + t, lambda t: 1.0 + t)
     grid = problem.grid
-    steps = np.array([1e-1, 1e-2, 1e-3, 1e-4])
+    steps, weight = (1e-1, 1e-2, 1e-3, 1e-4), grid.cell_volume
     orders = []
     for _ in range(10):
-        c = GridFunction(grid, 0.5 + rng.random(grid.size))
-        h = _random_function(grid, rng)
-        ev = solve_state(problem, c)
-        dfh = derivative_apply(ev, h)
-        rem = np.array(
-            [lp_norm(forward(problem, c + float(t) * h) - ev.u - float(t) * dfh, 2.0) for t in steps]
-        )
+        c = 0.5 + rng.random(grid.size)
+        h = rng.standard_normal(grid.size)
+        ev = solve_state(problem, GridFunction(grid, c))
+        u, dfh = ev.u.values, derivative_values(ev, h)
+        rem = [
+            lp_norm_values(state_values(problem, c + t * h) - u - t * dfh, 2.0, weight)
+            for t in steps
+        ]
         orders.append(float(np.polyfit(np.log(steps), np.log(rem), 1)[0]))
     worst_order = float(np.min(orders))
     return CheckResult(

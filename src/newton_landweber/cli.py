@@ -105,7 +105,7 @@ def _run_combinations(args: argparse.Namespace, axes: list) -> tuple[list[dict],
         rundir = os.path.join(outdir, name)
         report = run_experiment(spec)
         write_run(rundir, report)
-        rows.append(summary_row(report))
+        rows.append(summary_row(report, name))
         print(_report_line(report))
         print(f"wrote {rundir}")
         if report.result.failed:

@@ -47,7 +47,8 @@ _SUMMARY = (
     ("reason", attrgetter("reason")),
     ("wall_ms", lambda report: f"{report.wall_ms:.3f}"),
 )
-SUMMARY_COLUMNS = [column for column, _ in _SUMMARY]
+# the run's name, the base name of its directory, leads them
+SUMMARY_COLUMNS = ["run"] + [column for column, _ in _SUMMARY]
 
 
 def _write_rows(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
@@ -69,9 +70,9 @@ def write_iterations(path: str, log: IterationLog) -> None:
     _write_rows(path, ITERATION_COLUMNS, (rec[:width] for rec in log.records))
 
 
-def summary_row(report: RunReport) -> list:
-    """The summary values for one run, in SUMMARY_COLUMNS order."""
-    return [value(report) for _, value in _SUMMARY]
+def summary_row(report: RunReport, name: str) -> list:
+    """The summary values for one run, in SUMMARY_COLUMNS order; ``name`` is its directory's."""
+    return [name] + [value(report) for _, value in _SUMMARY]
 
 
 def write_summary_rows(path: str, rows: Iterable[list]) -> None:
@@ -88,7 +89,10 @@ def write_solution(path: str, report: RunReport) -> None:
 
 
 def write_run(outdir: str, report: RunReport) -> dict[str, str]:
-    """Write iterations/summary/solution CSVs into ``outdir``; returns paths."""
+    """Write iterations/summary/solution CSVs into ``outdir``; returns paths.
+
+    The summary's row is named by the base name of ``outdir``.
+    """
     os.makedirs(outdir, exist_ok=True)
     paths = {
         "iterations": os.path.join(outdir, "iterations.csv"),
@@ -96,6 +100,7 @@ def write_run(outdir: str, report: RunReport) -> dict[str, str]:
         "solution": os.path.join(outdir, "solution.csv"),
     }
     write_iterations(paths["iterations"], report.result.log)
-    write_summary_rows(paths["summary"], [summary_row(report)])
+    name = os.path.basename(os.path.normpath(outdir))
+    write_summary_rows(paths["summary"], [summary_row(report, name)])
     write_solution(paths["solution"], report)
     return paths

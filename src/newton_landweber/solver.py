@@ -58,8 +58,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._warn import warn_at_caller
-
 # adjoint_apply, derivative_apply, forward, duality_map, inverse_duality_map,
 # lp_norm and shifted_bregman are not called here, as the inner loop and the
 # residual check run on the array kernels; the layer tracer in
@@ -137,9 +135,10 @@ class SolverConfig:
     ``delta`` is the noise level entering both stopping rules, ``tau`` the
     discrepancy factor and ``tau_tilde`` the scale of the residual-driven
     alpha floor. ``nu`` is the assumed smoothness driving theta; zero means
-    no decay is imposed on alpha beyond the floor. The step factor
-    ``vartheta`` is not a setting: it is derived from ``c_omega_bar``,
-    ``c_const``, ``rho`` and the space's exponents by ``choose_vartheta``.
+    no decay is imposed on alpha beyond the floor, and ``rate_mode`` needs
+    nu > 0. The step factor ``vartheta`` is not a setting: it is derived
+    from ``c_omega_bar``, ``c_const``, ``rho`` and the space's exponents by
+    ``choose_vartheta``.
     """
 
     space: SpaceParams
@@ -205,18 +204,16 @@ class SolverConfig:
                 f"s* >= theta+1 (s*={sp.s_star:g})"
             )
         if self.rate_mode:
+            # without decay the refinement criterion is not defined, and the
+            # run would be the same as without rate mode
             if theta == 0.0:
-                warn_at_caller(
-                    "rate mode with theta = 0 is a no-op: the refinement "
-                    "criterion is not defined without decay"
+                raise ConfigurationError(f"rate mode needs theta > 0, so nu > 0, got nu={self.nu}")
+            bound = _pow(self.tau_tilde * (1.0 + self.eta), sp.r / (1.0 + theta))
+            if self.c_alpha <= bound:
+                raise ConfigurationError(
+                    f"rate mode needs c_alpha > (tau_tilde (1+eta))^(r/(1+theta)) "
+                    f"= {bound:g}, got {self.c_alpha}"
                 )
-            else:
-                bound = _pow(self.tau_tilde * (1.0 + self.eta), sp.r / (1.0 + theta))
-                if self.c_alpha <= bound:
-                    raise ConfigurationError(
-                        f"rate mode needs c_alpha > (tau_tilde (1+eta))^(r/(1+theta)) "
-                        f"= {bound:g}, got {self.c_alpha}"
-                    )
         # fail early rather than in the first inner step
         self.vartheta
 
@@ -571,10 +568,10 @@ def run(
     log = IterationLog(
         theta, None if truth is None else BregmanPass(truth.values, x0_values, sp.p, weight)
     )
-    rate_active = config.rate_mode and theta > 0.0
+    rate_mode = config.rate_mode
     # rate mode runs every loop to its full allowance; with exact data the
     # residual test can never fire, so skip the extra forward solves too
-    check_residual = not rate_active and stop_level > 0.0
+    check_residual = not rate_mode and stop_level > 0.0
     alpha = config.alpha00
     applies = 0
     total_inner = 0
@@ -594,7 +591,7 @@ def run(
         # in rate mode the loop at the stopping index refines alpha first
         refining = r_n <= stop_level
         if refining:
-            threshold = refinement_threshold(r_n, config) if rate_active else 0.0
+            threshold = refinement_threshold(r_n, config) if rate_mode else 0.0
             if threshold <= 0.0:
                 reason = REASON_DISCREPANCY
             allowance = config.max_inner

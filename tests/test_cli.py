@@ -12,7 +12,8 @@ from test_forward import run_fresh
 # the CSV headers, written out as the README shows them
 ITERATION_HEADER = ["n", "k", "t", "t_tilde", "omega", "alpha", "r_n", "F_residual", "d2", "gamma"]
 SUMMARY_HEADER = [
-    "preset", "p", "r", "delta", "seed", "n_star", "N_p", "err_L2", "err_Lp", "reason", "wall_ms"
+    "run", "preset", "p", "r", "delta", "seed", "n_star", "N_p", "err_L2", "err_Lp", "reason",
+    "wall_ms",
 ]
 
 SMALL = ["--override", "n=60", "--override", "max_total_inner=150"]
@@ -38,6 +39,7 @@ def test_run_writes_csvs(tmp_path, capsys):
     summary = read_rows(rundir / "summary.csv")
     assert len(summary) == 2
     row = dict(zip(SUMMARY_HEADER, summary[1]))
+    assert row["run"] == LABEL
     assert row["preset"] == "example1"
     assert row["seed"] == "2"
     # one iteration row per recorded inner step
@@ -126,6 +128,10 @@ RATE_OVERRIDES = [
         pytest.param(["noise_norm=nan"], "norm exponent must", id="noise_norm=nan"),
         pytest.param(["tau=abc"], "override 'tau': ", id="tau=abc"),
         pytest.param(["outlier_count=1.5"], "override 'outlier_count': ", id="outlier_count=1.5"),
+        pytest.param(
+            ["n=40", "max_total_inner=30", "rate_mode=true"], "nu > 0, got nu=0.0",
+            id="rate_mode=true-at-nu=0",
+        ),
         *(
             pytest.param(
                 ["outlier_count=3", f"outlier_magnitude={value}"],
@@ -140,13 +146,15 @@ def test_invalid_override_value_exit_code(tmp_path, capsys, overrides, named):
     # a value that does not parse, a NaN or infinite setting and a 1D preset
     # given m are configuration errors, not failed runs (a NaN noise norm
     # would redraw the noise forever, tau = inf would pass every check and
-    # c_alpha = inf would skip the refinement tail and tau_tilde = inf pin
-    # alpha at 1), and the message names the setting
+    # c_alpha = inf would skip the refinement tail, tau_tilde = inf pin
+    # alpha at 1, and rate mode at nu = 0 would change nothing but the
+    # directory's name), the message names the setting, and nothing is written
     args = ["run", "--preset", "example1", "--out", str(tmp_path)]
     for override in overrides:
         args += ["--override", override]
     assert cli.main(args) == 2
     assert named in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("overrides", [[], ["--override", "delta=0"]], ids=["noisy", "noiseless"])
@@ -211,6 +219,22 @@ def test_sweep_merges_summaries(tmp_path, capsys):
     assert "example1_n60_max_inner40_max_total_inner120" in dirs
     assert "example1_n60_seed3_max_inner50_max_total_inner120" in dirs
     assert capsys.readouterr().out.count("example1:") == 4
+
+
+def test_summary_rows_name_their_runs(tmp_path, capsys):
+    # two runs that differ in eta alone: the run column tells their rows
+    # apart, and holds the directory each run wrote, with the row it wrote
+    code = cli.main([
+        "sweep", "--preset", "example1", "--out", str(tmp_path),
+        "--override", "n=40", "--override", "max_total_inner=30", "--vary", "eta=0.1,0.2",
+    ])
+    assert code == 0
+    header, *rows = read_rows(tmp_path / "sweep_summary.csv")
+    names = [row[header.index("run")] for row in rows]
+    assert names == ["example1_n40_max_total_inner30", "example1_n40_eta0.2_max_total_inner30"]
+    assert sorted(names) == sorted(d.name for d in tmp_path.iterdir() if d.is_dir())
+    for name, row in zip(names, rows):
+        assert read_rows(tmp_path / name / "summary.csv") == [header, row]
 
 
 def test_sweep_labels_keep_every_digit(tmp_path):
@@ -401,12 +425,12 @@ def test_run_and_a_sweep_of_one_value_write_the_same_run(tmp_path, capsys):
 
 def test_a_module_run_prints_each_configuration_warning_once(tmp_path):
     # python -m names the CLI module __main__, but its frames are still the
-    # package's, so the check before the run and the run itself warn at one
-    # line outside the package, which the default filter prints once
+    # package's, so the run's exponents warn at one line outside the
+    # package, which the default filter prints once
     done = run_fresh(
         "-m", "newton_landweber.cli", "run", "--preset", "example1",
         "--override", "n=40", "--override", "max_total_inner=30",
-        "--override", "rate_mode=true", "--out", str(tmp_path),
+        "--override", "r=1.5", "--out", str(tmp_path),
         PYTHONWARNINGS="default",
     )
     warned = [line for line in done.stderr.splitlines() if "UserWarning" in line]

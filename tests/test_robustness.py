@@ -1,15 +1,15 @@
 """One property over the whole settings space.
 
 A combination of overrides is rejected with ``ValueError`` (a
-``ConfigurationError`` is one) while its spec, data and config are built,
-or its run returns a known reason: a run never raises, and nothing warns
-but the two configuration warnings the package emits on purpose. At
-extreme exponents the array kernels overflow: ``run`` turns numpy's
-overflow and invalid-value warnings off itself and reports what went
-non-finite in its reason, so the test sets no policy of its own. The value
-strategy of each key is chosen by which sample strings the key's own
-parser in the override table accepts, so a new key is drawn without an
-edit here.
+``ConfigurationError`` is one) while ``prepare_run`` sets its run up, as
+the CLI does, or its run returns a known reason: a run never raises, and
+nothing warns but the configuration warning the package emits on
+purpose. At extreme exponents the array kernels overflow: ``run`` turns
+numpy's overflow and invalid-value warnings off itself and reports what
+went non-finite in its reason, so the test sets no policy of its own. The
+value strategy of each key is chosen by which sample strings the key's
+own parser in the override table accepts, so a new key is drawn without
+an edit here.
 """
 
 import warnings
@@ -17,15 +17,12 @@ import warnings
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from newton_landweber import SolverConfig, build_spec, run
-from newton_landweber.experiments import _OVERRIDES, PRESETS, assemble_problem, make_data
+from newton_landweber import build_spec, run
+from newton_landweber.experiments import _OVERRIDES, PRESETS, prepare_run
 from newton_landweber.solver import INNER_REASONS, REASON_TOTAL_INNER
 
-# warnings the package emits on purpose, both while a spec or config is built
-DELIBERATE_WARNINGS = (
-    "exponents outside the analyzed regime",
-    "rate mode with theta = 0 is a no-op",
-)
+# the warning the package emits on purpose, while a spec is built
+DELIBERATE_WARNINGS = ("exponents outside the analyzed regime",)
 
 # every run is small: n <= 60 and at most 400 inner steps, in few outer loops;
 # a drawn value of these keys stays within its bound
@@ -93,9 +90,7 @@ def test_settings_are_rejected_or_run_to_a_known_reason(preset, overrides):
         warnings.simplefilter("always")
         try:
             spec = build_spec(preset, {**BASE, **overrides})
-            problem, truth, exact, x0 = assemble_problem(spec)
-            data, delta = make_data(spec, exact)
-            config = SolverConfig(space=spec.space, delta=delta, **spec.solver)
+            problem, truth, data, x0, config = prepare_run(spec)
         except ValueError:
             result = None
         else:

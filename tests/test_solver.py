@@ -1,5 +1,6 @@
 """Two-loop solver mechanics: updates, schedules, budgets, rate mode."""
 
+import dataclasses
 import gc
 import hashlib
 import importlib
@@ -534,6 +535,15 @@ def test_rate_mode_refinement_budget_exhausted():
     assert sum(rec.refinement for rec in result.log.records) == cap
 
 
+def test_rate_mode_at_nu_0_is_refused():
+    # theta = 0 leaves the refinement criterion undefined: a run in rate mode
+    # would be the run without it
+    with pytest.raises(ConfigurationError, match="nu > 0, got nu=0.0"):
+        base_config(rate_mode=True)
+    with pytest.raises(ConfigurationError, match="nu > 0, got nu=0.0"):
+        base_config().replace(rate_mode=True)
+
+
 def test_rate_mode_requires_admissible_c_alpha():
     with pytest.raises(ConfigurationError, match="rate mode needs c_alpha"):
         base_config(nu=0.5, rate_mode=True, c_alpha=1e-6)
@@ -561,16 +571,14 @@ def test_theta_zero_gamma_equals_d2():
 def test_warnings_name_the_calling_line():
     with pytest.warns(UserWarning, match="analyzed regime") as caught:
         SpaceParams(2.0, 1.1)
-    with pytest.warns(UserWarning, match="rate mode with theta = 0") as caught_rate:
-        base_config(rate_mode=True)
     # through dataclasses.replace and through apply_overrides
-    config = base_config()
-    with pytest.warns(UserWarning, match="rate mode with theta = 0") as caught_replace:
-        config.replace(rate_mode=True)
+    space = SpaceParams(2.0, 2.0)
+    with pytest.warns(UserWarning, match="analyzed regime") as caught_replace:
+        dataclasses.replace(space, r=1.1)
     with pytest.warns(UserWarning, match="analyzed regime") as caught_override:
         build_spec("example1", {"r": "1.5", "p": "2"})
-    records = (*caught, *caught_rate, *caught_replace, *caught_override)
-    assert len(records) == 4
+    records = (*caught, *caught_replace, *caught_override)
+    assert len(records) == 3
     for record in records:
         assert record.filename == __file__
 
