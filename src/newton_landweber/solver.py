@@ -12,6 +12,9 @@ with rho_{n,k} = A_n (z_{n,k} - x_n) + F(x_n) - y_delta. Step k > 0 opens by
 testing its own iterate: the loop stops at the first k with
 ||F(z_{n,k}) - y_delta||_r <= tau * delta, else after the allowance k_n.
 alpha carries across loops: the first weight of loop n is the last of n-1.
+The safety caps, which the paper has not, are tested at each outer head
+after the discrepancy principle: ``max_total_inner`` on the run's steps,
+which also cuts the allowance to the steps left, then ``max_outer``.
 
 In rate mode (theta > 0) the inner loop at the stopping index continues until
 alpha falls below c_alpha * (r_n + delta)^(r/(1+theta)); the nonlinear
@@ -36,14 +39,14 @@ d2 = D_p(truth - x0, z_{n,k} - x0), which steers nothing, is the log's:
 ``run`` builds one :class:`BregmanPass`, the log copies each iterate into
 it and calls it on each block of steps it packs; the pass computes in
 buffers it owns for the run, which the log frees when it closes. gamma =
-d2 alpha^-theta and degenerate = (t_tilde == 0) are not stored: a step's
-record derives them as it is read. Nor is a loop's first weight, the
-previous loop's alpha_end, or the residual it stopped on, the next loop's
-r_n. Both tables are read-only sequences that build :class:`IterationRecord`
-and :class:`OuterRecord` tuples one at a time on access. Every way out of
-the loops (the discrepancy principle, a budget, the refinement, a failure)
-goes through one exit that closes the log, which packs the rows still
-queued, so every step and every finished outer loop is in the log.
+d2 alpha^-theta is not stored: a step's record derives it as it is read.
+Nor is a loop's first weight, the previous loop's alpha_end, or the
+residual it stopped on, the next loop's r_n. Both tables are read-only
+sequences that build :class:`IterationRecord` and :class:`OuterRecord`
+tuples one at a time on access. Every way out of the loops (the
+discrepancy principle, a budget, the refinement, a failure) goes through
+one exit that closes the log, which packs the rows still queued, so every
+step and every finished outer loop is in the log.
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ INNER_REASONS = (
     "inner discrepancy",
     "refinement",
     "refinement aborted",
-    "aborted: " + REASON_TOTAL_INNER,
+    REASON_TOTAL_INNER,
 )
 
 # rows packed together into one array of a log table, a block of steps with
@@ -138,7 +141,9 @@ class SolverConfig:
     no decay is imposed on alpha beyond the floor, and ``rate_mode`` needs
     nu > 0. The step factor ``vartheta`` is not a setting: it is derived
     from ``c_omega_bar``, ``c_const``, ``rho`` and the space's exponents by
-    ``choose_vartheta``.
+    ``choose_vartheta``. ``max_total_inner`` caps the run's steps: it is
+    tested at each outer head, after the discrepancy principle and before
+    ``max_outer``, and cuts a loop's allowance to the steps left.
     """
 
     space: SpaceParams
@@ -238,10 +243,10 @@ class IterationRecord(NamedTuple):
     when it was evaluated for the stopping check. ``d2``/``gamma`` are the
     shifted Bregman distance to the supplied truth and its alpha^-theta
     rescaling (synthetic runs only). The log keeps its steps as packed rows,
-    without gamma and degenerate, and builds a record from its row each time
-    ``log.records`` is read: a field the step did not compute reads None,
-    gamma is derived from d2 and alpha, and degenerate is t_tilde == 0. A
-    named tuple is immutable and built without a setattr per field.
+    without gamma, and builds a record from its row each time ``log.records``
+    is read: a field the step did not compute reads None, and gamma is
+    derived from d2 and alpha. A named tuple is immutable and built without
+    a setattr per field.
     """
 
     n: int
@@ -254,7 +259,6 @@ class IterationRecord(NamedTuple):
     f_residual: float | None = None
     d2: float | None = None
     gamma: float | None = None
-    degenerate: bool = False
     refinement: bool = False
 
 
@@ -290,12 +294,12 @@ def _row_dtype(fields) -> np.dtype:
     return np.dtype([(name, _COLUMN_TYPES.get(name, np.float64)) for name in fields])
 
 
-# a row of the log per step holds the fields of IterationRecord but gamma
-# and degenerate, 73 bytes packed. f_residual is NaN where no residual check
-# ran (run() fails on a non-finite check before it logs one); d2 is NaN in a
-# run without a truth, which the log knows, and where the Bregman sum
-# overflows (inf - inf).
-STEP_DTYPE = _row_dtype(f for f in IterationRecord._fields if f not in ("gamma", "degenerate"))
+# a row of the log per step holds the fields of IterationRecord but gamma,
+# 73 bytes packed. f_residual is NaN where no residual check ran (run()
+# fails on a non-finite check before it logs one); d2 is NaN in a run
+# without a truth, which the log knows, and where the Bregman sum overflows
+# (inf - inf).
+STEP_DTYPE = _row_dtype(f for f in IterationRecord._fields if f != "gamma")
 
 # a row per outer loop holds the fields of OuterRecord, 41 bytes packed
 OUTER_DTYPE = _row_dtype(OuterRecord._fields)
@@ -306,7 +310,7 @@ def _record(theta: float, truth: bool, row: tuple) -> IterationRecord:
 
     d2 and gamma read None in a run without a truth. gamma is derived per
     record in Python float arithmetic: numpy's array power may differ from
-    C pow in the last bit. degenerate is t_tilde == 0, as in ``choose_omega``.
+    C pow in the last bit.
     """
     n, k, t, t_tilde, omega, alpha, r_n, f_residual, d2, refinement = row
     if not truth:
@@ -315,11 +319,8 @@ def _record(theta: float, truth: bool, row: tuple) -> IterationRecord:
         gamma = d2
     else:
         gamma = d2 * alpha**-theta if alpha > 0 else None
-    return IterationRecord(
-        n, k, t, t_tilde, omega, alpha, r_n,
-        None if f_residual != f_residual else f_residual,  # NaN: no check ran
-        d2, gamma, t_tilde == 0.0, refinement,
-    )
+    f_residual = None if f_residual != f_residual else f_residual  # NaN: no check ran
+    return IterationRecord(n, k, t, t_tilde, omega, alpha, r_n, f_residual, d2, gamma, refinement)
 
 
 def _outer_record(row: tuple) -> OuterRecord:
@@ -533,9 +534,11 @@ def run(
 
     Failures (singular operator, non-finite iterate or state, exhausted
     refinement) are reported through ``RunResult.reason``, not raised;
-    budget exhaustion likewise. Inputs on a grid other than
-    ``problem.grid`` raise :class:`GridMismatchError`. ``truth`` switches
-    on the Bregman diagnostics in the log.
+    budget exhaustion likewise. A loop's allowance is min(k_n, max_inner,
+    the steps left under max_total_inner); a rate-mode tail takes no k_n,
+    and fails only when it runs out of max_inner itself. Inputs on a grid
+    other than ``problem.grid`` raise :class:`GridMismatchError`. ``truth``
+    switches on the Bregman diagnostics in the log.
 
     numpy's overflow and invalid-value warnings are off for the whole
     call, whatever the caller's filter: each value they would flag reaches
@@ -572,6 +575,7 @@ def run(
     # rate mode runs every loop to its full allowance; with exact data the
     # residual test can never fire, so skip the extra forward solves too
     check_residual = not rate_mode and stop_level > 0.0
+    cap = math.inf if config.max_total_inner is None else config.max_total_inner
     alpha = config.alpha00
     applies = 0
     total_inner = 0
@@ -588,17 +592,20 @@ def run(
         resid0 = ev.u.values - data_values
         r_n = lp_norm_values(resid0, r, weight)
 
-        # in rate mode the loop at the stopping index refines alpha first
+        # the discrepancy principle, where rate mode refines alpha first; then
+        # the caps. The steps left under the total cut the allowance, so no
+        # loop tests it and the run ends at a head, on the iterate it returns
         refining = r_n <= stop_level
-        if refining:
-            threshold = refinement_threshold(r_n, config) if rate_mode else 0.0
-            if threshold <= 0.0:
-                reason = REASON_DISCREPANCY
-            allowance = config.max_inner
-        elif n >= config.max_outer:
+        threshold = refinement_threshold(r_n, config) if refining and rate_mode else 0.0
+        if refining and threshold <= 0.0:
+            reason = REASON_DISCREPANCY
+        elif total_inner >= cap:
+            reason = REASON_TOTAL_INNER
+        elif n >= config.max_outer and not refining:
             reason = REASON_OUTER_BUDGET
         else:
-            allowance = min(config.inner_budget.limit(n, r_n, r), config.max_inner)
+            limit = math.inf if refining else config.inner_budget.limit(n, r_n, r)
+            allowance = min(limit, config.max_inner, cap - total_inner)
         if reason is not None:
             log.add_outer(n, r_n, 0, 0, alpha, reason)
             break
@@ -620,7 +627,7 @@ def run(
                 reason = REASON_DISCREPANCY
                 break
             if k >= allowance:
-                if refining:
+                if refining and k == config.max_inner:
                     inner_reason = "refinement aborted"
                     reason = (
                         f"failure: refinement budget exhausted (alpha={alpha:g} > "
@@ -646,13 +653,6 @@ def run(
                 if f_residual <= stop_level:
                     inner_reason = "inner discrepancy"
                     break
-            if (
-                config.max_total_inner is not None
-                and total_inner >= config.max_total_inner
-            ):
-                reason = REASON_TOTAL_INNER
-                inner_reason = "aborted: " + reason
-                break
             gradient = adjoint_values(ev, duality_map_values(resid, r))
             t_tilde = lp_norm_values(gradient, p_star, weight)
             omega = choose_omega(t, t_tilde, vartheta, config.omega_bar, sp)

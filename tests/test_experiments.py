@@ -127,8 +127,10 @@ def test_noise_stream_is_numpys_pcg64(high):
 
 def test_no_run_loads_numpy_random(tmp_path):
     # the test process itself has loaded numpy.random, through checks; a 1D
-    # run from the command line, written out, loads none of the modules that
-    # CI's cold-import step looks for
+    # run from the command line, written out, loads in a fresh interpreter
+    # neither scipy.linalg nor scipy.sparse, which load with the first 2D
+    # problem, nor numpy.f2py, nor numpy.random, which the noise stream
+    # replaces, nor the checks of verify
     argv = ["run", "--preset", "example3", "--out", str(tmp_path)]
     argv += ["--override", "n=100", "--override", "max_total_inner=50"]
     run_fresh(

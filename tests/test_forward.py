@@ -24,7 +24,23 @@ from newton_landweber import (
     forward,
     solve_state,
 )
-from newton_landweber.forward import NON_FINITE_STATE, state_values
+from newton_landweber.forward import (
+    NON_FINITE_STATE,
+    adjoint_values,
+    derivative_values,
+    state_values,
+)
+from newton_landweber.geometry import (
+    bregman,
+    bregman_values,
+    conjugate_exponent,
+    duality_map,
+    duality_map_values,
+    inverse_duality_map,
+    lp_norm,
+    lp_norm_values,
+    shifted_bregman,
+)
 
 # the package exports a function named forward that shadows the module
 module_forward = importlib.import_module("newton_landweber.forward")
@@ -317,6 +333,54 @@ def test_state_values_matches_forward(cells):
         rhs = problem.rhs.values + problem.boundary_rhs
         want, _ = lapack.dgttrs(dl, d, du, du2, ipiv, rhs)
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+@pytest.mark.parametrize("cells", [(60,), (9, 7)])
+def test_library_wrappers_return_the_bits_of_their_kernels(cells, p):
+    # the GridFunction functions of the library API wrap the raw-values
+    # kernels that run() calls: each returns its kernel's bits, and each that
+    # takes two functions refuses one sampled on another grid
+    grid = Grid(cells)
+    rng = np.random.default_rng(5)
+    c = GridFunction(grid, 1.0 + rng.random(grid.size))
+    h, w, x0 = (GridFunction(grid, rng.uniform(-1.0, 1.0, grid.size)) for _ in range(3))
+    if grid.dim == 1:
+        problem = EllipticProblem(grid, lambda t: 1.0 + t, lambda t: 0.5 - 1.5 * t)
+    else:
+        problem = EllipticProblem(grid, lambda x, y: 1.0 + x * y, lambda x, y: x - y)
+    ev = solve_state(problem, c)
+    weight = grid.cell_volume
+    a, b = h.values - x0.values, w.values - x0.values
+    fields = [
+        (forward(problem, c), ev.u.values),
+        (derivative_apply(ev, h), derivative_values(ev, h.values)),
+        (adjoint_apply(ev, w), adjoint_values(ev, w.values)),
+        (duality_map(h, p), duality_map_values(h.values, p)),
+        (inverse_duality_map(h, p), duality_map_values(h.values, conjugate_exponent(p))),
+    ]
+    for got, want in fields:
+        assert got.grid == grid
+        assert got.values.tobytes() == want.tobytes()
+    scalars = [
+        (lp_norm(h, p), lp_norm_values(h.values, p, weight)),
+        (bregman(h, w, p), bregman_values(h.values, np.abs(h.values) ** p, w.values, p, weight)),
+        (shifted_bregman(h, w, x0, p), bregman_values(a, np.abs(a) ** p, b, p, weight)),
+    ]
+    for got, want in scalars:
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    other = GridFunction.zeros(Grid((5,) * (3 - grid.dim)))
+    for call in (
+        lambda: forward(problem, other),
+        lambda: derivative_apply(ev, other),
+        lambda: adjoint_apply(ev, other),
+        lambda: bregman(h, other, p),
+        lambda: shifted_bregman(h, w, other, p),
+    ):
+        with pytest.raises(GridMismatchError):
+            call()
 
 
 @pytest.mark.parametrize("n", [5, 50, 401])

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from newton_landweber import build_spec, run
 from newton_landweber.experiments import _OVERRIDES, PRESETS, prepare_run
-from newton_landweber.solver import INNER_REASONS, REASON_TOTAL_INNER
+from newton_landweber.solver import INNER_REASONS
 
 # the warning the package emits on purpose, while a spec is built
 DELIBERATE_WARNINGS = ("exponents outside the analyzed regime",)
@@ -103,5 +103,5 @@ def test_settings_are_rejected_or_run_to_a_known_reason(preset, overrides):
     assert not unexpected, unexpected
     if result is not None:
         reason = result.reason
-        assert reason in (*INNER_REASONS, REASON_TOTAL_INNER) or reason.startswith("failure: ")
+        assert reason in INNER_REASONS or reason.startswith("failure: ")
         assert result.log.total_inner <= BOUNDS["max_total_inner"]

@@ -200,11 +200,17 @@ def test_budget_reasons():
     assert result.reason == "outer budget"
     assert result.log.outer[-1].inner_reason == "outer budget"
 
+    # the cap cuts a loop's allowance, and the next head, which solves the
+    # state of the iterate the run returns, ends the run with a row of 0 steps
     config = base_config(delta=delta, max_outer=50, max_total_inner=12)
     result = run(problem, data, config)
     assert result.reason == "total inner budget"
     assert result.log.total_inner == 12
-    assert result.log.outer[-1].inner_reason == "aborted: total inner budget"
+    cut, last = result.log.outer[-2:]
+    assert (cut.steps, cut.inner_reason) == (cut.allowance, "budget")
+    assert (last.n, last.allowance, last.steps) == (result.n_star, 0, 0)
+    assert last.inner_reason == "total inner budget"
+    assert last.r_n == lp_norm(forward(problem, result.final) - data, 2.0)
 
 
 def test_inner_budget_reason_strings():
@@ -414,13 +420,17 @@ def test_call_counts_per_step(monkeypatch):
     module = importlib.import_module("newton_landweber.forward")
     kernels = {name: counting(name, getattr(module.lapack, name)) for name in lapack_names}
     monkeypatch.setattr(module, "lapack", SimpleNamespace(**kernels))
-    # four loops cut by their allowance; and a loop that stops on the check
-    for delta, seed, max_outer, allowance, stops in ((1e-3, 6, 4, 10, 0), (5e-3, 7, 20, 200, 1)):
+    # four loops cut by their allowance; a loop that stops on the check; and
+    # a run that the total inner budget stops at step 5 of its third loop
+    for delta, seed, max_outer, allowance, cap, stops in (
+        (1e-3, 6, 4, 10, None, 0), (5e-3, 7, 20, 200, None, 1), (1e-3, 6, 4, 10, 25, 0)
+    ):
         data = generate_noise(exact, delta, 2.0, seed)
         calls.update(dict.fromkeys(calls, 0))
         # vartheta is derived on construction and read from the config by run()
         config = base_config(
-            delta=delta, max_outer=max_outer, inner_budget=InnerBudget.constant(allowance)
+            delta=delta, max_outer=max_outer, inner_budget=InnerBudget.constant(allowance),
+            max_total_inner=cap,
         )
         result = run(problem, data, config)
         records, outer = result.log.records, result.log.outer
@@ -437,10 +447,13 @@ def test_call_counts_per_step(monkeypatch):
         # a check is logged with its step, but for one that stops the loop
         assert sum(rec.inner_reason == "inner discrepancy" for rec in outer) == stops
         checks = sum(rec.f_residual is not None for rec in records) + stops
-        assert calls["dgttrf"] == calls["solve_state"]
+        assert calls["dgttrf"] == calls["solve_state"] == len(outer)
         assert calls["dgtsv"] == checks
         assert calls["dgttrs"] == calls["solve_state"] + 2 * steps
         assert calls["dgttrs"] + calls["dgtsv"] == result.total_applies
+        if cap is not None:
+            assert result.reason == "total inner budget"
+            assert (steps, records[-1].n, records[-1].k) == (cap, 2, 4)
 
 
 def test_determinism_of_records():
@@ -656,14 +669,14 @@ def test_records_are_immutable_with_their_fields_and_defaults():
     assert fields(solver.IterationRecord) == [
         ("n", empty), ("k", empty), ("t", empty), ("t_tilde", empty),
         ("omega", empty), ("alpha", empty), ("r_n", empty), ("f_residual", None),
-        ("d2", None), ("gamma", None), ("degenerate", False), ("refinement", False),
+        ("d2", None), ("gamma", None), ("refinement", False),
     ]
     assert fields(solver.OuterRecord) == [
         ("n", empty), ("r_n", empty), ("allowance", empty), ("steps", empty),
         ("alpha_end", empty), ("inner_reason", empty),
     ]
-    # a step's row stores neither gamma nor degenerate; an outer row neither
-    # the loop's first weight nor the residual it stopped on
+    # a step's row does not store gamma, nor an outer row the loop's first
+    # weight or the residual it stopped on
     assert (solver.STEP_DTYPE.itemsize, solver.OUTER_DTYPE.itemsize) == (73, 41)
     step = solver.IterationRecord(0, 1, 0.5, 0.25, 2.0, 1.0, 0.75)
     outer = solver.OuterRecord(0, 0.75, 10, 3, 0.5, "budget")
@@ -697,7 +710,7 @@ def test_records_view_is_a_read_only_sequence():
         assert type(rec.n) is int and type(rec.k) is int
         for value in (rec.t, rec.t_tilde, rec.omega, rec.alpha, rec.r_n, rec.d2, rec.gamma):
             assert type(value) is float
-        assert type(rec.degenerate) is bool and type(rec.refinement) is bool
+        assert type(rec.refinement) is bool
     assert any(rec.f_residual is None for rec in listed)
     assert any(type(rec.f_residual) is float for rec in listed)
     assert not hasattr(records, "append")
@@ -838,8 +851,7 @@ def test_log_keeps_none_and_nan_apart(tmp_path):
     # a row stores NaN for a value the step did not compute, and its record
     # reads None there; d2 reads None only in a log without a truth, and NaN
     # where the Bregman sum overflows: |1e200|^2 is inf, so each row's sum is
-    # inf - inf. gamma = d2 alpha^-theta reads None at alpha = 0, and a step
-    # is degenerate where t_tilde = 0
+    # inf - inf. gamma = d2 alpha^-theta reads None at alpha = 0
     nan = math.nan
     rows = [
         (0, 0, 1.0, 2.0, 3.0, 0.5, 4.0, nan, False),
@@ -868,9 +880,7 @@ def test_log_keeps_none_and_nan_apart(tmp_path):
     assert math.isnan(overflowed[2].d2) and overflowed[2].gamma is None
     for recs in (no_truth, overflowed, finite):
         assert [rec.f_residual for rec in recs] == [None, 0.25, None]
-        assert [(rec.degenerate, rec.refinement) for rec in recs] == [
-            (False, False), (True, False), (False, True)
-        ]
+        assert [rec.refinement for rec in recs] == [False, False, True]
     for log in logs:
         assert np.isnan(log.records.column("f_residual")[[0, 2]]).all()
     assert np.isnan(logs[0].records.column("d2")).all()
