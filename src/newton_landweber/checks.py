@@ -269,7 +269,9 @@ def check_noise_contract(seed: int = 5) -> CheckResult:
 def step_bound_audit(log: IterationLog, config: SolverConfig) -> CheckResult:
     """Audit every recorded step of a run against the omega/alpha/phi bounds.
 
-    Checks the omega range and phi-ratio cap of :func:`_step_size_excess`,
+    Checks that the outer rows account for every step, failed loops
+    included (their ``steps`` sum to the step rows; if not, nothing else is
+    audited), the omega range and phi-ratio cap of :func:`_step_size_excess`,
     0 < alpha <= 1, that no outer loop takes more steps than its allowance,
     and that alpha carries over on the weights the iteration used: the
     first step of each loop uses the previous loop's ``alpha_end`` (alpha00
@@ -279,12 +281,16 @@ def step_bound_audit(log: IterationLog, config: SolverConfig) -> CheckResult:
     omega, alpha, t, t_tilde = (
         log.records.column(name) for name in ("omega", "alpha", "t", "t_tilde")
     )
-    worst = _step_size_excess(omega, t, t_tilde, config)
-    if not np.all((alpha > 0.0) & (alpha <= 1.0)):
-        worst = max(worst, 1.0)
     steps, allowance, alpha_end = (
         log.outer.column(name) for name in ("steps", "allowance", "alpha_end")
     )
+    if steps.sum() != alpha.size:
+        return CheckResult(
+            "step bounds", False, f"{alpha.size} steps, {steps.sum()} in the outer rows"
+        )
+    worst = _step_size_excess(omega, t, t_tilde, config)
+    if not np.all((alpha > 0.0) & (alpha <= 1.0)):
+        worst = max(worst, 1.0)
     if np.any(steps > allowance):
         worst = max(worst, 1.0)
     # loop i starts at the weight loop i-1 ended with: its step sum(steps[:i])

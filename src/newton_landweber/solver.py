@@ -45,8 +45,12 @@ residual it stopped on, the next loop's r_n. Both tables are read-only
 sequences that build :class:`IterationRecord` and :class:`OuterRecord`
 tuples one at a time on access. Every way out of the loops (the
 discrepancy principle, a budget, the refinement, a failure) goes through
-one exit that closes the log, which packs the rows still queued, so every
-step and every finished outer loop is in the log.
+one exit that closes the log, which packs the rows still queued. Every
+step is in the log, and so is every outer loop whose state was solved: a
+loop that ends the run in a failure reads "failure" in its row. Only a
+state solve that fails at an outer head leaves no row, as it solved
+nothing. So the log is the run's account of its work, and
+:func:`kernel_counts` reads from it how often each kernel ran.
 """
 
 from __future__ import annotations
@@ -106,6 +110,7 @@ __all__ = [
     "OuterRecord",
     "IterationLog",
     "RunResult",
+    "kernel_counts",
     "refinement_threshold",
     "run",
 ]
@@ -121,7 +126,7 @@ INNER_REASONS = (
     "budget",
     "inner discrepancy",
     "refinement",
-    "refinement aborted",
+    "failure",
     REASON_TOTAL_INNER,
 )
 
@@ -499,18 +504,48 @@ class IterationLog:
 
 @dataclass
 class RunResult:
-    """Reconstruction plus the complete iteration history."""
+    """Reconstruction plus the complete iteration history.
+
+    ``n_star`` is the index of the last outer loop, whose row ends the log
+    unless its state solve failed. ``total_applies`` is derived from the
+    log, so it leaves out the calls of the step or check that fails a run.
+    """
 
     final: GridFunction
     reason: str
     n_star: int
     log: IterationLog
     final_alpha: float
-    total_applies: int
 
     @property
     def failed(self) -> bool:
         return self.reason.startswith("failure")
+
+    @property
+    def total_applies(self) -> int:
+        """The solves and residual checks of :func:`kernel_counts`."""
+        counts = kernel_counts(self.log)
+        return counts["solves"] + counts["checks"]
+
+
+def kernel_counts(log: IterationLog) -> dict[str, int]:
+    """How often the run's kernels ran, as its log accounts for them.
+
+    Each outer row factorizes A(x_n) once and solves the state with it; each
+    step solves once with A_n^* and once with A_n; each residual check
+    factorizes and solves A(z) once, whether its value was logged with its
+    step or stopped the loop. In 1D a factorization is a ``dgttrf``, a
+    solve a ``dgttrs`` and a check a ``dgtsv``; in 2D a factorization is a
+    ``splu`` and a solve a call of its ``solve``, and a check is one of
+    each. The calls of the step or check that fails a run are in no row, so
+    not counted: the two solves of a non-finite step, the check of a
+    non-finite state.
+    """
+    loops, steps = len(log.outer), len(log.records)
+    logged = ~np.isnan(log.records.column("f_residual"))
+    stops = log.outer.column("inner_reason") == INNER_REASONS.index("inner discrepancy")
+    checks = int(np.count_nonzero(logged) + np.count_nonzero(stops))
+    return {"factorizations": loops, "solves": loops + 2 * steps, "checks": checks}
 
 
 def refinement_threshold(r_n: float, config: SolverConfig) -> float:
@@ -551,8 +586,10 @@ def run(
     vouches for the new iterate. Every step but a loop's first opens with
     the nonlinear residual check of its z, logged in its row; a non-finite
     norm of it fails the run as a non-finite state. Each exit sets the
-    loop's and the run's reason where it happens, and leaves both loops for
-    one exit, which closes the log, so every step and outer loop is in it.
+    run's reason where it happens, and each rule that ends a loop normally
+    its loop's; a loop that fails keeps the inner reason "failure". Both
+    loops leave for one exit, which closes the log, so every step is in it,
+    and every outer loop but one whose state solve failed.
     """
     for name, f in (("data", data), ("x0", x0), ("truth", truth)):
         if f is not None and f.grid != problem.grid:
@@ -577,7 +614,6 @@ def run(
     check_residual = not rate_mode and stop_level > 0.0
     cap = math.inf if config.max_total_inner is None else config.max_total_inner
     alpha = config.alpha00
-    applies = 0
     total_inner = 0
     n = 0
     reason = None
@@ -588,7 +624,6 @@ def run(
         except SingularOperatorError as exc:
             reason = f"failure: {exc} (outer iterate {n})"
             break
-        applies += 1
         resid0 = ev.u.values - data_values
         r_n = lp_norm_values(resid0, r, weight)
 
@@ -620,7 +655,9 @@ def run(
         resid = resid0
         t = r_n
         k = 0
-        inner_reason = None
+        # each rule that ends the loop names itself; a failure only sets
+        # the run's reason, and its loop's row reads "failure"
+        inner_reason = "failure"
         while True:
             if refining and alpha <= threshold:
                 inner_reason = "refinement"
@@ -628,7 +665,6 @@ def run(
                 break
             if k >= allowance:
                 if refining and k == config.max_inner:
-                    inner_reason = "refinement aborted"
                     reason = (
                         f"failure: refinement budget exhausted (alpha={alpha:g} > "
                         f"threshold={threshold:g} after {k} steps)"
@@ -644,7 +680,6 @@ def run(
                 except SingularOperatorError as exc:
                     reason = f"failure: {exc} (iterate n={n}, k={k})"
                     break
-                applies += 1
                 f_residual = lp_norm_values(f_val - data_values, r, weight)
                 # as for t_next below: inf or NaN exactly when F(z) - y holds one
                 if not math.isfinite(f_residual):
@@ -661,7 +696,6 @@ def run(
             # J_p^{-1} is J_{p*}
             z_next = x0_values + duality_map_values(w_next, p_star)
             resid_next = derivative_values(ev, z_next - x_n, resid0)
-            applies += 2
             t_next = lp_norm_values(resid_next, r, weight)
             # one scalar guards z_next and resid_next: a non-finite z_next
             # makes h * u non-finite (inf, or NaN where u is 0), a dgttrs
@@ -684,12 +718,10 @@ def run(
         if k > 0:
             # the guard on t_next has vouched for z, which no one else holds
             x = GridFunction._adopt(problem.grid, z)
-        if inner_reason is None:
-            break  # a failed step: the loop has no outer record
         log.add_outer(n, r_n, allowance, k, alpha, inner_reason)
         if reason is not None:
             break
         n += 1
 
     log.close()
-    return RunResult(x, reason, n, log, alpha, applies)
+    return RunResult(x, reason, n, log, alpha)

@@ -19,7 +19,11 @@ from hypothesis import strategies as st
 
 from newton_landweber import build_spec, run
 from newton_landweber.experiments import _OVERRIDES, PRESETS, prepare_run
-from newton_landweber.solver import INNER_REASONS
+from newton_landweber.solver import (
+    REASON_DISCREPANCY,
+    REASON_OUTER_BUDGET,
+    REASON_TOTAL_INNER,
+)
 
 # the warning the package emits on purpose, while a spec is built
 DELIBERATE_WARNINGS = ("exponents outside the analyzed regime",)
@@ -85,6 +89,13 @@ def test_every_key_has_values_to_draw():
 @example(preset="example1", overrides={"p": "1.9999", "rho": "1e154"})
 @example(preset="example1", overrides={"outlier_count": "2", "outlier_magnitude": "1e200"})
 @example(preset="example1", overrides={"n": "1"})
+# a rate-mode tail that runs out of max_inner: its loop's row reads "failure"
+@example(
+    preset="example3",
+    overrides={
+        "rate_mode": "true", "nu": "0.5", "p": "2", "r": "2", "delta": "0.05", "max_inner": "2"
+    },
+)
 def test_settings_are_rejected_or_run_to_a_known_reason(preset, overrides):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -102,6 +113,16 @@ def test_settings_are_rejected_or_run_to_a_known_reason(preset, overrides):
     ]
     assert not unexpected, unexpected
     if result is not None:
-        reason = result.reason
-        assert reason in INNER_REASONS or reason.startswith("failure: ")
-        assert result.log.total_inner <= BOUNDS["max_total_inner"]
+        reason, log = result.reason, result.log
+        assert reason in (REASON_DISCREPANCY, REASON_OUTER_BUDGET, REASON_TOTAL_INNER) or (
+            reason.startswith("failure: ")
+        )
+        assert log.total_inner <= BOUNDS["max_total_inner"]
+        # the outer rows account for every step; a loop that fails logs the
+        # last row, "failure", and only a state solve that fails at an outer
+        # head leaves none
+        assert log.outer.column("steps").sum() == log.total_inner
+        failures = [i for i, rec in enumerate(log.outer) if rec.inner_reason == "failure"]
+        assert failures in ([], [len(log.outer) - 1])
+        head_failure = reason.endswith(f"(outer iterate {result.n_star})")
+        assert result.failed == (bool(failures) or head_failure)

@@ -39,7 +39,7 @@ from newton_landweber import solver
 from newton_landweber.checks import step_bound_audit
 from newton_landweber.experiments import assemble_problem, make_data
 from newton_landweber.reporting import write_iterations, write_run
-from newton_landweber.solver import refinement_threshold
+from newton_landweber.solver import kernel_counts, refinement_threshold
 from test_acceptance import RATE_OVERRIDES
 from test_forward import run_fresh
 
@@ -316,6 +316,9 @@ def test_one_bad_entry_of_an_iterate_fails_its_step(monkeypatch, make_problem, b
     assert result.reason.startswith("failure: non-finite iterate or residual")
     assert "k=3" in result.reason
     assert len(result.log.records) == 3
+    assert [(rec.n, rec.steps, rec.inner_reason) for rec in result.log.outer] == [
+        (result.n_star, 3, "failure")
+    ]
 
 
 @BAD_ENTRIES
@@ -331,13 +334,15 @@ def test_one_bad_entry_of_a_checked_state_fails_its_step(monkeypatch, make_probl
         "failure: operator not invertible at c (non-finite state) (iterate n=0, k=3)"
     )
     assert len(result.log.records) == 3
-    assert len(result.log.outer) == 0
+    assert [(rec.n, rec.steps, rec.inner_reason) for rec in result.log.outer] == [
+        (result.n_star, 3, "failure")
+    ]
 
 
 def test_a_singular_operator_at_a_residual_check_fails_its_step(monkeypatch):
     # A(z_{n,3}) cannot be factorized for the residual check: the run ends
     # with a failure that names the iterate instead of raising, and the
-    # three steps taken are in the log
+    # three steps taken are in the log, in their loop's row
     problem, _, exact = small_problem()
     config = base_config(space=SpaceParams(1.5, 2.0), delta=1e-6)
     kernel = solver.state_values
@@ -359,7 +364,9 @@ def test_a_singular_operator_at_a_residual_check_fails_its_step(monkeypatch):
     )
     assert len(calls) == 3
     assert [(rec.n, rec.k) for rec in result.log.records] == [(0, 0), (0, 1), (0, 2)]
-    assert len(result.log.outer) == 0
+    assert [(rec.n, rec.steps, rec.inner_reason) for rec in result.log.outer] == [
+        (result.n_star, 3, "failure")
+    ]
 
 
 def test_an_overflowing_lead_coefficient_of_phi():
@@ -391,6 +398,15 @@ def test_alpha_floor_overflow_reported_not_raised():
     result = run(problem, data, config, x0=x0)
     assert result.failed or result.reason in ("discrepancy", "outer budget")
     assert result.final_alpha == 1.0
+
+
+# the kernel that plays each role of kernel_counts in 1D
+KERNEL_ROLES = {"dgttrf": "factorizations", "dgttrs": "solves", "dgtsv": "checks"}
+
+
+def counted(calls):
+    """The counted 1D kernel calls, by the role kernel_counts names them."""
+    return {role: calls[name] for name, role in KERNEL_ROLES.items()}
 
 
 def test_call_counts_per_step(monkeypatch):
@@ -444,16 +460,65 @@ def test_call_counts_per_step(monkeypatch):
         assert calls["forward"] == 0
         # the state of each outer loop, the iterate that ends it, and x0
         assert calls["GridFunction"] <= 2 * len(outer) + 1
-        # a check is logged with its step, but for one that stops the loop
         assert sum(rec.inner_reason == "inner discrepancy" for rec in outer) == stops
-        checks = sum(rec.f_residual is not None for rec in records) + stops
-        assert calls["dgttrf"] == calls["solve_state"] == len(outer)
-        assert calls["dgtsv"] == checks
-        assert calls["dgttrs"] == calls["solve_state"] + 2 * steps
+        assert counted(calls) == kernel_counts(result.log)
         assert calls["dgttrs"] + calls["dgtsv"] == result.total_applies
         if cap is not None:
             assert result.reason == "total inner budget"
             assert (steps, records[-1].n, records[-1].k) == (cap, 2, 4)
+    # a failed run logs its failed loop's row, but not the calls of the step
+    # that fails: the two solves of a non-finite step z_{0,4} (no check runs
+    # at delta = 0), or the check of a non-finite state F(z_{0,3})
+    p_star = SpaceParams(1.5, 2.0).p_star
+    for delta, name, nth, counted_by, missed in (
+        (0.0, "duality_map_values", 4, lambda v, q: q == p_star, {"dgttrs": 2}),
+        (1e-6, "state_values", 3, lambda *args: True, {"dgtsv": 1}),
+    ):
+        with monkeypatch.context() as poisoned:
+            poison_nth_output(poisoned, name, nth, np.inf, counted_by)
+            calls.update(dict.fromkeys(calls, 0))
+            result = run(problem, exact, base_config(space=SpaceParams(1.5, 2.0), delta=delta))
+        assert result.failed
+        assert result.log.outer[-1].inner_reason == "failure"
+        expected = kernel_counts(result.log)
+        for kernel, extra in missed.items():
+            expected[KERNEL_ROLES[kernel]] += extra
+        assert counted(calls) == expected
+        assert calls["dgttrs"] + calls["dgtsv"] == result.total_applies + sum(missed.values())
+
+
+def test_call_counts_in_2d(monkeypatch):
+    # splu factorizes A(x_n) once per outer loop and A(z) once per check;
+    # the solve of its result serves the state, both solves of a step and
+    # the check
+    import scipy.sparse.linalg
+
+    splu = scipy.sparse.linalg.splu
+    calls = {"splu": 0, "solve": 0}
+
+    def counting_solve(lu):
+        def solve(b):
+            calls["solve"] += 1
+            return lu.solve(b)
+
+        return solve
+
+    def counting_splu(a):
+        calls["splu"] += 1
+        return SimpleNamespace(solve=counting_solve(splu(a)))
+
+    problem, _, exact = square_test_problem()
+    config = base_config(delta=5e-3, max_outer=20, inner_budget=InnerBudget.constant(200))
+    data = generate_noise(exact, config.delta, 2.0, 7)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    result = run(problem, data, config)
+    counts = kernel_counts(result.log)
+    assert counts["checks"] > 0
+    assert any(rec.inner_reason == "inner discrepancy" for rec in result.log.outer)
+    assert calls == {
+        "splu": counts["factorizations"] + counts["checks"],
+        "solve": counts["solves"] + counts["checks"],
+    }
 
 
 def test_determinism_of_records():
@@ -544,7 +609,8 @@ def test_rate_mode_refinement_budget_exhausted():
     assert result.failed
     assert result.reason.startswith("failure: refinement budget exhausted")
     tail = result.log.outer[-1]
-    assert (tail.inner_reason, tail.allowance, tail.steps) == ("refinement aborted", cap, cap)
+    assert (tail.inner_reason, tail.allowance, tail.steps) == ("failure", cap, cap)
+    assert tail.n == result.n_star
     assert sum(rec.refinement for rec in result.log.records) == cap
 
 
@@ -842,9 +908,36 @@ def test_step_bound_audit_sees_more_steps_than_the_allowance():
     config = base_config(delta=1e-3, max_outer=4, inner_budget=InnerBudget.constant(10))
     log = run(problem, data, config).log
     assert [(rec.steps, rec.allowance) for rec in log.outer] == [(10, 10)] * 4 + [(0, 0)]
-    # the last loop with steps, so that no later loop's first step moves
-    log.outer._blocks[0]["steps"][3] += 1
+    # an allowance cut below the loop's steps, which every row still accounts for
+    log.outer._blocks[0]["allowance"][3] -= 1
     assert not step_bound_audit(log, config).ok
+
+
+def test_step_bound_audit_sees_a_step_without_its_outer_row():
+    # every loop logs its row, a failed one too, so the outer rows account
+    # for every step: the steps of a run rebuilt without its outer rows keep
+    # their bounds, and fail the audit
+    problem, _, exact = small_problem()
+    data = generate_noise(exact, 1e-3, 2.0, 6)
+    config = base_config(max_outer=1, inner_budget=InnerBudget.constant(10))
+    result = run(problem, data, config)
+
+    def rebuilt(outer):
+        log = solver.IterationLog(config.theta)
+        for rec in result.log.records:
+            log.add_step(*rec[:7], math.nan, rec.refinement, None)
+        for rec in outer:
+            log.add_outer(*rec)
+        log.close()
+        return log
+
+    assert [(rec.steps, rec.inner_reason) for rec in result.log.outer] == [
+        (10, "budget"), (0, "outer budget")
+    ]
+    assert step_bound_audit(rebuilt(result.log.outer), config).ok
+    audit = step_bound_audit(rebuilt(()), config)
+    assert not audit.ok
+    assert audit.detail == "10 steps, 0 in the outer rows"
 
 
 def test_log_keeps_none_and_nan_apart(tmp_path):
